@@ -385,7 +385,7 @@ def load_detections(path: str | Path) -> tuple[tuple[float, float], ...]:
     """Parse a detections CSV back into ``(timestamp_s, score)`` pairs.
 
     Accepts the ``timestamp_s,score`` header as optional; rows must be
-    sorted by timestamp, mirroring :func:`write_detections`.
+    finite and sorted by timestamp, mirroring :func:`write_detections`.
     """
     path = Path(path)
     rows: list[tuple[float, float]] = []
@@ -404,6 +404,8 @@ def load_detections(path: str | Path) -> tuple[tuple[float, float], ...]:
             t, score = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise FormatError(f"{path} row {lineno}: non-numeric value: {exc}") from exc
+        if not (np.isfinite(t) and np.isfinite(score)):
+            raise ValidationError(f"{path} row {lineno}: non-finite value in {line!r}")
         if t < 0:
             raise ValidationError(f"{path} row {lineno}: negative timestamp {t}")
         if rows and t < rows[-1][0]:

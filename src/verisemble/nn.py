@@ -696,7 +696,11 @@ class _RecordReader:
     def records(self) -> Iterator[tuple[str, np.ndarray]]:
         while self.pos < len(self.data):
             (name_len,) = struct.unpack("<H", self.take(2, "record name length"))
-            name = self.take(name_len, "record name").decode()
+            raw = self.take(name_len, "record name")
+            try:
+                name = raw.decode()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"record name {raw!r} is not valid UTF-8") from exc
             (rank,) = struct.unpack("<B", self.take(1, f"rank of {name}"))
             dims = struct.unpack(f"<{rank}I", self.take(4 * rank, f"dims of {name}"))
             count = 1
@@ -729,7 +733,7 @@ def load_weights(path: str | Path) -> tuple[ModelSpec, dict[str, dict[str, np.nd
     spec_json = reader.take(spec_len, "spec JSON")
     try:
         spec = ModelSpec.from_json_obj(json.loads(spec_json))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: bad spec JSON: {exc}") from exc
 
     store: dict[str, dict[str, np.ndarray]] = {}

@@ -11,7 +11,7 @@ All functions are pure and safe to run data-parallel across frames.
 from __future__ import annotations
 
 import enum
-import math
+import functools
 
 import numpy as np
 
@@ -70,69 +70,85 @@ def _round_half_up_u8(values: np.ndarray) -> np.ndarray:
     return np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8)
 
 
-def _area_weights(in_n: int, out_n: int) -> np.ndarray:
-    """Rows of box-filter coverage weights for an in_n -> out_n downscale."""
-    weights = np.zeros((out_n, in_n), dtype=np.float64)
-    for j in range(out_n):
-        lo = j * in_n / out_n
-        hi = min((j + 1) * in_n / out_n, float(in_n))
-        first = int(math.floor(lo))
-        last = min(int(math.ceil(hi)), in_n)
-        for i in range(first, last):
-            overlap = min(hi, i + 1.0) - max(lo, float(i))
-            if overlap > 0:
-                weights[j, i] = overlap
-        weights[j] /= weights[j].sum()
-    return weights
+@functools.lru_cache(maxsize=16)
+def _axis_taps(in_n: int, out_n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integer resample taps for one axis of an ``in_n -> out_n`` resize.
 
+    Returns ``(index, weight, denominator)`` with ``index`` and ``weight`` of
+    shape ``(out_n, K)``: output cell ``j`` is
+    ``sum_k weight[j, k] * src[index[j, k]] / denominator``. Weights are
+    non-negative integers summing to ``denominator`` on every row.
 
-def _bilinear_weights(in_n: int, out_n: int) -> np.ndarray:
-    """Rows of bilinear weights (half-pixel centers) for an upscale."""
-    weights = np.zeros((out_n, in_n), dtype=np.float64)
-    for j in range(out_n):
-        src = (j + 0.5) * in_n / out_n - 0.5
-        src = min(max(src, 0.0), float(in_n - 1))
-        i0 = int(math.floor(src))
-        i1 = min(i0 + 1, in_n - 1)
-        frac = src - i0
-        weights[j, i0] += 1.0 - frac
-        weights[j, i1] += frac
-    return weights
+    A downscale is an area average: in units of ``1 / out_n`` of a source
+    pixel, cell ``j`` spans ``[j * in_n, (j + 1) * in_n)`` and source pixel
+    ``i`` spans ``[i * out_n, (i + 1) * out_n)``, so every coverage is an
+    integer and the denominator is ``in_n``. Otherwise the axis is bilinear
+    on half-pixel centres: ``src = ((2j + 1) * in_n - out_n) / (2 * out_n)``,
+    clamped to ``[0, in_n - 1]``, with denominator ``2 * out_n``.
 
-
-def _axis_weights(in_n: int, out_n: int) -> np.ndarray | None:
-    if out_n == in_n:
-        return None
+    Cached per geometry; the arrays are read-only so worker threads can
+    share them.
+    """
+    j = np.arange(out_n, dtype=np.int64)[:, None]
     if out_n < in_n:
-        return _area_weights(in_n, out_n)
-    return _bilinear_weights(in_n, out_n)
+        first = j * in_n // out_n
+        index = first + np.arange(-(-in_n // out_n) + 1)
+        lo = np.maximum(j * in_n, index * out_n)
+        hi = np.minimum((j + 1) * in_n, (index + 1) * out_n)
+        weight = np.maximum(hi - lo, 0)
+        denominator = in_n
+    else:
+        denominator = 2 * out_n
+        src = np.clip((2 * j + 1) * in_n - out_n, 0, denominator * (in_n - 1))
+        first = src // denominator
+        frac = src - first * denominator
+        index = first + np.arange(2)
+        weight = np.concatenate([denominator - frac, frac], axis=1)
+    # Non-zero taps are a prefix of each row; drop columns that are all zero.
+    taps = int(np.count_nonzero(weight, axis=1).max())
+    index = np.minimum(index[:, :taps], in_n - 1)
+    weight = weight[:, :taps].astype(np.float64)
+    index.setflags(write=False)
+    weight.setflags(write=False)
+    return index, weight, denominator
+
+
+def _apply_taps(
+    values: np.ndarray, index: np.ndarray, weight: np.ndarray, axis: int
+) -> np.ndarray:
+    """Resample ``values`` along ``axis`` (0 or 1) as a band of gathered rows
+    or columns; the result is the un-normalised float64 weighted sum."""
+    shape = (-1, 1, 1) if axis == 0 else (1, -1, 1)
+    acc = np.take(values, index[:, 0], axis=axis) * weight[:, 0].reshape(shape)
+    for k in range(1, index.shape[1]):
+        acc += np.take(values, index[:, k], axis=axis) * weight[:, k].reshape(shape)
+    return acc
 
 
 def resize_aa(frame: Frame, out_w: int, out_h: int) -> Frame:
     """Resize a frame to exactly ``out_w`` x ``out_h``.
 
     Downscaled axes use area-average resampling (the anti-aliasing box
-    filter); upscaled axes use bilinear interpolation. Each output value is
-    the round-half-up of the real-valued resample, clamped to [0, 255].
-    Same-size requests return the input byte-identically.
+    filter); other axes use bilinear interpolation on half-pixel centres.
+    Each output value is the exact round-half-up of the real-valued
+    resample: every weight is an integer over a per-axis denominator, so
+    the weighted sum ``N`` (at most ``255 * D_y * D_x``) is an integer
+    below 2**53 that float64 holds exactly in any summation order, and the
+    result is ``floor(N / (D_y * D_x) + 1/2)``. Ties round up. The per-axis
+    taps are built once per geometry and cached. Same-size requests return
+    the input byte-identically.
     """
     if out_w < 1 or out_h < 1:
         raise ValueError(f"resize target must be at least 1x1, got {out_w}x{out_h}")
     if out_w == frame.width and out_h == frame.height:
         return frame
 
-    values = frame.pixels.astype(np.float64)
-    w_y = _axis_weights(frame.height, out_h)
-    if w_y is not None:
-        h, w, c = values.shape
-        values = (w_y @ values.reshape(h, w * c)).reshape(out_h, w, c)
-    w_x = _axis_weights(frame.width, out_w)
-    if w_x is not None:
-        # Contract over the width axis: (h, w, c) -> (h, c, w) @ (w, out_w).
-        values = np.ascontiguousarray(values.transpose(0, 2, 1)) @ w_x.T
-        values = values.transpose(0, 2, 1)
-
-    return Frame(index=frame.index, pixels=_round_half_up_u8(values))
+    y_index, y_weight, d_y = _axis_taps(frame.height, out_h)
+    x_index, x_weight, d_x = _axis_taps(frame.width, out_w)
+    sums = _apply_taps(frame.pixels, y_index, y_weight, axis=0)
+    sums = _apply_taps(sums, x_index, x_weight, axis=1)
+    rounded = (2 * sums.astype(np.int64) + d_y * d_x) // (2 * d_y * d_x)
+    return Frame(index=frame.index, pixels=rounded.astype(np.uint8))
 
 
 def to_grayscale(

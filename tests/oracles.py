@@ -3,12 +3,17 @@
 Everything here is written straight from the documented behavior with
 plain Python loops and no shared code with the library, so a bug in the
 optimized implementations cannot hide in the reference and vice versa.
-Slow on purpose; only tests import this module.
+Slow on purpose; only tests import this module. The one exception is
+``resize_integer``, which multiplies its loop-built integer weight matrices
+with numpy so it can check full-size frames.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+
+import numpy as np
 
 
 def round_half_up(value: float) -> int:
@@ -27,69 +32,97 @@ def luma_pixel(r: int, g: int, b: int, coefficients=(0.299, 0.587, 0.114)) -> in
     return clamp_u8(round_half_up(cr * r + cg * g + cb * b))
 
 
-def _axis_samples(out_n: int, in_n: int, j: int) -> list[tuple[int, float]]:
-    """(source index, weight) pairs for output cell j along one axis."""
-    if out_n == in_n:
-        return [(j, 1.0)]
+def _exact_axis_samples(out_n: int, in_n: int, j: int) -> list[tuple[int, Fraction]]:
+    """(source index, exact weight) pairs for output cell j along one axis."""
     if out_n < in_n:
-        # Box filter: average every source cell overlapping the target box.
-        scale = in_n / out_n
-        lo = j * scale
-        hi = (j + 1) * scale
+        # Box filter over [j, j + 1) * in_n / out_n in source coordinates.
+        lo = Fraction(j * in_n, out_n)
+        hi = Fraction((j + 1) * in_n, out_n)
         samples = []
-        total = 0.0
         for r in range(in_n):
-            overlap = min(r + 1.0, hi) - max(float(r), lo)
+            overlap = min(Fraction(r + 1), hi) - max(Fraction(r), lo)
             if overlap > 0:
-                samples.append((r, overlap))
-                total += overlap
-        return [(r, w / total) for r, w in samples]
-    # Bilinear between the two nearest source centers (half-pixel grid).
-    if in_n == 1:
-        return [(0, 1.0)]
-    src = (j + 0.5) * in_n / out_n - 0.5
-    if src < 0:
-        src = 0.0
-    if src > in_n - 1:
-        src = float(in_n - 1)
-    i0 = int(math.floor(src))
-    if i0 > in_n - 2:
-        i0 = in_n - 2
-    if i0 < 0:
-        i0 = 0
+                samples.append((r, overlap / (hi - lo)))
+        return samples
+    # Bilinear between the two nearest half-pixel source centers.
+    src = (Fraction(2 * j + 1, 2) * in_n) / out_n - Fraction(1, 2)
+    src = min(max(src, Fraction(0)), Fraction(in_n - 1))
+    i0 = math.floor(src)
     frac = src - i0
-    return [(i0, 1.0 - frac), (i0 + 1, frac)]
+    if frac == 0:
+        return [(i0, Fraction(1))]
+    return [(i0, 1 - frac), (i0 + 1, frac)]
 
 
-def resize_floats(pixels, out_w: int, out_h: int):
-    """Resize to (out_h, out_w, c) nested lists of pre-rounding floats."""
+def resize_exact(pixels, out_w: int, out_h: int):
+    """Resize a (h, w, c) nested list / array of uint8 values in exact
+    rational arithmetic, rounding half up; returns nested lists of ints."""
     in_h = len(pixels)
     in_w = len(pixels[0])
     channels = len(pixels[0][0])
     out = []
     for j in range(out_h):
-        row_samples = _axis_samples(out_h, in_h, j)
+        row_samples = _exact_axis_samples(out_h, in_h, j)
         row = []
         for i in range(out_w):
-            col_samples = _axis_samples(out_w, in_w, i)
+            col_samples = _exact_axis_samples(out_w, in_w, i)
             px = []
             for c in range(channels):
-                acc = 0.0
+                acc = Fraction(0)
                 for y, wy in row_samples:
                     for x, wx in col_samples:
-                        acc += wy * wx * float(pixels[y][x][c])
-                px.append(acc)
+                        acc += wy * wx * int(pixels[y][x][c])
+                px.append(clamp_u8(math.floor(acc + Fraction(1, 2))))
             row.append(px)
         out.append(row)
     return out
 
 
-def resize_pixels(pixels, out_w: int, out_h: int):
-    """Resize a (h, w, c) nested list / array of uint8 values."""
-    return [
-        [[clamp_u8(round_half_up(v)) for v in px] for px in row]
-        for row in resize_floats(pixels, out_w, out_h)
-    ]
+def _integer_axis_matrix(in_n: int, out_n: int):
+    """Dense ``(out_n, in_n)`` integer resample weights and their row sum.
+
+    Downscale: the coverage of source pixel i by target cell j, in units of
+    1/out_n of a pixel. Otherwise: bilinear on half-pixel centres, in units
+    of 1/(2 * out_n).
+    """
+    matrix = [[0] * in_n for _ in range(out_n)]
+    if out_n < in_n:
+        for j in range(out_n):
+            for i in range(in_n):
+                lo = max(j * in_n, i * out_n)
+                hi = min((j + 1) * in_n, (i + 1) * out_n)
+                if hi > lo:
+                    matrix[j][i] = hi - lo
+        return matrix, in_n
+    denominator = 2 * out_n
+    for j in range(out_n):
+        src = min(max((2 * j + 1) * in_n - out_n, 0), denominator * (in_n - 1))
+        i0, frac = divmod(src, denominator)
+        matrix[j][i0] += denominator - frac
+        if frac:
+            matrix[j][i0 + 1] += frac
+    return matrix, denominator
+
+
+def resize_integer(pixels, out_w: int, out_h: int):
+    """Resize a uint8 ``(h, w, c)`` array with dense integer weight matrices.
+
+    Fast enough for full-size frames: the weighted sums are integers below
+    2**53, so the float64 matrix products are exact in any summation order,
+    and the final round-half-up is done in integers.
+    """
+    h, w, c = pixels.shape
+    rows, d_y = _integer_axis_matrix(h, out_h)
+    cols, d_x = _integer_axis_matrix(w, out_w)
+    rows = np.array(rows, dtype=np.float64)
+    cols = np.array(cols, dtype=np.float64)
+    sums = (rows @ pixels.reshape(h, w * c).astype(np.float64)).reshape(out_h, w, c)
+    sums = np.ascontiguousarray(sums.transpose(0, 2, 1)) @ cols.T  # (out_h, c, out_w)
+    sums = sums.transpose(0, 2, 1)
+    assert np.array_equal(sums, np.rint(sums)), "weighted sums must be integers"
+    total = sums.astype(np.int64)
+    denominator = d_y * d_x
+    return ((2 * total + denominator) // (2 * denominator)).astype(np.uint8)
 
 
 # -- network layers --------------------------------------------------------

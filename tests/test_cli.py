@@ -9,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from verisemble import ChannelSubset, MeanIntensityModel, extract_features, resize_aa
+from verisemble import (
+    ChannelSubset,
+    MeanIntensityModel,
+    encode_ppm,
+    extract_features,
+    resize_aa,
+)
 from verisemble.cli import main
 
 from conftest import (
@@ -17,6 +23,7 @@ from conftest import (
     GOLDEN_FPS,
     GREEN,
     MAGENTA,
+    random_frame,
     solid_frame,
     write_mean_config,
     write_sequence,
@@ -112,6 +119,31 @@ class TestRun:
                 + (out / "predictions.csv").read_bytes()
             )
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_workers_identical_bytes_through_resize(self, tmp_path):
+        # Random 64x48 frames into a 32x32 model: every frame takes the
+        # resize path and the workers share its cached taps.
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for i in range(12):
+            frame = random_frame(seed=300 + i, width=64, height=48)
+            (frames / f"frame_{i:04d}.ppm").write_bytes(encode_ppm(frame))
+        (frames / "manifest.json").write_text(
+            json.dumps({"frame_count": 12, "fps": 10.0, "pattern": "frame_%04d.ppm"})
+        )
+        config = write_mean_config(tmp_path / "config.json", input={"width": 32, "height": 32})
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"out{workers}"
+            assert main([
+                "run", "--config", str(config), "--frames", str(frames),
+                "--out", str(out), "--workers", workers,
+            ]) == 0
+            outputs.append(
+                (out / "detections.csv").read_bytes()
+                + (out / "predictions.csv").read_bytes()
+            )
+        assert outputs[0] == outputs[1]
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         _, frames, out = golden_workspace(tmp_path)
@@ -212,6 +244,14 @@ class TestEval:
         gt.write_text("1.0,2.0\n")
         assert main(["eval", "--detections", str(detections), "--gt", str(gt)]) == 2
         assert "sorted" in capsys.readouterr().err
+
+    def test_non_finite_detections_exit_2(self, tmp_path, capsys):
+        detections = tmp_path / "detections.csv"
+        detections.write_text("timestamp_s,score\nnan,0.9\n")
+        gt = tmp_path / "gt.csv"
+        gt.write_text("1.0,2.0\n")
+        assert main(["eval", "--detections", str(detections), "--gt", str(gt)]) == 2
+        assert "non-finite" in capsys.readouterr().err
 
     def test_missing_detections_exit_2(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"

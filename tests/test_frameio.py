@@ -268,6 +268,13 @@ class TestDetections:
         with pytest.raises(FormatError, match="row 1"):
             load_detections(path)
 
+    @pytest.mark.parametrize("row", ["nan,0.5", "inf,0.5", "1.000,nan", "1.000,-inf"])
+    def test_read_non_finite_rejected(self, tmp_path, row):
+        path = tmp_path / "det.csv"
+        path.write_text(f"timestamp_s,score\n0.500,0.5\n{row}\n")
+        with pytest.raises(ValidationError, match="row 3: non-finite"):
+            load_detections(path)
+
 
 def test_manifest_json_shape_matches_docs(tmp_path):
     # The documented external manifest shape loads as written.

@@ -860,6 +860,26 @@ class TestWeightContainer:
         with pytest.raises(FormatError, match="record name"):
             load_weights(path)
 
+    def test_record_name_not_utf8_rejected(self, tmp_path):
+        spec = head_spec()
+        spec_json = json.dumps(spec.to_json_obj(), sort_keys=True, separators=(",", ":")).encode()
+        blob = b"TSTM" + struct.pack("<I", 1)
+        blob += struct.pack("<I", len(spec_json)) + spec_json
+        blob += struct.pack("<H", 4) + b"ou\xff/"
+        blob += struct.pack("<B", 1) + struct.pack("<I", 1) + struct.pack("<f", 0.0)
+        path = tmp_path / "badname.weights"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="record name .* not valid UTF-8"):
+            load_weights(path)
+
+    def test_spec_json_not_utf8_rejected(self, tmp_path):
+        payload = b'{"\xff": 1}'
+        blob = b"TSTM" + struct.pack("<I", 1) + struct.pack("<I", len(payload)) + payload
+        path = tmp_path / "badspec.weights"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="JSON"):
+            load_weights(path)
+
     def test_bad_spec_json_rejected(self, tmp_path):
         payload = b"{not json"
         blob = b"TSTM" + struct.pack("<I", 1) + struct.pack("<I", len(payload)) + payload

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from verisemble import preprocess
 from verisemble import (
     BT601_LUMA,
     ChannelSubset,
@@ -18,9 +20,8 @@ from verisemble import (
     to_grayscale,
 )
 
-import oracles
 from conftest import random_frame, solid_frame
-from oracles import luma_pixel, resize_floats
+from oracles import luma_pixel, resize_exact, resize_integer
 
 
 class TestChannelSubset:
@@ -74,36 +75,66 @@ class TestResize:
             resize_aa(frame, 4, 0)
 
     def test_matches_naive_reference(self):
-        # When the exact resample value sits on an x.5 rounding boundary
-        # that float64 cannot represent (e.g. sixth-fraction weights), the
-        # library and the reference may land on opposite sides of the tie,
-        # so pixels whose reference pre-rounding value is within 1e-9 of a
-        # boundary may legitimately differ by one. Everywhere else the
-        # rounded bytes must match exactly.
+        # Exact references: a pre-rounding value of exactly x.5 must round
+        # up, with no allowance for float error.
         rng = random.Random(2024)
-        for case in range(60):
-            in_w = rng.randint(1, 12)
-            in_h = rng.randint(1, 12)
-            out_w = rng.randint(1, 12)
-            out_h = rng.randint(1, 12)
-            channels = rng.choice([1, 3])
+        small = [tuple(rng.randint(1, 12) for _ in range(4)) for _ in range(60)]
+        # Mixed axes: one upscaled, one downscaled, in both directions.
+        small += [(3, 11, 7, 4), (11, 3, 4, 7), (5, 6, 13, 6), (6, 5, 6, 2), (1, 9, 4, 1)]
+        for case, (in_w, in_h, out_w, out_h) in enumerate(small):
+            channels = 1 if case % 3 == 0 else 3
             frame = random_frame(seed=case, width=in_w, height=in_h, channels=channels)
-            got = resize_aa(frame, out_w, out_h)
-            want_float = resize_floats(frame.pixels.tolist(), out_w, out_h)
             label = f"case {case}: {in_w}x{in_h}x{channels} -> {out_w}x{out_h}"
-            for y in range(out_h):
-                for x in range(out_w):
-                    for c in range(channels):
-                        value = want_float[y][x][c]
-                        byte = int(got.pixels[y, x, c])
-                        where = f"{label} at ({y}, {x}, {c}): value {value!r}"
-                        lower = oracles.clamp_u8(math.floor(value))
-                        if abs(value - (math.floor(value) + 0.5)) < 1e-9:
-                            upper = oracles.clamp_u8(math.floor(value) + 1)
-                            assert byte in (lower, upper), where
-                        else:
-                            want = oracles.clamp_u8(oracles.round_half_up(value))
-                            assert byte == want, where
+            want = resize_exact(frame.pixels.tolist(), out_w, out_h)
+            assert resize_aa(frame, out_w, out_h).pixels.tolist() == want, label
+            assert resize_integer(frame.pixels, out_w, out_h).tolist() == want, label
+        # Larger geometries against the integer reference: a 1280x720 ->
+        # 300x300 downscale, which holds hundreds of exact .5 ties, and a
+        # seeded sweep of up-, down- and mixed-axis resizes.
+        large = [(1280, 720, 300, 300)]
+        large += [tuple(rng.randint(1, 160) for _ in range(4)) for _ in range(40)]
+        for case, (in_w, in_h, out_w, out_h) in enumerate(large):
+            frame = random_frame(seed=700 + case, width=in_w, height=in_h)
+            got = resize_aa(frame, out_w, out_h).pixels
+            want = resize_integer(frame.pixels, out_w, out_h)
+            assert np.array_equal(got, want), f"{in_w}x{in_h} -> {out_w}x{out_h}"
+
+    def test_taps_cached_per_geometry(self):
+        frame = random_frame(seed=5, width=37, height=23)
+        resize_aa(frame, 19, 41)
+        before = preprocess._axis_taps.cache_info()
+        resize_aa(frame, 19, 41)
+        after = preprocess._axis_taps.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+        index, weight, _ = preprocess._axis_taps(37, 19)
+        assert preprocess._axis_taps(37, 19)[0] is index
+        for array in (index, weight):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+
+    def test_threads_sharing_taps_match_reference(self):
+        # More workers than cores and a short switch interval, so threads
+        # build and read the shared taps cache concurrently.
+        geometries = [(31 + k % 5, 17 + k % 3, 13 + k % 4, 29 - k % 6) for k in range(48)]
+        frames = [
+            random_frame(seed=k, width=w, height=h)
+            for k, (w, h, _, _) in enumerate(geometries)
+        ]
+        preprocess._axis_taps.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [
+                    pool.submit(resize_aa, frame, out_w, out_h)
+                    for frame, (_, _, out_w, out_h) in zip(frames, geometries)
+                ]
+                threaded = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for frame, (_, _, out_w, out_h), got in zip(frames, geometries, threaded):
+            assert np.array_equal(got.pixels, resize_integer(frame.pixels, out_w, out_h))
 
     def test_idempotent_after_first_resize(self):
         frame = random_frame(seed=11, width=10, height=7)
