@@ -22,7 +22,7 @@ from time import perf_counter
 from typing import Sequence
 
 from .config import PipelineConfig, load_config
-from .ensemble import FusionConfig, PredictionSeries, fuse_video
+from .ensemble import FusionConfig, fuse_video
 from .errors import ValidationError, VerisembleError
 from .evaluate import (
     BenchReport,
@@ -42,7 +42,7 @@ from .frameio import (
     write_detections,
 )
 from .nn import count_params
-from .pipeline import CnnModel, build_stage_models, run_pipeline
+from .pipeline import CnnModel, PipelineResult, build_stage_models, run_pipeline
 from .preprocess import extract_features, resize_aa
 
 __all__ = ["main", "build_parser"]
@@ -74,25 +74,27 @@ def _resolve_fps(config: PipelineConfig, manifest_fps: float) -> float:
     return config.fps if config.fps is not None else manifest_fps
 
 
-def _write_predictions_csv(
-    path: Path,
-    config: PipelineConfig,
-    stage_series: Sequence[PredictionSeries],
-    fused: PredictionSeries,
-) -> None:
+def _write_predictions_csv(path: Path, config: PipelineConfig, result: PipelineResult) -> None:
+    """One row per frame. A stage's cells are empty where it did not score
+    the frame; ``final_score`` is empty where a verifier's window around the
+    frame takes in a frame that verifier did not score."""
     columns = ["frame_index"]
     for k, stage in enumerate(config.stages):
         columns.append(f"stage{k}_{stage.channels.value}_label")
         columns.append(f"stage{k}_{stage.channels.value}_score")
     columns += ["final_label", "final_score"]
     lines = [",".join(columns)]
-    for i in range(len(fused)):
+    scored = [set(frames) for frames in result.scored]
+    known = result.fused_score_known(config.fusion)
+    for i in range(len(result.fused)):
         row = [str(i)]
-        for series in stage_series:
-            row.append(str(int(series.labels[i])))
-            row.append(repr(series.scores[i]))
-        row.append(str(int(fused.labels[i])))
-        row.append(repr(fused.scores[i]))
+        for series, done in zip(result.stage_series, scored):
+            if i in done:
+                row += [str(int(series.labels[i])), repr(series.scores[i])]
+            else:
+                row += ["", ""]
+        row.append(str(int(result.fused.labels[i])))
+        row.append(repr(result.fused.scores[i]) if known[i] else "")
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
 
@@ -113,9 +115,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         [(event.timestamp_s, event.peak_score) for event in result.events],
         out_dir / "detections.csv",
     )
-    _write_predictions_csv(
-        out_dir / "predictions.csv", config, result.stage_series, result.fused
-    )
+    _write_predictions_csv(out_dir / "predictions.csv", config, result)
 
     if args.gt is not None:
         gt = load_ground_truth(args.gt)

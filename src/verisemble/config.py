@@ -161,6 +161,26 @@ def _require_keys(obj: Mapping, allowed: set[str], required: set[str], where: st
         raise FormatError(f"{where}: missing keys {sorted(missing)}")
 
 
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
+
+
+def _typed(value: object, kind: type, where: str) -> object:
+    """``value`` if JSON gave it type ``kind``, else :class:`FormatError`.
+
+    A ``float`` field takes integers too. Python counts ``true`` and
+    ``false`` as integers, so they are refused where a number is due.
+    """
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        ok = not isinstance(value, bool) and isinstance(
+            value, (int, float) if kind is float else int
+        )
+    if not ok:
+        raise FormatError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def _parse_model(obj: Mapping, base_dir: Path) -> ModelConfig:
     _require_keys(obj, {"type", "weights"}, {"type"}, "stage model")
     kind = obj["type"]
@@ -198,9 +218,17 @@ def _parse_fusion(obj: Mapping) -> FusionConfig:
     defaults = FusionConfig()
     try:
         return FusionConfig(
-            pack_size=obj.get("pack_size", defaults.pack_size),
-            neighbor_window=obj.get("neighbor_window", defaults.neighbor_window),
-            packing_enabled=obj.get("packing_enabled", defaults.packing_enabled),
+            pack_size=_typed(obj.get("pack_size", defaults.pack_size), int, "fusion: pack_size"),
+            neighbor_window=_typed(
+                obj.get("neighbor_window", defaults.neighbor_window),
+                int,
+                "fusion: neighbor_window",
+            ),
+            packing_enabled=_typed(
+                obj.get("packing_enabled", defaults.packing_enabled),
+                bool,
+                "fusion: packing_enabled",
+            ),
         )
     except ValidationError as exc:
         raise FormatError(f"fusion: {exc}") from exc
@@ -227,7 +255,8 @@ def parse_config(obj: Mapping, base_dir: str | Path = ".") -> PipelineConfig:
     width, height = 300, 300
     if "input" in obj:
         _require_keys(obj["input"], {"width", "height"}, {"width", "height"}, "input")
-        width, height = obj["input"]["width"], obj["input"]["height"]
+        width = _typed(obj["input"]["width"], int, "input: width")
+        height = _typed(obj["input"]["height"], int, "input: height")
 
     if not isinstance(obj["stages"], list) or not obj["stages"]:
         raise FormatError("config: 'stages' must be a non-empty list")
@@ -241,7 +270,7 @@ def parse_config(obj: Mapping, base_dir: str | Path = ".") -> PipelineConfig:
     if "luma" in obj:
         if not isinstance(obj["luma"], list) or len(obj["luma"]) != 3:
             raise FormatError(f"config: 'luma' must be a list of 3 numbers, got {obj['luma']!r}")
-        luma = tuple(obj["luma"])
+        luma = tuple(_typed(v, float, "config: each 'luma' entry") for v in obj["luma"])
 
     try:
         return PipelineConfig(
@@ -250,9 +279,9 @@ def parse_config(obj: Mapping, base_dir: str | Path = ".") -> PipelineConfig:
             input_width=width,
             input_height=height,
             luma_coefficients=luma,
-            threshold=obj.get("threshold", 0.5),
-            fps=obj.get("fps"),
-            seed=obj.get("seed", 0),
+            threshold=_typed(obj.get("threshold", 0.5), float, "config: threshold"),
+            fps=None if obj.get("fps") is None else _typed(obj["fps"], float, "config: fps"),
+            seed=_typed(obj.get("seed", 0), int, "config: seed"),
         )
     except ValidationError as exc:
         raise FormatError(f"config: {exc}") from exc

@@ -68,6 +68,15 @@ class FusionConfig:
                 f"got {self.neighbor_window}"
             )
 
+    @property
+    def verifier_radius(self) -> int:
+        """How far from a proposal each verification step looks.
+
+        ``(neighbor_window - 1) // 2`` with packing enabled; 0 without,
+        where each step is the per-frame AND.
+        """
+        return (self.neighbor_window - 1) // 2 if self.packing_enabled else 0
+
 
 @dataclass(frozen=True)
 class PredictionSeries:

@@ -1,7 +1,12 @@
 """End-to-end pipeline: frames in, fused detection events out.
 
-Each frame is resized once to the model input size, then every stage
-extracts its channel subset and scores it. Per-stage label streams are
+The pipeline runs one pass per stage. Pass 0 resizes each frame once to
+the model input size and scores the first stage, the proposer, on every
+frame. Each later stage is a verifier that can only veto, so it scores
+only the frames its decision can depend on: the window of
+``FusionConfig.verifier_radius`` frames around each proposal that has
+survived the fold so far. A frame outside every such window stays
+negative whatever the verifier would say. Per-stage label streams are
 fused by the verification chain and the surviving positives collapse
 into timestamped events.
 """
@@ -12,12 +17,12 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .config import CnnModelConfig, MeanIntensityModelConfig, PipelineConfig
-from .ensemble import PredictionSeries, chain_fuse
+from .config import CnnModelConfig, MeanIntensityModelConfig, PipelineConfig, StageConfig
+from .ensemble import FusionConfig, PredictionSeries, chain_fuse, pack_mode
 from .errors import LoadError, ValidationError
 from .evaluate import DetectionEvent, events_from_series
 from .frameio import Frame
@@ -97,26 +102,50 @@ class PipelineResult:
 
     ``stage_series[k][i]`` is stage ``k``'s raw output for the ``i``-th
     frame of the input order; ``fused`` is the chained decision stream
-    over the same positions.
+    over the same positions. ``scored[k]`` lists, ascending, the frames
+    stage ``k`` scored: every frame for stage 0, the proposal windows
+    for each verifier. At a frame a stage did not score, its series holds
+    label False and score 0.0, so a fused score whose window takes in
+    such a frame may differ from the one that scoring every frame gives.
+    Fused labels, and the fused scores of fused positives, never differ.
     """
 
     stage_series: tuple[PredictionSeries, ...]
     fused: PredictionSeries
     events: tuple[DetectionEvent, ...]
     fps: float
+    scored: tuple[tuple[int, ...], ...]
+
+    def fused_score_known(self, fusion: FusionConfig) -> tuple[bool, ...]:
+        """Per frame, whether every verifier scored the whole window around
+        it under ``fusion``, so its fused score is the one that scoring
+        every frame gives."""
+        n = len(self.fused)
+        unknown: set[int] = set()
+        for frames in self.scored[1:]:
+            unscored = set(range(n)).difference(frames)
+            unknown.update(_windows(unscored, fusion.verifier_radius, n))
+        return tuple(i not in unknown for i in range(n))
 
 
-def _frame_scores(
-    frame: Frame,
-    config: PipelineConfig,
-    models: Sequence[StageModel],
-) -> tuple[float, ...]:
-    resized = resize_aa(frame, config.input_width, config.input_height)
-    scores = []
-    for stage, model in zip(config.stages, models):
-        features = extract_features(resized, stage.channels, config.luma_coefficients)
-        scores.append(model.score(features))
-    return tuple(scores)
+def _stage_score(
+    resized: Frame, stage: StageConfig, model: StageModel, config: PipelineConfig
+) -> float:
+    return model.score(extract_features(resized, stage.channels, config.luma_coefficients))
+
+
+def _proposals(series: Sequence[PredictionSeries], fusion: FusionConfig) -> PredictionSeries:
+    """The fold of the stages scored so far: what the next verifier must check."""
+    if len(series) > 1:
+        return chain_fuse(series, fusion)
+    return pack_mode(series[0], fusion.pack_size) if fusion.packing_enabled else series[0]
+
+
+def _windows(centres: Iterable[int], radius: int, n: int) -> tuple[int, ...]:
+    """Ascending union of ``[i - radius, i + radius]`` over ``centres``, clipped to ``[0, n)``."""
+    return tuple(
+        sorted({j for i in centres for j in range(max(0, i - radius), min(n, i + radius + 1))})
+    )
 
 
 def run_pipeline(
@@ -127,33 +156,51 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run all stages over a frame sequence and fuse the results.
 
-    ``workers`` > 1 scores frames in a thread pool; output order and
-    values are identical to the sequential run because each frame is
-    scored independently and results are collected in input order.
+    Stage 0 scores every frame; each later stage scores only the windows
+    around the proposals that survive the stages before it (see the
+    module docstring). ``workers`` threads score the frames of each pass;
+    output order and values are identical for every worker count because
+    each frame is scored independently and results are collected in
+    input order.
     """
     if not (fps > 0):
         raise ValidationError(f"fps must be positive, got {fps}")
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     models = build_stage_models(config)
-    logger.info(
-        "scoring %d frames with %d stages (%d workers)",
-        len(frames), len(models), workers,
-    )
+    n = len(frames)
+    logger.info("scoring %d frames with %d stages (%d workers)", n, len(models), workers)
 
-    if workers == 1 or len(frames) <= 1:
-        per_frame = [_frame_scores(frame, config, models) for frame in frames]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_frame = list(
-                pool.map(lambda frame: _frame_scores(frame, config, models), frames)
-            )
+    def first_pass(frame: Frame) -> tuple[Frame, float]:
+        resized = resize_aa(frame, config.input_width, config.input_height)
+        return resized, _stage_score(resized, config.stages[0], models[0], config)
 
-    stage_series = []
-    for k in range(len(config.stages)):
-        scores = tuple(scores_for_frame[k] for scores_for_frame in per_frame)
-        labels = tuple(classify(s, config.threshold) for s in scores)
-        stage_series.append(PredictionSeries(labels=labels, scores=scores))
+    def series(scores: Sequence[float]) -> PredictionSeries:
+        return PredictionSeries(
+            labels=tuple(classify(s, config.threshold) for s in scores), scores=scores
+        )
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        prepared = list(pool.map(first_pass, frames))
+        resized = [frame for frame, _ in prepared]
+        stage_series = [series([score for _, score in prepared])]
+        scored = [tuple(range(n))]
+        logger.info("stage 0: scored %d of %d frames", n, n)
+        for k in range(1, len(models)):
+            proposals = _proposals(stage_series, config.fusion).positive_indices()
+            needed = _windows(proposals, config.fusion.verifier_radius, n)
+            stage, model = config.stages[k], models[k]
+            # Unscored frames keep score 0.0, which is below every valid
+            # threshold, so they read as negative.
+            scores = [0.0] * n
+            for i, score in zip(
+                needed,
+                pool.map(lambda i: _stage_score(resized[i], stage, model, config), needed),
+            ):
+                scores[i] = score
+            stage_series.append(series(scores))
+            scored.append(needed)
+            logger.info("stage %d: scored %d of %d frames", k, len(needed), n)
 
     fused = chain_fuse(stage_series, config.fusion)
     events = events_from_series(fused, fps)
@@ -163,4 +210,5 @@ def run_pipeline(
         fused=fused,
         events=events,
         fps=fps,
+        scored=tuple(scored),
     )

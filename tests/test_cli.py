@@ -19,6 +19,7 @@ from verisemble import (
 from verisemble.cli import main
 
 from conftest import (
+    BLACK,
     GOLDEN_COLORS,
     GOLDEN_FPS,
     GREEN,
@@ -60,20 +61,31 @@ class TestRun:
             "frame_index,stage0_RGB_label,stage0_RGB_score,"
             "stage1_L_label,stage1_L_score,final_label,final_score"
         )
-        assert len(lines) == 1 + len(GOLDEN_COLORS)
-        # Frame 0 (black): everything off, all scores zero.
-        assert lines[1] == "0,0,0.0,0,0.0,0,0.0"
-        # Frame 3 (magenta): proposer fires, verifier does not, packing
-        # keeps the label but the window finds no support.
+        black_rgb = mean_score(BLACK, ChannelSubset.RGB)
+        black_luma = mean_score(BLACK, ChannelSubset.LUMA)
         magenta_rgb = mean_score(MAGENTA, ChannelSubset.RGB)
         magenta_luma = mean_score(MAGENTA, ChannelSubset.LUMA)
-        assert lines[4] == f"3,1,{magenta_rgb!r},0,{magenta_luma!r},0,{magenta_luma!r}"
-        # Frame 5 (magenta): survives thanks to the green frame at 6.
-        green_luma = mean_score(GREEN, ChannelSubset.LUMA)
-        assert lines[6] == f"5,1,{magenta_rgb!r},0,{magenta_luma!r},1,{green_luma!r}"
-        # Frame 6 (green): verifier fires alone; fused stays negative.
         green_rgb = mean_score(GREEN, ChannelSubset.RGB)
-        assert lines[7] == f"6,0,{green_rgb!r},1,{green_luma!r},0,{green_rgb!r}"
+        green_luma = mean_score(GREEN, ChannelSubset.LUMA)
+        # The packed proposals are the magenta run 3-5, so the verifier
+        # scores only frames 2-6 and its cells elsewhere are empty. The
+        # final score is empty wherever the window around the frame takes
+        # in a frame the verifier did not score: everywhere but 3-5.
+        assert lines[1:] == [
+            f"0,0,{black_rgb!r},,,0,",
+            f"1,0,{black_rgb!r},,,0,",
+            f"2,0,{black_rgb!r},0,{black_luma!r},0,",
+            # Magenta: proposer fires, verifier does not; packing keeps
+            # the label but the window finds no support.
+            f"3,1,{magenta_rgb!r},0,{magenta_luma!r},0,{magenta_luma!r}",
+            f"4,1,{magenta_rgb!r},0,{magenta_luma!r},0,{magenta_luma!r}",
+            # Frame 5 survives thanks to the green frame at 6.
+            f"5,1,{magenta_rgb!r},0,{magenta_luma!r},1,{green_luma!r}",
+            # Green: the verifier fires alone; fused stays negative.
+            f"6,0,{green_rgb!r},1,{green_luma!r},0,",
+            f"7,0,{black_rgb!r},,,0,",
+            f"8,0,{black_rgb!r},,,0,",
+        ]
 
     def test_report_written_only_with_ground_truth(self, tmp_path):
         config, frames, out = golden_workspace(tmp_path)
@@ -153,6 +165,32 @@ class TestRun:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"threshold": "0.5"},
+            {"threshold": True},
+            {"fps": "25"},
+            {"fps": False},
+            {"input": {"width": "300", "height": 300}},
+            {"input": {"width": 300, "height": True}},
+            {"input": {"width": 300.0, "height": 300}},
+            {"luma": ["0.299", 0.587, 0.114]},
+            {"luma": [0.299, True, 0.114]},
+            {"fusion": {"pack_size": True}},
+            {"fusion": {"pack_size": "3"}},
+            {"fusion": {"neighbor_window": 3.0}},
+            {"fusion": {"neighbor_window": False}},
+        ],
+    )
+    def test_mistyped_config_field_exits_2(self, tmp_path, capsys, overrides):
+        _, frames, out = golden_workspace(tmp_path)
+        config = write_mean_config(tmp_path / "bad.json", **overrides)
+        code = main(["run", "--config", str(config), "--frames", str(frames), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
 
     def test_missing_weights_exits_2_naming_path(self, tmp_path, capsys):
         frames = write_sequence(tmp_path / "frames", GOLDEN_COLORS)

@@ -275,6 +275,37 @@ class TestSectionParsing:
             parse_config(obj)
 
 
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("threshold", "0.5", "threshold"),
+            ("threshold", True, "threshold"),
+            ("fps", "25", "fps"),
+            ("seed", True, "seed"),
+            ("input", {"width": "300", "height": 300}, "width"),
+            ("input", {"width": 300, "height": 2.5}, "height"),
+            ("luma", [0.3, "0.5", 0.2], "luma"),
+            ("luma", [False, 0.5, 0.2], "luma"),
+            ("fusion", {"pack_size": True}, "pack_size"),
+            ("fusion", {"neighbor_window": "3"}, "neighbor_window"),
+            ("fusion", {"packing_enabled": "yes"}, "packing_enabled"),
+        ],
+    )
+    def test_mistyped_field_is_a_format_error(self, key, value, field):
+        obj = minimal_obj()
+        obj[key] = value
+        with pytest.raises(FormatError, match=field):
+            parse_config(obj)
+
+    def test_integer_accepted_where_a_number_is_due(self):
+        obj = minimal_obj()
+        obj["fps"] = 25
+        obj["luma"] = [0, 1, 0]
+        config = parse_config(obj)
+        assert config.fps == 25
+        assert config.luma_coefficients == (0.0, 1.0, 0.0)
+
+
 class TestDataclassValidation:
     def test_pipeline_needs_stages(self):
         with pytest.raises(ValidationError, match="at least one stage"):

@@ -376,6 +376,21 @@ class TestMaxpool:
             want = oracles.maxpool_ref(x.tolist(), pool=pool)
             assert np.allclose(got, np.array(want), atol=0)
 
+    def test_bit_equal_to_windowed_max_reduction(self):
+        # The sliding-window max reduction the strided fold replaced, on odd
+        # sizes with trailing rows/cols, signed zeros and both pool sizes.
+        rng = np.random.default_rng(41)
+        cases = [(7, 9, 3, 2), (9, 7, 2, 3), (11, 13, 4, 3), (5, 5, 1, 2), (301, 299, 2, 2)]
+        for h, w, c, pool in cases:
+            x = rng.standard_normal((h, w, c))
+            x[rng.random((h, w, c)) < 0.2] = 0.0
+            x[rng.random((h, w, c)) < 0.2] = -0.0
+            windows = np.lib.stride_tricks.sliding_window_view(x, (pool, pool), axis=(0, 1))
+            want = windows[::pool, ::pool].max(axis=(3, 4))
+            got = maxpool2(x, pool=pool)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
 
 class TestBatchnorm:
     def test_unit_statistics_scale(self):

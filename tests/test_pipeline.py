@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import logging
+import tempfile
+import threading
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from verisemble import (
     ChannelSubset,
@@ -16,10 +23,12 @@ from verisemble import (
     MeanIntensityModelConfig,
     ModelSpec,
     PipelineConfig,
+    PredictionSeries,
     StageConfig,
     ValidationError,
     build_stage_models,
     chain_fuse,
+    events_from_series,
     extract_features,
     forward,
     random_weights,
@@ -27,6 +36,7 @@ from verisemble import (
     run_pipeline,
     save_weights,
 )
+from verisemble import cli, pipeline
 
 from conftest import (
     BLACK,
@@ -53,6 +63,56 @@ def mean_pipeline(**overrides) -> PipelineConfig:
 
 def golden_frames():
     return [solid_frame(rgb, index=i) for i, rgb in enumerate(GOLDEN_COLORS)]
+
+
+def direct_series(config: PipelineConfig, frames, models=None) -> list[PredictionSeries]:
+    """Every stage scored on every frame through the public functions."""
+    if models is None:
+        models = build_stage_models(config)
+    out = []
+    for stage, model in zip(config.stages, models):
+        scores = tuple(
+            model.score(
+                extract_features(
+                    resize_aa(frame, config.input_width, config.input_height),
+                    stage.channels,
+                    config.luma_coefficients,
+                )
+            )
+            for frame in frames
+        )
+        out.append(
+            PredictionSeries(labels=tuple(s >= config.threshold for s in scores), scores=scores)
+        )
+    return out
+
+
+def proposal_windows(
+    stages: list[PredictionSeries], fusion: FusionConfig
+) -> tuple[int, ...]:
+    """The frames the next verifier after ``stages`` needs: the window
+    around each positive of the fold so far. An always-firing verifier
+    appended to the fold keeps exactly the fold's positives."""
+    n = len(stages[0])
+    always = PredictionSeries(labels=(True,) * n, scores=(1.0,) * n)
+    radius = (fusion.neighbor_window - 1) // 2 if fusion.packing_enabled else 0
+    centres = chain_fuse(list(stages) + [always], fusion).positive_indices()
+    return tuple(j for j in range(n) if any(abs(j - i) <= radius for i in centres))
+
+
+def final_known(
+    scored: tuple[tuple[int, ...], ...], n: int, fusion: FusionConfig
+) -> tuple[int, ...]:
+    """Frames whose every verifier window lies inside that verifier's scored set."""
+    radius = (fusion.neighbor_window - 1) // 2 if fusion.packing_enabled else 0
+    return tuple(
+        i
+        for i in range(n)
+        if all(
+            set(range(max(0, i - radius), min(n, i + radius + 1))) <= set(frames)
+            for frames in scored[1:]
+        )
+    )
 
 
 def small_cnn_spec(channels: int) -> ModelSpec:
@@ -168,12 +228,21 @@ class TestGoldenSequence:
     def test_stage_labels(self):
         result = run_pipeline(mean_pipeline(), golden_frames(), fps=GOLDEN_FPS)
         primary, verifier = result.stage_series
+        # The verifier scores only the window around the packed magenta
+        # run 3-5; the frames it skips read as negative.
+        assert result.scored == (tuple(range(9)), (2, 3, 4, 5, 6))
         assert primary.labels == (
             False, False, False, True, True, True, False, False, False,
         )
         assert verifier.labels == (
             False, False, False, False, False, False, True, False, False,
         )
+
+    def test_verbose_log_names_scored_frames_per_stage(self, caplog):
+        caplog.set_level(logging.INFO, logger="verisemble.pipeline")
+        run_pipeline(mean_pipeline(), golden_frames(), fps=GOLDEN_FPS)
+        assert "stage 0: scored 9 of 9 frames" in caplog.messages
+        assert "stage 1: scored 5 of 9 frames" in caplog.messages
 
     def test_fused_keeps_only_window_supported_frame(self):
         result = run_pipeline(mean_pipeline(), golden_frames(), fps=GOLDEN_FPS)
@@ -201,26 +270,28 @@ class TestGoldenSequence:
     def test_stage_scores_match_direct_scoring(self):
         config = mean_pipeline()
         result = run_pipeline(config, golden_frames(), fps=GOLDEN_FPS)
-        for rgb, primary_score, verifier_score in zip(
-            GOLDEN_COLORS, result.stage_series[0].scores, result.stage_series[1].scores
-        ):
-            resized = resize_aa(
-                solid_frame(rgb), config.input_width, config.input_height
-            )
-            model = MeanIntensityModel()
-            assert primary_score == model.score(
-                extract_features(resized, ChannelSubset.RGB, config.luma_coefficients)
-            )
-            assert verifier_score == model.score(
-                extract_features(resized, ChannelSubset.LUMA, config.luma_coefficients)
-            )
+        direct = direct_series(config, golden_frames())
+        assert result.scored[0] == tuple(range(len(GOLDEN_COLORS)))
+        assert result.stage_series[0] == direct[0]
+        assert result.scored[1] == proposal_windows(direct[:1], config.fusion) == (2, 3, 4, 5, 6)
+        verifier = result.stage_series[1]
+        for i in range(len(GOLDEN_COLORS)):
+            if i in result.scored[1]:
+                assert verifier.scores[i] == direct[1].scores[i]
+                assert verifier.labels[i] == direct[1].labels[i]
+            else:
+                assert (verifier.labels[i], verifier.scores[i]) == (False, 0.0)
 
     def test_fused_equals_public_chain_fuse(self):
         config = mean_pipeline()
         result = run_pipeline(config, golden_frames(), fps=GOLDEN_FPS)
-        refused = chain_fuse(result.stage_series, config.fusion)
-        assert refused.labels == result.fused.labels
-        assert refused.scores == result.fused.scores
+        oracle = chain_fuse(direct_series(config, golden_frames()), config.fusion)
+        assert result.fused.labels == oracle.labels
+        known = final_known(result.scored, len(GOLDEN_COLORS), config.fusion)
+        assert known == (3, 4, 5)
+        for i in known:
+            assert result.fused.scores[i] == oracle.scores[i]
+        assert result.events == events_from_series(oracle, GOLDEN_FPS)
 
     def test_packing_disabled_leaves_no_overlap(self):
         # Proposer fires on frames 3-5, verifier only on 6: the plain AND
@@ -292,9 +363,108 @@ class TestRunPipeline:
         frames = [random_frame(seed=100 + i, width=20, height=14) for i in range(7)]
         serial = run_pipeline(config, frames, fps=5.0)
         threaded = run_pipeline(config, frames, fps=5.0, workers=3)
-        assert serial.stage_series == threaded.stage_series
-        assert serial.fused == threaded.fused
+        assert serial == threaded
         for series in serial.stage_series:
             assert all(0.0 <= s <= 1.0 for s in series.scores)
-        refused = chain_fuse(serial.stage_series, config.fusion)
-        assert refused == serial.fused
+        direct = direct_series(config, frames)
+        assert serial.scored[0] == tuple(range(7))
+        assert serial.stage_series[0] == direct[0]
+        assert serial.scored[1] == proposal_windows(direct[:1], config.fusion)
+        for i in serial.scored[1]:
+            assert serial.stage_series[1].scores[i] == direct[1].scores[i]
+            assert serial.stage_series[1].labels[i] == direct[1].labels[i]
+        oracle = chain_fuse(direct, config.fusion)
+        assert serial.fused.labels == oracle.labels
+        for i in final_known(serial.scored, 7, config.fusion):
+            assert serial.fused.scores[i] == oracle.scores[i]
+        assert serial.events == events_from_series(oracle, 5.0)
+
+
+class CountingModel:
+    """Mean-intensity stage that counts its calls from any thread."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def score(self, features: np.ndarray) -> float:
+        with self._lock:
+            self.calls += 1
+        return MeanIntensityModel().score(features)
+
+
+def predictions_cells(config: PipelineConfig, result) -> list[list[str]]:
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "predictions.csv"
+        cli._write_predictions_csv(path, config, result)
+        return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+@st.composite
+def lazy_cases(draw):
+    """1-3 single-channel stages (R, G, B) over solid frames, so each
+    stage's score stream is drawn independently, plus a fusion config."""
+    stages = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 20))
+    pixel = st.integers(0, 255)
+    colors = draw(st.lists(st.tuples(pixel, pixel, pixel), min_size=n, max_size=n))
+    fusion = FusionConfig(
+        pack_size=draw(st.sampled_from((1, 3, 5))),
+        neighbor_window=draw(st.sampled_from((1, 3, 5))),
+        packing_enabled=draw(st.booleans()),
+    )
+    return stages, colors, fusion
+
+
+@settings(max_examples=150, deadline=None)
+@given(lazy_cases())
+def test_lazy_run_equals_eager_oracle(case):
+    """Each verifier scores exactly the windows around the proposals that
+    survive the stages before it, once per frame; labels, events and every
+    cell it writes equal scoring every frame and folding with chain_fuse."""
+    count, colors, fusion = case
+    channels = (ChannelSubset.R, ChannelSubset.G, ChannelSubset.B)[:count]
+    config = mean_pipeline(
+        stages=tuple(mean_stage(c) for c in channels),
+        fusion=fusion,
+        input_width=2,
+        input_height=2,
+    )
+    frames = [solid_frame(rgb, index=i, size=2) for i, rgb in enumerate(colors)]
+    n = len(frames)
+    direct = direct_series(config, frames)
+    oracle = chain_fuse(direct, fusion)
+    eager = pipeline.PipelineResult(
+        stage_series=tuple(direct),
+        fused=oracle,
+        events=events_from_series(oracle, 10.0),
+        fps=10.0,
+        scored=(tuple(range(n)),) * count,
+    )
+    eager_cells = predictions_cells(config, eager)
+
+    results = []
+    for workers in (1, 2):
+        models = tuple(CountingModel() for _ in channels)
+        with mock.patch.object(pipeline, "build_stage_models", return_value=models):
+            result = run_pipeline(config, frames, fps=10.0, workers=workers)
+        results.append(result)
+
+        assert result.scored[0] == tuple(range(n))
+        for k in range(1, count):
+            assert result.scored[k] == proposal_windows(direct[:k], fusion)
+        assert [model.calls for model in models] == [len(done) for done in result.scored]
+        assert result.fused.labels == oracle.labels
+        assert result.events == eager.events
+
+        known = final_known(result.scored, n, fusion)
+        for i, (cells, want) in enumerate(zip(predictions_cells(config, result), eager_cells)):
+            for k in range(count):
+                stage_cells = cells[1 + 2 * k : 3 + 2 * k]
+                if i in result.scored[k]:
+                    assert stage_cells == want[1 + 2 * k : 3 + 2 * k]
+                else:
+                    assert stage_cells == ["", ""]
+            assert cells[-2] == want[-2]
+            assert cells[-1] == (want[-1] if i in known else "")
+    assert results[0] == results[1]
