@@ -22,7 +22,7 @@ from time import perf_counter
 from typing import Sequence
 
 from .config import PipelineConfig, load_config
-from .ensemble import FusionConfig, fuse_video
+from .ensemble import FusionConfig, chain_fuse
 from .errors import ValidationError, VerisembleError
 from .evaluate import (
     BenchReport,
@@ -185,6 +185,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValidationError("bench needs at least one frame")
     if args.repeats < 1:
         raise ValidationError(f"repeats must be >= 1, got {args.repeats}")
+    if args.warmup < 0:
+        raise ValidationError(f"warmup must be >= 0, got {args.warmup}")
     models = build_stage_models(config)
     params = tuple(
         count_params(model.spec) if isinstance(model, CnnModel) else 0
@@ -272,7 +274,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     rng = SplitMix64(args.seed)
     primary = simulate_predictor(truth, args.primary_tpr, args.primary_fpr, rng.spawn())
     verifier = simulate_predictor(truth, args.verifier_tpr, args.verifier_fpr, rng.spawn())
-    fused = fuse_video(primary, verifier, fusion)
+    fused = chain_fuse((primary, verifier), fusion)
 
     out = {
         "frames": len(truth),

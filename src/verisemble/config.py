@@ -10,7 +10,7 @@ a config file fails loudly instead of silently running with defaults.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Union
@@ -31,6 +31,16 @@ __all__ = [
 ]
 
 CONFIG_VERSION = 1
+
+
+def _is_number(value: object, kind: type = float) -> bool:
+    """Whether ``value`` is an int, or for ``kind=float`` an int or float.
+
+    Python counts ``True`` and ``False`` as integers; they are refused.
+    """
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if kind is float else int
+    )
 
 
 @dataclass(frozen=True)
@@ -95,15 +105,16 @@ class PipelineConfig:
     luma_coefficients: tuple[float, float, float] = BT601_LUMA
     threshold: float = 0.5
     fps: float | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple(self.stages))
-        object.__setattr__(
-            self, "luma_coefficients", tuple(float(v) for v in self.luma_coefficients)
-        )
         if not self.stages:
             raise ValidationError("pipeline needs at least one stage")
+        for stage in self.stages:
+            if not isinstance(stage, StageConfig):
+                raise ValidationError(f"each stage must be a StageConfig, got {stage!r}")
+        if not isinstance(self.fusion, FusionConfig):
+            raise ValidationError(f"fusion must be a FusionConfig, got {self.fusion!r}")
         cards = [stage.channels.cardinality for stage in self.stages]
         for earlier, later in zip(cards, cards[1:]):
             if later > earlier:
@@ -111,32 +122,36 @@ class PipelineConfig:
                     f"stage channel cardinality must not increase along the "
                     f"chain, got {cards}"
                 )
+        for name in ("input_width", "input_height"):
+            if not _is_number(getattr(self, name), int):
+                raise ValidationError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.input_width < 1 or self.input_height < 1:
             raise ValidationError(
                 f"bad input size {self.input_width}x{self.input_height}"
             )
-        if len(self.luma_coefficients) != 3 or not all(
-            math.isfinite(v) and v >= 0 for v in self.luma_coefficients
+        luma = self.luma_coefficients
+        if not (
+            isinstance(luma, (tuple, list))
+            and len(luma) == 3
+            # Compared, not converted: a JSON integer may exceed every float.
+            and all(_is_number(v) and 0 <= v <= sys.float_info.max for v in luma)
         ):
             raise ValidationError(
-                f"luma coefficients must be 3 non-negative finite values, "
-                f"got {self.luma_coefficients}"
+                f"luma coefficients must be 3 non-negative finite numbers, got {luma!r}"
             )
-        if not (0.0 < self.threshold < 1.0):
+        object.__setattr__(self, "luma_coefficients", tuple(float(v) for v in luma))
+        if not (_is_number(self.threshold) and 0.0 < self.threshold < 1.0):
             raise ValidationError(
-                f"threshold must be strictly between 0 and 1, got {self.threshold}"
+                f"threshold must be a number strictly between 0 and 1, got {self.threshold!r}"
             )
-        if self.fps is not None and not (self.fps > 0):
-            raise ValidationError(f"fps must be positive when set, got {self.fps}")
-        if not isinstance(self.seed, int):
-            raise ValidationError(f"seed must be an int, got {self.seed!r}")
+        if self.fps is not None and not (_is_number(self.fps) and self.fps > 0):
+            raise ValidationError(f"fps must be a positive number when set, got {self.fps!r}")
 
     def to_json_obj(self) -> dict:
         obj: dict = {
             "config_version": CONFIG_VERSION,
             "input": {"width": self.input_width, "height": self.input_height},
             "threshold": self.threshold,
-            "seed": self.seed,
             "luma": list(self.luma_coefficients),
             "fusion": {
                 "pack_size": self.fusion.pack_size,
@@ -159,26 +174,6 @@ def _require_keys(obj: Mapping, allowed: set[str], required: set[str], where: st
     missing = required - set(obj)
     if missing:
         raise FormatError(f"{where}: missing keys {sorted(missing)}")
-
-
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
-
-
-def _typed(value: object, kind: type, where: str) -> object:
-    """``value`` if JSON gave it type ``kind``, else :class:`FormatError`.
-
-    A ``float`` field takes integers too. Python counts ``true`` and
-    ``false`` as integers, so they are refused where a number is due.
-    """
-    if kind is bool:
-        ok = isinstance(value, bool)
-    else:
-        ok = not isinstance(value, bool) and isinstance(
-            value, (int, float) if kind is float else int
-        )
-    if not ok:
-        raise FormatError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    return value
 
 
 def _parse_model(obj: Mapping, base_dir: Path) -> ModelConfig:
@@ -215,21 +210,8 @@ def _parse_fusion(obj: Mapping) -> FusionConfig:
     _require_keys(
         obj, {"pack_size", "neighbor_window", "packing_enabled"}, set(), "fusion"
     )
-    defaults = FusionConfig()
     try:
-        return FusionConfig(
-            pack_size=_typed(obj.get("pack_size", defaults.pack_size), int, "fusion: pack_size"),
-            neighbor_window=_typed(
-                obj.get("neighbor_window", defaults.neighbor_window),
-                int,
-                "fusion: neighbor_window",
-            ),
-            packing_enabled=_typed(
-                obj.get("packing_enabled", defaults.packing_enabled),
-                bool,
-                "fusion: packing_enabled",
-            ),
-        )
+        return FusionConfig(**obj)
     except ValidationError as exc:
         raise FormatError(f"fusion: {exc}") from exc
 
@@ -242,8 +224,7 @@ def parse_config(obj: Mapping, base_dir: str | Path = ".") -> PipelineConfig:
     """
     base_dir = Path(base_dir)
     allowed = {
-        "config_version", "input", "threshold", "fps", "seed", "luma",
-        "fusion", "stages",
+        "config_version", "input", "threshold", "fps", "luma", "fusion", "stages",
     }
     _require_keys(obj, allowed, {"config_version", "stages"}, "config")
     if obj["config_version"] != CONFIG_VERSION:
@@ -255,8 +236,7 @@ def parse_config(obj: Mapping, base_dir: str | Path = ".") -> PipelineConfig:
     width, height = 300, 300
     if "input" in obj:
         _require_keys(obj["input"], {"width", "height"}, {"width", "height"}, "input")
-        width = _typed(obj["input"]["width"], int, "input: width")
-        height = _typed(obj["input"]["height"], int, "input: height")
+        width, height = obj["input"]["width"], obj["input"]["height"]
 
     if not isinstance(obj["stages"], list) or not obj["stages"]:
         raise FormatError("config: 'stages' must be a non-empty list")
@@ -266,22 +246,15 @@ def parse_config(obj: Mapping, base_dir: str | Path = ".") -> PipelineConfig:
 
     fusion = _parse_fusion(obj["fusion"]) if "fusion" in obj else FusionConfig()
 
-    luma = BT601_LUMA
-    if "luma" in obj:
-        if not isinstance(obj["luma"], list) or len(obj["luma"]) != 3:
-            raise FormatError(f"config: 'luma' must be a list of 3 numbers, got {obj['luma']!r}")
-        luma = tuple(_typed(v, float, "config: each 'luma' entry") for v in obj["luma"])
-
     try:
         return PipelineConfig(
             stages=stages,
             fusion=fusion,
             input_width=width,
             input_height=height,
-            luma_coefficients=luma,
-            threshold=_typed(obj.get("threshold", 0.5), float, "config: threshold"),
-            fps=None if obj.get("fps") is None else _typed(obj["fps"], float, "config: fps"),
-            seed=_typed(obj.get("seed", 0), int, "config: seed"),
+            luma_coefficients=obj.get("luma", BT601_LUMA),
+            threshold=obj.get("threshold", 0.5),
+            fps=obj.get("fps"),
         )
     except ValidationError as exc:
         raise FormatError(f"config: {exc}") from exc

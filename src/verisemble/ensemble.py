@@ -3,17 +3,21 @@
 A primary classifier proposes positives; a verifier can only confirm or
 veto them, never add new ones. Because every surviving positive needs
 both stages to fire, the combined false-positive rate can never exceed
-that of either stage alone. Three refinements sit on top:
+that of either stage alone.
 
-* ``verify_combine``: strict per-frame AND of the two stages.
+Fusion is one fold, :func:`chain_fuse`, over two steps:
+
 * ``pack_mode``: majority vote over non-overlapping packs of consecutive
-  frames, smoothing single-frame flicker in the primary stream.
-* ``neighbor_validate``: a primary positive survives if the verifier
-  fired anywhere inside a small centered window, tolerating off-by-a-few
+  frames, smoothing single-frame flicker in the proposer's stream.
+* ``neighbor_validate``: a positive survives if the verifier fired
+  anywhere inside a small centered window, tolerating off-by-a-few
   frame misalignment between the stages.
 
-``fuse_video`` wires these into the standard two-stage pipeline and
-``chain_fuse`` generalizes it to any number of verifier stages.
+The fold packs the first stage (when packing is enabled), then lets each
+later stage veto through a window reaching ``FusionConfig.verifier_radius``
+frames either side of each positive. Two aliases name its common cases:
+``fuse_video`` is the fold over one primary and one verifier, and
+``verify_combine`` is the per-frame AND, a neighbor window of width 1.
 
 All operations are pure: series are immutable value objects and every
 function returns a new series.
@@ -52,20 +56,19 @@ class FusionConfig:
     packing_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.pack_size, int) or self.pack_size < 1:
-            raise ValidationError(f"pack_size must be a positive int, got {self.pack_size!r}")
-        if self.pack_size % 2 == 0:
+        for name, why in (
+            ("pack_size", "a full pack cannot tie"),
+            ("neighbor_window", "the window is centered"),
+        ):
+            value = getattr(self, name)
+            # bool is an int subclass; True must not pass as 1.
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValidationError(f"{name} must be a positive int, got {value!r}")
+            if value % 2 == 0:
+                raise ValidationError(f"{name} must be odd so {why}, got {value}")
+        if not isinstance(self.packing_enabled, bool):
             raise ValidationError(
-                f"pack_size must be odd so a full pack cannot tie, got {self.pack_size}"
-            )
-        if not isinstance(self.neighbor_window, int) or self.neighbor_window < 1:
-            raise ValidationError(
-                f"neighbor_window must be a positive int, got {self.neighbor_window!r}"
-            )
-        if self.neighbor_window % 2 == 0:
-            raise ValidationError(
-                f"neighbor_window must be odd so the window is centered, "
-                f"got {self.neighbor_window}"
+                f"packing_enabled must be a bool, got {self.packing_enabled!r}"
             )
 
     @property
@@ -120,24 +123,13 @@ def _series(labels: tuple[bool, ...], scores: tuple[float, ...]) -> PredictionSe
     return out
 
 
-def _check_same_length(primary: PredictionSeries, verifier: PredictionSeries) -> None:
-    if len(primary.labels) != len(verifier.labels):
-        raise ValidationError(
-            f"series lengths differ: primary {len(primary.labels)}, "
-            f"verifier {len(verifier.labels)}"
-        )
-
-
 def verify_combine(primary: PredictionSeries, verifier: PredictionSeries) -> PredictionSeries:
-    """Per-frame AND of two aligned series.
+    """Per-frame AND of two aligned series: :func:`neighbor_validate` with ``window=1``.
 
     A frame stays positive only if both stages agree; the fused score is
     the weaker (minimum) of the two, so it never overstates confidence.
     """
-    _check_same_length(primary, verifier)
-    labels = tuple(a and b for a, b in zip(primary.labels, verifier.labels))
-    scores = tuple(a if a < b else b for a, b in zip(primary.scores, verifier.scores))
-    return _series(labels, scores)
+    return neighbor_validate(primary, verifier, 1)
 
 
 def pack_mode(series: PredictionSeries, pack_size: int = 3) -> PredictionSeries:
@@ -172,12 +164,16 @@ def neighbor_validate(
     Frame ``i`` stays positive iff the primary marked it and the verifier
     fired anywhere in ``[i - r, i + r]`` with ``r = (window - 1) // 2``,
     clipped at the sequence boundaries. The fused score is the minimum of
-    the primary score and the best verifier score in the window, which
-    makes ``window=1`` coincide exactly with :func:`verify_combine`.
+    the primary score and the best verifier score in the window, so
+    ``window=1`` is the per-frame AND, :func:`verify_combine`.
     """
     if window < 1 or window % 2 == 0:
         raise ValidationError(f"window must be a positive odd int, got {window}")
-    _check_same_length(primary, verifier)
+    if len(primary.labels) != len(verifier.labels):
+        raise ValidationError(
+            f"series lengths differ: primary {len(primary.labels)}, "
+            f"verifier {len(verifier.labels)}"
+        )
     radius = (window - 1) // 2
     p_labels = primary.labels
     p_scores = primary.scores
@@ -205,20 +201,8 @@ def fuse_video(
     verifier: PredictionSeries,
     config: FusionConfig | None = None,
 ) -> PredictionSeries:
-    """Standard two-stage fusion.
-
-    With packing enabled the primary stream is majority-packed first and
-    each surviving positive must find verifier support inside the
-    neighbor window. With packing disabled this is the plain per-frame
-    AND of the two stages.
-    """
-    if config is None:
-        config = FusionConfig()
-    _check_same_length(primary, verifier)
-    if not config.packing_enabled:
-        return verify_combine(primary, verifier)
-    packed = pack_mode(primary, config.pack_size)
-    return neighbor_validate(packed, verifier, config.neighbor_window)
+    """Standard two-stage fusion: :func:`chain_fuse` over ``(primary, verifier)``."""
+    return chain_fuse((primary, verifier), config)
 
 
 def chain_fuse(
@@ -231,25 +215,20 @@ def chain_fuse(
     order, each able only to veto. A single stage is the fold's base
     case and passes through unchanged. With two or more stages the
     proposer is majority-packed first (when packing is enabled) and each
-    verification step searches the neighbor window; with packing
-    disabled each step is the plain per-frame AND. With exactly two
-    stages the result is identical to :func:`fuse_video`.
+    verification step keeps a positive only if the stage fired within
+    ``config.verifier_radius`` frames of it: 0 with packing disabled, so
+    each step is then the plain per-frame AND.
     """
     if config is None:
         config = FusionConfig()
     if not stages:
         raise ValidationError("chain_fuse needs at least one stage")
-    first = stages[0]
-    for stage in stages[1:]:
-        _check_same_length(first, stage)
+    fused = stages[0]
     if len(stages) == 1:
-        return first
+        return fused
     if config.packing_enabled:
-        fused = pack_mode(first, config.pack_size)
-        window = config.neighbor_window
-    else:
-        fused = first
-        window = 1
+        fused = pack_mode(fused, config.pack_size)
+    window = 2 * config.verifier_radius + 1
     for stage in stages[1:]:
         fused = neighbor_validate(fused, stage, window)
     return fused

@@ -299,11 +299,13 @@ def load_sequence(
 ) -> list[Frame]:
     """Load a frame sequence in index order 0..frame_count-1.
 
-    The manifest defaults to ``<directory>/manifest.json``. Decoding may run
-    on a thread pool (``workers`` > 1); the returned order is by index
+    The manifest defaults to ``<directory>/manifest.json``. Frames decode
+    on a pool of ``workers`` threads; the returned order is by index
     regardless. All frames must share one geometry; mismatches raise
     :class:`FormatError` naming the offending index.
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     directory = Path(directory)
     manifest = load_manifest(manifest_path or directory / "manifest.json")
     paths = [manifest.frame_path(directory, i) for i in range(manifest.frame_count)]
@@ -311,11 +313,8 @@ def load_sequence(
         if not path.is_file():
             raise LoadError(f"frame {i} missing: {path}")
 
-    if workers > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            frames = list(pool.map(_decode_frame_file, paths, range(len(paths))))
-    else:
-        frames = [_decode_frame_file(path, i) for i, path in enumerate(paths)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        frames = list(pool.map(_decode_frame_file, paths, range(len(paths))))
 
     for frame in frames[1:]:
         if frame.pixels.shape != frames[0].pixels.shape:

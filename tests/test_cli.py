@@ -157,6 +157,15 @@ class TestRun:
             )
         assert outputs[0] == outputs[1]
 
+    def test_zero_workers_exit_2(self, tmp_path, capsys):
+        config, frames, out = golden_workspace(tmp_path)
+        code = main([
+            "run", "--config", str(config), "--frames", str(frames),
+            "--out", str(out), "--workers", "0",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         _, frames, out = golden_workspace(tmp_path)
         code = main([
@@ -380,6 +389,16 @@ class TestBench:
         ])
         assert code == 2
         capsys.readouterr()
+
+    def test_negative_warmup_exit_2(self, tmp_path, capsys):
+        config, frames = self.small_workspace(tmp_path)
+        code = main([
+            "bench", "--config", str(config), "--frames", str(frames), "--warmup", "-1",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: warmup must be >= 0, got -1\n"
 
 
 class TestSimulate:

@@ -37,7 +37,6 @@ def full_obj() -> dict:
         "input": {"width": 64, "height": 48},
         "threshold": 0.6,
         "fps": 25.0,
-        "seed": 7,
         "luma": [0.25, 0.5, 0.25],
         "fusion": {"pack_size": 5, "neighbor_window": 3, "packing_enabled": True},
         "stages": [
@@ -54,7 +53,6 @@ class TestParseConfig:
         assert config.input_height == 300
         assert config.threshold == 0.5
         assert config.fps is None
-        assert config.seed == 0
         assert config.fusion == FusionConfig()
         assert config.luma_coefficients == BT601_LUMA
         assert len(config.stages) == 1
@@ -66,7 +64,6 @@ class TestParseConfig:
         assert (config.input_width, config.input_height) == (64, 48)
         assert config.threshold == 0.6
         assert config.fps == 25.0
-        assert config.seed == 7
         assert config.luma_coefficients == (0.25, 0.5, 0.25)
         assert config.fusion.pack_size == 5
         assert [s.channels for s in config.stages] == [ChannelSubset.RGB, ChannelSubset.LUMA]
@@ -85,6 +82,12 @@ class TestParseConfig:
         obj = minimal_obj()
         obj["extra"] = True
         with pytest.raises(FormatError, match="unknown keys.*extra"):
+            parse_config(obj)
+
+    def test_seed_is_not_a_config_key(self):
+        obj = minimal_obj()
+        obj["seed"] = 7
+        with pytest.raises(FormatError, match=r"unknown keys \['seed'\]"):
             parse_config(obj)
 
     def test_missing_version(self):
@@ -268,20 +271,12 @@ class TestSectionParsing:
         with pytest.raises(FormatError, match="fps"):
             parse_config(obj)
 
-    def test_bad_seed(self):
-        obj = minimal_obj()
-        obj["seed"] = "abc"
-        with pytest.raises(FormatError, match="seed"):
-            parse_config(obj)
-
-
     @pytest.mark.parametrize(
         "key, value, field",
         [
             ("threshold", "0.5", "threshold"),
             ("threshold", True, "threshold"),
             ("fps", "25", "fps"),
-            ("seed", True, "seed"),
             ("input", {"width": "300", "height": 300}, "width"),
             ("input", {"width": 300, "height": 2.5}, "height"),
             ("luma", [0.3, "0.5", 0.2], "luma"),
@@ -289,6 +284,19 @@ class TestSectionParsing:
             ("fusion", {"pack_size": True}, "pack_size"),
             ("fusion", {"neighbor_window": "3"}, "neighbor_window"),
             ("fusion", {"packing_enabled": "yes"}, "packing_enabled"),
+        ],
+        # Fixed ids keep each case's name stable when a case is added or removed.
+        ids=[
+            "threshold-0.5-threshold",
+            "threshold-True-threshold",
+            "fps-25-fps",
+            "input-value4-width",
+            "input-value5-height",
+            "luma-value6-luma",
+            "luma-value7-luma",
+            "fusion-value8-pack_size",
+            "fusion-value9-neighbor_window",
+            "fusion-value10-packing_enabled",
         ],
     )
     def test_mistyped_field_is_a_format_error(self, key, value, field):
@@ -324,6 +332,39 @@ class TestDataclassValidation:
             StageConfig(channels="RGB", model=MeanIntensityModelConfig())
         with pytest.raises(ValidationError, match="unsupported"):
             StageConfig(channels=ChannelSubset.RGB, model="cnn")
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("threshold", "0.5", "threshold"),
+            ("threshold", True, "threshold"),
+            ("fps", "25", "fps"),
+            ("fps", False, "fps"),
+            ("input_width", True, "input_width"),
+            ("input_width", 2.5, "input_width"),
+            ("input_height", "300", "input_height"),
+            ("luma_coefficients", ("0.3", False, 1), "luma"),
+            ("luma_coefficients", (0.3, 0.5), "luma"),
+            ("luma_coefficients", 0.3, "luma"),
+            ("luma_coefficients", (10**400, 0, 0), "luma"),
+            ("luma_coefficients", (float("inf"), 0, 0), "luma"),
+            ("luma_coefficients", (float("nan"), 0, 0), "luma"),
+            ("fusion", {"pack_size": 3}, "fusion"),
+            ("stages", ("RGB",), "stage"),
+        ],
+    )
+    def test_mistyped_field_on_direct_construction(self, field, value, match):
+        stage = StageConfig(channels=ChannelSubset.RGB, model=MeanIntensityModelConfig())
+        kwargs = {"stages": (stage,), field: value}
+        with pytest.raises(ValidationError, match=match):
+            PipelineConfig(**kwargs)
+
+    def test_integers_accepted_where_a_number_is_due(self):
+        stage = StageConfig(channels=ChannelSubset.RGB, model=MeanIntensityModelConfig())
+        config = PipelineConfig(stages=[stage], luma_coefficients=[0, 1, 0], fps=25)
+        assert config.luma_coefficients == (0.0, 1.0, 0.0)
+        assert config.fps == 25
+        assert config.stages == (stage,)
 
     def test_cnn_config_needs_path(self):
         with pytest.raises(ValidationError):

@@ -63,6 +63,21 @@ class TestFusionConfig:
     def test_pack_size_one_allowed(self):
         assert FusionConfig(pack_size=1).pack_size == 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pack_size", True),
+            ("pack_size", 3.0),
+            ("neighbor_window", True),
+            ("neighbor_window", "3"),
+            ("packing_enabled", "no"),
+            ("packing_enabled", 1),
+        ],
+    )
+    def test_mistyped_field_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            FusionConfig(**{field: value})
+
 
 class TestPredictionSeries:
     def test_length_and_counts(self):
@@ -418,7 +433,7 @@ class TestChainFuse:
             n = rng.randint(0, 12)
             count = rng.randint(1, 4)
             pack_size = rng.choice([1, 3, 5])
-            window = rng.choice([1, 3])
+            window = rng.choice([1, 3, 5])
             packing = rng.random() < 0.5
             stages = [rand_series(rng, n) for _ in range(count)]
             config = FusionConfig(

@@ -182,6 +182,11 @@ class TestLoadSequence:
         threaded = load_sequence(directory, workers=4)
         assert sequential == threaded
 
+    def test_zero_workers_rejected(self, tmp_path):
+        directory = write_sequence(tmp_path / "seq", [BLACK, WHITE])
+        with pytest.raises(ValidationError, match="workers"):
+            load_sequence(directory, workers=0)
+
     def test_repeated_loads_identical(self, tmp_path):
         directory = write_sequence(tmp_path / "seq", [BLACK, WHITE, BLACK])
         assert load_sequence(directory) == load_sequence(directory)
