@@ -25,7 +25,10 @@ function returns a new series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import and_, gt
 from typing import Sequence
 
 from .errors import ValidationError
@@ -174,26 +177,24 @@ def neighbor_validate(
             f"series lengths differ: primary {len(primary.labels)}, "
             f"verifier {len(verifier.labels)}"
         )
-    radius = (window - 1) // 2
-    p_labels = primary.labels
-    p_scores = primary.scores
-    v_labels = verifier.labels
-    v_scores = verifier.scores
-    n = len(p_labels)
-    out_labels: list[bool] = []
-    out_scores: list[float] = []
-    for i in range(n):
-        lo = i - radius
-        if lo < 0:
-            lo = 0
-        hi = i + radius + 1
-        if hi > n:
-            hi = n
-        out_labels.append(p_labels[i] and (True in v_labels[lo:hi]))
-        best = max(v_scores[lo:hi])
-        mine = p_scores[i]
-        out_scores.append(mine if mine < best else best)
-    return _series(tuple(out_labels), tuple(out_scores))
+    r = (window - 1) // 2
+    n = len(primary.labels)
+    # Verifier positives in [i - r, i + r], clipped at the ends: a difference
+    # of the cumulative count, held at 0 before the start and at the total
+    # past the end.
+    counts = (0,) * r + (0, *accumulate(verifier.labels))
+    counts += (counts[-1],) * r
+    labels = tuple(map(and_, primary.labels, map(gt, counts[2 * r + 1 :], counts[:n])))
+    # Sliding max, one pass per window offset in window order. ``>`` keeps
+    # the earlier of equal scores (+0.0 and -0.0), as max() over the window
+    # does; the -inf padding never wins.
+    pad = (-math.inf,) * r
+    padded = pad + verifier.scores + pad
+    best = padded[:n]
+    for shift in range(1, 2 * r + 1):
+        best = tuple(c if c > b else b for b, c in zip(best, padded[shift : shift + n]))
+    scores = tuple(mine if mine < b else b for mine, b in zip(primary.scores, best))
+    return _series(labels, scores)
 
 
 def fuse_video(

@@ -7,6 +7,12 @@ parameters, and reads/writes the binary weight container.
 Inference is deterministic and purely functional: specs and weight stores
 are immutable after load and may be shared across threads; dropout is an
 identity at inference time.
+
+Each conv is one im2col copy and one GEMM. A relu conv directly followed by
+a max-pool runs as one step: it pools the conv output, then applies ReLU to
+the pooled ``1/pool**2`` of the data, and the batchnorm after it sees only
+that. ReLU is exact and monotone non-decreasing, so it commutes with max and
+the result is bit-identical to applying the layers one by one.
 """
 
 from __future__ import annotations
@@ -459,20 +465,28 @@ def conv2d(
         out_w = -(-w // stride)
         pad_h = max((out_h - 1) * stride + kh - h, 0)
         pad_w = max((out_w - 1) * stride + kw - w, 0)
-        x = np.pad(
-            x,
-            ((pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2), (0, 0)),
-        )
+        if pad_h or pad_w:
+            padded = np.zeros((h + pad_h, w + pad_w, in_ch))
+            padded[pad_h // 2 : pad_h // 2 + h, pad_w // 2 : pad_w // 2 + w] = x
+            x = padded
     elif padding == "valid":
         if h < kh or w < kw:
             raise ShapeError(f"conv2d: input {h}x{w} smaller than kernel {kh}x{kw}")
+        out_h = (h - kh) // stride + 1
+        out_w = (w - kw) // stride + 1
     else:
         raise ValueError(f"conv2d padding must be 'same' or 'valid', got {padding!r}")
 
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(0, 1))
-    windows = windows[::stride, ::stride]  # (out_h, out_w, c, kh, kw)
-    out = np.tensordot(windows, kernel, axes=([3, 4, 2], [0, 1, 2]))
-    return out + bias
+    sy, sx, sc = x.strides
+    cols = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(out_h, out_w, kh, kw, in_ch),
+        strides=(stride * sy, stride * sx, sy, sx, sc),
+        writeable=False,
+    )
+    out = np.dot(cols.reshape(out_h * out_w, kh * kw * in_ch), kernel.reshape(-1, filters))
+    out += bias
+    return out.reshape(out_h, out_w, filters)
 
 
 def maxpool2(x: np.ndarray, pool: int = 2) -> np.ndarray:
@@ -519,7 +533,10 @@ def batchnorm_infer(
     if np.any(params["var"] < 0):
         raise ValidationError("batchnorm variance must be non-negative")
     scale = params["gamma"] / np.sqrt(params["var"] + eps)
-    return (x - params["mean"]) * scale + params["beta"]
+    out = x - params["mean"]
+    out *= scale
+    out += params["beta"]
+    return out
 
 
 def dense(
@@ -559,19 +576,41 @@ def forward(spec: ModelSpec, weights: WeightStore, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != spec.input_shape:
         raise ShapeError(f"input shape {x.shape} does not match spec {spec.input_shape}")
-    for layer in spec.layers:
+    layers = spec.layers
+    i = 0
+    while i < len(layers):
+        layer = layers[i]
+        pool = 1
+        if (
+            layer.kind == "conv2d"
+            and layer.activation == "relu"
+            and i + 1 < len(layers)
+            and layers[i + 1].kind == "maxpool2"
+        ):
+            pool = layers[i + 1].pool or 2
         try:
-            x = _forward_layer(layer, weights, x)
+            x = _forward_layer(layer, weights, x, pool)
         except (ShapeError, ValidationError, KeyError) as exc:
             raise ShapeError(f"layer {layer.name}: {exc}") from exc
+        i += 1 if pool == 1 else 2
     return float(x[0])
 
 
-def _forward_layer(layer: LayerSpec, weights: WeightStore, x: np.ndarray) -> np.ndarray:
+def _forward_layer(
+    layer: LayerSpec, weights: WeightStore, x: np.ndarray, pool: int = 1
+) -> np.ndarray:
+    """Run one layer; with ``pool > 1``, a relu conv and the max-pool after it.
+
+    ReLU is monotone non-decreasing and exact, so it commutes with max:
+    pooling first gives the same output and applies ReLU to ``1/pool**2``
+    of the data.
+    """
     kind = layer.kind
     if kind == "conv2d":
         params = weights[layer.name]
         out = conv2d(x, params["kernel"], params["bias"], layer.stride, layer.padding)
+        if pool > 1:
+            out = maxpool2(out, pool)
         return _apply_activation(out, layer.activation)
     if kind == "maxpool2":
         return maxpool2(x, layer.pool or 2)

@@ -185,8 +185,11 @@ def extract_features(
             f"feature extraction requires a 3-channel frame, got {frame.channels}"
         )
     if subset is ChannelSubset.LUMA:
-        gray = to_grayscale(frame, coefficients=luma_coefficients)
-        return gray.pixels.astype(np.float64) / 255.0
-    indices = subset.channel_indices
-    assert indices is not None
-    return frame.pixels[:, :, list(indices)].astype(np.float64) / 255.0
+        pixels = to_grayscale(frame, coefficients=luma_coefficients).pixels
+    elif subset is ChannelSubset.RGB:
+        pixels = frame.pixels
+    else:
+        pixels = frame.pixels[:, :, list(subset.channel_indices)]
+    # One pass: uint8 -> float64 is exact, so casting inside the divide gives
+    # the same bits as casting first.
+    return np.divide(pixels, 255.0, dtype=np.float64)

@@ -3,9 +3,10 @@
 Everything here is written straight from the documented behavior with
 plain Python loops and no shared code with the library, so a bug in the
 optimized implementations cannot hide in the reference and vice versa.
-Slow on purpose; only tests import this module. The one exception is
+Slow on purpose; only tests import this module. Two exceptions use numpy:
 ``resize_integer``, which multiplies its loop-built integer weight matrices
-with numpy so it can check full-size frames.
+so it can check full-size frames, and ``forward_frozen``, a frozen copy of
+an earlier numpy forward pass that the faster one must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -260,6 +261,85 @@ def count_params_ref(input_channels: int, blocks, dense_units, flat_len: int) ->
         total += width * units + units
         width = units
     return total
+
+
+def conv2d_frozen(x, kernel, bias, stride: int = 1, padding: str = "same"):
+    """The earlier numpy conv: a sliding-window view contracted by tensordot,
+    then ``+ bias``."""
+    x = np.asarray(x, dtype=np.float64)
+    kernel = np.asarray(kernel, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
+    kh, kw = kernel.shape[:2]
+    h, w, _ = x.shape
+    if padding == "same":
+        out_h = -(-h // stride)
+        out_w = -(-w // stride)
+        pad_h = max((out_h - 1) * stride + kh - h, 0)
+        pad_w = max((out_w - 1) * stride + kw - w, 0)
+        x = np.pad(
+            x,
+            ((pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2), (0, 0)),
+        )
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(0, 1))
+    windows = windows[::stride, ::stride]  # (out_h, out_w, c, kh, kw)
+    out = np.tensordot(windows, kernel, axes=([3, 4, 2], [0, 1, 2]))
+    return out + bias
+
+
+def _sigmoid_frozen(x):
+    out = np.empty_like(x, dtype=np.float64)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    expx = np.exp(x[~positive])
+    out[~positive] = expx / (1.0 + expx)
+    return out
+
+
+def _activation_frozen(x, activation):
+    if activation == "relu":
+        return np.maximum(x, 0.0)
+    if activation == "sigmoid":
+        return _sigmoid_frozen(x)
+    return x
+
+
+def _maxpool_frozen(x, pool: int):
+    h2, w2 = x.shape[0] // pool, x.shape[1] // pool
+    views = [
+        x[a : h2 * pool : pool, b : w2 * pool : pool] for a in range(pool) for b in range(pool)
+    ]
+    out = np.maximum(views[0], views[1])
+    for view in views[2:]:
+        np.maximum(out, view, out=out)
+    return out
+
+
+def forward_frozen(spec, weights, x, outputs=None) -> float:
+    """The earlier layer-by-layer forward pass: each conv adds its bias and
+    applies its activation at full resolution, then a separate max-pool,
+    then ``(x - mean) * scale + beta`` batchnorm. Appends ``(layer name,
+    output)`` for every layer to ``outputs`` when given."""
+    x = np.asarray(x, dtype=np.float64)
+    for layer in spec.layers:
+        params = weights.get(layer.name, {})
+        params = {name: np.asarray(arr, dtype=np.float64) for name, arr in params.items()}
+        if layer.kind == "conv2d":
+            out = conv2d_frozen(x, params["kernel"], params["bias"], layer.stride, layer.padding)
+            x = _activation_frozen(out, layer.activation)
+        elif layer.kind == "maxpool2":
+            x = _maxpool_frozen(x, layer.pool or 2)
+        elif layer.kind == "batchnorm":
+            scale = params["gamma"] / np.sqrt(params["var"] + 1e-3)
+            x = (x - params["mean"]) * scale + params["beta"]
+        elif layer.kind == "flatten":
+            x = x.reshape(-1)
+        elif layer.kind == "dense":
+            x = _activation_frozen(x @ params["kernel"] + params["bias"], layer.activation)
+        elif layer.kind == "activation":
+            x = _activation_frozen(x, layer.activation)
+        if outputs is not None:
+            outputs.append((layer.name, x))
+    return float(x[0])
 
 
 # -- fusion ----------------------------------------------------------------

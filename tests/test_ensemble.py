@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from verisemble import (
     FusionConfig,
@@ -450,3 +451,56 @@ class TestChainFuse:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             chain_fuse([mk([True]), mk([True, False])])
+
+
+@st.composite
+def stage_streams(draw):
+    """1-4 aligned stages whose scores include +0.0, -0.0 and exact ties,
+    plus a fusion config."""
+    n = draw(st.integers(0, 14))
+    score = st.sampled_from((0.0, -0.0, 0.25, 1.0)) | st.floats(0.0, 1.0)
+    stages = [
+        PredictionSeries(
+            labels=tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+            scores=tuple(draw(st.lists(score, min_size=n, max_size=n))),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    config = FusionConfig(
+        pack_size=draw(st.sampled_from((1, 3, 5))),
+        neighbor_window=draw(st.sampled_from((1, 3, 5, 7))),
+        packing_enabled=draw(st.booleans()),
+    )
+    return stages, config
+
+
+def _bits(scores) -> list[str]:
+    """Scores as hex strings, so that -0.0 and +0.0 differ."""
+    return [float(v).hex() for v in scores]
+
+
+@settings(max_examples=400, deadline=None)
+@given(stage_streams())
+def test_fold_matches_reference_bit_for_bit(case):
+    """``neighbor_validate`` and ``chain_fuse`` equal the loop references,
+    score bits included: of equal window scores the earlier one is the
+    window's best, and a primary score equal to it gives way to it."""
+    stages, config = case
+    primary, verifier = stages[0], stages[-1]
+    window = config.neighbor_window
+    want_labels, want_scores = oracles.validate_ref(
+        list(primary.labels), list(primary.scores),
+        list(verifier.labels), list(verifier.scores), window,
+    )
+    fused = neighbor_validate(primary, verifier, window)
+    assert fused.labels == tuple(want_labels)
+    assert all(type(v) is bool for v in fused.labels)
+    assert _bits(fused.scores) == _bits(want_scores)
+
+    want_labels, want_scores = oracles.chain_ref(
+        [(list(s.labels), list(s.scores)) for s in stages],
+        config.pack_size, config.neighbor_window, config.packing_enabled,
+    )
+    chained = chain_fuse(stages, config)
+    assert chained.labels == tuple(want_labels)
+    assert _bits(chained.scores) == _bits(want_scores)

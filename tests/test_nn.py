@@ -9,6 +9,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from verisemble import (
     FormatError,
@@ -25,6 +26,7 @@ from verisemble import (
     random_weights,
     save_weights,
 )
+from verisemble import nn
 from verisemble.nn import (
     WEIGHTS_MAGIC,
     WEIGHTS_VERSION,
@@ -589,6 +591,135 @@ class TestForward:
         broken = {k: v for k, v in weights.items() if k != "b1"}
         with pytest.raises(ShapeError, match="b1"):
             forward(spec, broken, random_tensor(random.Random(0), 4, 4, 2))
+
+
+def _conv_out(shape, kernel, stride, padding):
+    h, w = shape[:2]
+    if padding == "same":
+        return -(-h // stride), -(-w // stride)
+    return (h - kernel[0]) // stride + 1, (w - kernel[1]) // stride + 1
+
+
+def _with_zeros(rng, arr):
+    """Float32 copy of ``arr`` with about a tenth of its entries +0.0 or -0.0."""
+    arr = arr.astype(np.float32)
+    arr[rng.random(arr.shape) < 0.05] = 0.0
+    arr[rng.random(arr.shape) < 0.05] = -0.0
+    return arr
+
+
+@st.composite
+def conv_models(draw):
+    """One or two conv blocks over a small odd- or even-sized input, then a
+    sigmoid unit. Each block is a conv (1x1, 3x3 or 2x3 kernel, stride 1 or
+    2, same or valid padding, relu, linear or sigmoid), an optional max-pool
+    of 2 or 3 and an optional batchnorm. Returns (spec, weights, input)."""
+    shape = (draw(st.integers(1, 24)), draw(st.integers(1, 24)), draw(st.integers(1, 3)))
+    input_shape = shape
+    layers = []
+    for i in range(draw(st.integers(1, 2))):
+        kernel = draw(st.sampled_from(((1, 1), (3, 3), (2, 3))))
+        stride = draw(st.sampled_from((1, 2)))
+        padding = draw(st.sampled_from(("same", "valid")))
+        if shape[0] < kernel[0] or shape[1] < kernel[1]:
+            padding = "same"
+        activation = draw(st.sampled_from(("relu", None, "sigmoid")))
+        filters = draw(st.integers(1, 8))
+        layers.append(LayerSpec.conv(f"conv{i}", filters, kernel, stride, padding, activation))
+        shape = _conv_out(shape, kernel, stride, padding) + (filters,)
+        pool = draw(st.sampled_from((2, 3, None)))
+        if pool is not None and min(shape[:2]) >= pool:
+            layers.append(LayerSpec.maxpool(f"pool{i}", pool))
+            shape = (shape[0] // pool, shape[1] // pool, filters)
+        if draw(st.booleans()):
+            layers.append(LayerSpec.batchnorm(f"bn{i}"))
+    layers += [LayerSpec.flatten(), LayerSpec.dense("out", 1, activation="sigmoid")]
+    spec = ModelSpec(input_shape=input_shape, layers=tuple(layers))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = {
+        layer: {
+            param: _with_zeros(rng, rng.uniform(0.0, 2.0, shape) if param == "var"
+                               else rng.standard_normal(shape))
+            for param, shape in params.items()
+        }
+        for layer, params in expected_weight_shapes(spec).items()
+    }
+    x = _with_zeros(rng, rng.standard_normal(input_shape)).astype(np.float64)
+    return spec, weights, x
+
+
+def assert_forward_matches_frozen(spec, weights, x):
+    """``forward`` returns the frozen forward's score, and the tensor after
+    each of its steps is bit-identical to the frozen forward's tensor after
+    the last layer that step covers."""
+    steps = []
+    real = nn._forward_layer
+
+    def record(layer, *args):
+        out = real(layer, *args)
+        steps.append((layer.name, out.copy()))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "_forward_layer", record)
+        score = forward(spec, weights, x)
+    frozen = []
+    assert score == oracles.forward_frozen(spec, weights, x, frozen)
+    names = [name for name, _ in frozen]
+    ends = [names.index(name) - 1 for name, _ in steps[1:]] + [len(names) - 1]
+    for (name, got), end in zip(steps, ends):
+        want = frozen[end][1]
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+class TestForwardMatchesFrozen:
+    """The forward pass equals the earlier sliding-window + tensordot one
+    bit for bit, relu convs that pool first included."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(conv_models())
+    def test_random_conv_models(self, case):
+        spec, weights, x = case
+        assert_forward_matches_frozen(spec, weights, x)
+        conv = spec.layers[0]
+        params = weights[conv.name]
+        got = conv2d(x, params["kernel"], params["bias"], conv.stride, conv.padding)
+        want = oracles.conv2d_frozen(x, params["kernel"], params["bias"], conv.stride, conv.padding)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_seeded_relu_conv_pool_blocks(self):
+        # Reordering the GEMM's rows (say, into pool-window order) or
+        # dropping the rows a pool discards changes OpenBLAS's result in
+        # the last bit for about 2% of such blocks, so sweep many of them.
+        rng = np.random.default_rng(2006)
+        for _ in range(300):
+            kernel = ((3, 3), (2, 3))[rng.integers(2)]
+            stride, pool = int(rng.integers(1, 3)), int(rng.integers(2, 4))
+            h, w = (int(v) for v in rng.integers(2 * pool * stride, 31, 2))
+            channels, filters = int(rng.integers(2, 9)), int(rng.integers(1, 9))
+            spec = ModelSpec(
+                input_shape=(h, w, channels),
+                layers=(
+                    LayerSpec.conv("conv", filters, kernel, stride, activation="relu"),
+                    LayerSpec.maxpool("pool", pool),
+                    LayerSpec.flatten(),
+                    LayerSpec.dense("out", 1, activation="sigmoid"),
+                ),
+            )
+            weights = {
+                layer: {p: rng.standard_normal(shape).astype(np.float32) for p, shape in params.items()}
+                for layer, params in expected_weight_shapes(spec).items()
+            }
+            assert_forward_matches_frozen(spec, weights, rng.standard_normal((h, w, channels)))
+
+    @pytest.mark.parametrize("channels", [3, 1])
+    def test_stock_model_at_300(self, channels):
+        spec = default_model_spec(channels=channels)
+        weights = random_weights(spec, seed=channels)
+        x = np.random.default_rng(channels).random((300, 300, channels))
+        assert_forward_matches_frozen(spec, weights, x)
 
 
 class TestClassify:

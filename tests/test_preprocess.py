@@ -228,6 +228,21 @@ class TestExtractFeatures:
                 assert float(features.min()) >= 0.0
                 assert float(features.max()) <= 1.0
 
+    def test_every_byte_scales_to_its_exact_quotient(self):
+        # Each of the 256 values in each channel, against Python's correctly
+        # rounded int / 255.
+        values = np.arange(256, dtype=np.uint8)
+        pixels = np.stack([values, values[::-1], np.roll(values, 7)], axis=-1).reshape(16, 16, 3)
+        frame = Frame(index=0, pixels=pixels)
+        for subset in ChannelSubset:
+            if subset is ChannelSubset.LUMA:
+                source = to_grayscale(frame).pixels
+            else:
+                source = pixels[:, :, list(subset.channel_indices)]
+            features = extract_features(frame, subset)
+            want = [[[int(v) / 255 for v in cell] for cell in row] for row in source.tolist()]
+            assert features.tolist() == want
+
     def test_luma_uses_supplied_coefficients(self):
         frame = solid_frame((100, 0, 0), size=1)
         features = extract_features(frame, ChannelSubset.LUMA, luma_coefficients=(1.0, 0.0, 0.0))
