@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--manifest", default=None, help="manifest path (default: <frames>/manifest.json)")
     run.add_argument("--gt", default=None, help="ground-truth CSV; enables report.json")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--workers", type=int, default=1, help="frame-scoring threads")
+    run.add_argument("--workers", type=int, default=1, help="frame-scoring threads; they share the cores with BLAS")
     run.add_argument("--tol", type=float, default=1.0, help="match tolerance in seconds")
     run.set_defaults(func=cmd_run)
 

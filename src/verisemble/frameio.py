@@ -1,7 +1,7 @@
 """Frame-sequence and annotation I/O.
 
-Covers the on-disk surface of the pipeline: binary PPM (P6) frames with an
-optional PNG path, the JSON sequence manifest, ground-truth interval CSVs,
+Covers the on-disk surface of the pipeline: binary PPM (P6) frames, the
+only frame format, the JSON sequence manifest, ground-truth interval CSVs,
 and the detections CSV emitted by the pipeline.
 
 All types here are immutable after construction and safe to share between
@@ -195,7 +195,7 @@ def decode_ppm(data: bytes, index: int = 0) -> Frame:
     """
     scanner = _ByteScanner(data)
     if data[:2] != b"P6":
-        raise FormatError(f"not a binary PPM: magic {data[:2]!r}, expected b'P6'")
+        raise FormatError(f"frames must be binary PPM (P6): magic {data[:2]!r} is not b'P6'")
     scanner.pos = 2
     width = scanner.read_int("width")
     height = scanner.read_int("height")
@@ -230,33 +230,8 @@ def encode_ppm(frame: Frame) -> bytes:
     return header + np.ascontiguousarray(frame.pixels).tobytes()
 
 
-def _decode_png(data: bytes, index: int) -> Frame:
-    try:
-        from PIL import Image
-    except ImportError as exc:  # pragma: no cover - depends on environment
-        raise LoadError(
-            "PNG support requires Pillow; install the [png] extra"
-        ) from exc
-    import io
-
-    try:
-        image = Image.open(io.BytesIO(data))
-        image.load()
-    except Exception as exc:
-        raise FormatError(f"bad PNG data: {exc}") from exc
-    if image.mode not in ("L", "RGB"):
-        image = image.convert("RGB")
-    pixels = np.asarray(image, dtype=np.uint8)
-    if pixels.ndim == 2:
-        pixels = pixels[:, :, np.newaxis]
-    return Frame(index=index, pixels=pixels)
-
-
 def _decode_frame_file(path: Path, index: int) -> Frame:
     data = path.read_bytes()
-    suffix = path.suffix.lower()
-    if suffix == ".png":
-        return _decode_png(data, index)
     try:
         return decode_ppm(data, index=index)
     except FormatError as exc:

@@ -9,15 +9,24 @@ survived the fold so far. A frame outside every such window stays
 negative whatever the verifier would say. Per-stage label streams are
 fused by the verification chain and the surviving positives collapse
 into timestamped events.
+
+While a pool of ``workers`` threads scores frames, numpy's OpenBLAS runs
+at ``max(1, n // workers)`` threads instead of its ``n``, so frame threads
+own the cores. The count is process-wide: other threads calling BLAS
+meanwhile see it too. Outputs do not change, because a forward pass gives
+the same bits at any BLAS thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -148,6 +157,54 @@ def _windows(centres: Iterable[int], radius: int, n: int) -> tuple[int, ...]:
     )
 
 
+# (get, set) thread-count symbols of numpy wheels' scipy-openblas, then of a plain OpenBLAS.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_api() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The OpenBLAS mapped into this process (per ``/proc/self/maps``) as its
+    (get, set) thread-count functions; None where none is found."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        paths = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    logger.info("BLAS thread count not controlled: no known OpenBLAS symbol found")
+    return None
+
+
+@contextmanager
+def _blas_threads_split(workers: int) -> Iterator[None]:
+    """Hold BLAS at ``max(1, n // workers)`` threads inside the block, ``n``
+    being the count on entry, and restore ``n`` on the way out."""
+    api = _blas_thread_api()
+    previous = api[0]() if api is not None else 1
+    target = max(1, previous // workers)
+    if target == previous:
+        yield
+        return
+    api[1](target)
+    try:
+        yield
+    finally:
+        api[1](previous)
+
+
 def run_pipeline(
     config: PipelineConfig,
     frames: Sequence[Frame],
@@ -162,6 +219,11 @@ def run_pipeline(
     output order and values are identical for every worker count because
     each frame is scored independently and results are collected in
     input order.
+
+    While the pool runs, numpy's BLAS thread count ``n`` is lowered to
+    ``max(1, n // workers)`` and restored afterwards, also when scoring
+    raises. The count is process-wide: other threads calling BLAS at that
+    time see the lower count.
     """
     if not (fps > 0):
         raise ValidationError(f"fps must be positive, got {fps}")
@@ -180,7 +242,7 @@ def run_pipeline(
             labels=tuple(classify(s, config.threshold) for s in scores), scores=scores
         )
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with _blas_threads_split(workers), ThreadPoolExecutor(max_workers=workers) as pool:
         prepared = list(pool.map(first_pass, frames))
         resized = [frame for frame, _ in prepared]
         stage_series = [series([score for _, score in prepared])]

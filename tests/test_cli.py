@@ -225,6 +225,25 @@ class TestRun:
         assert code == 2
         assert "frame 4" in capsys.readouterr().err
 
+    def test_png_frame_exits_2_naming_it(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for i in range(3):
+            # A PNG signature; the decoder rejects the file on its first bytes.
+            (frames / f"frame_{i:04d}.png").write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(64))
+        (frames / "manifest.json").write_text(
+            json.dumps({"frame_count": 3, "fps": 25.0, "pattern": "frame_%04d.png"})
+        )
+        config = write_mean_config(tmp_path / "config.json")
+        code = main([
+            "run", "--config", str(config), "--frames", str(frames),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: frame 0 (frame_0000.png): frames must be binary PPM")
+
     def test_internal_error_exits_1(self, tmp_path, capsys, monkeypatch):
         config, frames, out = golden_workspace(tmp_path)
         import verisemble.cli as cli_module

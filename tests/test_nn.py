@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -720,6 +724,42 @@ class TestForwardMatchesFrozen:
         weights = random_weights(spec, seed=channels)
         x = np.random.default_rng(channels).random((300, 300, channels))
         assert_forward_matches_frozen(spec, weights, x)
+
+
+# Scores the stock RGB and luma stages on seeded 300x300 frames through
+# the path `run` takes, one `<subset> <score.hex()>` line per score.
+STOCK_SCORES_SCRIPT = """
+import numpy as np
+from verisemble import ChannelSubset, Frame, default_model_spec, extract_features, forward, random_weights
+
+for subset in (ChannelSubset.RGB, ChannelSubset.LUMA):
+    spec = default_model_spec(channels=subset.cardinality)
+    weights = random_weights(spec, seed=subset.cardinality)
+    for i in range(3):
+        pixels = np.random.default_rng(100 + i).integers(0, 256, (300, 300, 3), dtype=np.uint8)
+        score = forward(spec, weights, extract_features(Frame(index=i, pixels=pixels), subset))
+        print(subset.value, float(score).hex())
+"""
+
+
+def stock_scores_with_blas_threads(threads: int) -> list[str]:
+    package_root = str(Path(nn.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", STOCK_SCORES_SCRIPT], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_stock_scores_bit_identical_across_blas_thread_counts():
+    """`run --workers N` lowers the BLAS thread count while it scores; that
+    is exact only if a forward pass gives the same bits at any count. The
+    luma stage is covered too: `to_grayscale`'s float64 product is BLAS."""
+    single = stock_scores_with_blas_threads(1)
+    assert len(single) == 6
+    assert stock_scores_with_blas_threads(2) == single
 
 
 class TestClassify:

@@ -46,6 +46,8 @@ from conftest import (
     MAGENTA,
     random_frame,
     solid_frame,
+    write_mean_config,
+    write_sequence,
 )
 
 
@@ -468,3 +470,112 @@ def test_lazy_run_equals_eager_oracle(case):
             assert cells[-2] == want[-2]
             assert cells[-1] == (want[-1] if i in known else "")
     assert results[0] == results[1]
+
+
+# -- BLAS threads while the scoring pool runs --------------------------------
+
+
+def blas_api():
+    api = pipeline._blas_thread_api()
+    if api is None:
+        pytest.skip("no OpenBLAS thread-count symbols in this process")
+    return api
+
+
+class BlasReadingModel:
+    """Mean-intensity stage that records the BLAS thread count at every
+    call, from any thread, and raises at call number ``fail_at``."""
+
+    def __init__(self, fail_at: int | None = None) -> None:
+        self.get_threads = blas_api()[0]
+        self.fail_at = fail_at
+        self.seen: list[int] = []
+        self._lock = threading.Lock()
+
+    def score(self, features: np.ndarray) -> float:
+        with self._lock:
+            self.seen.append(self.get_threads())
+            if len(self.seen) == self.fail_at:
+                raise RuntimeError("stage model failed")
+        return MeanIntensityModel().score(features)
+
+
+class FakeBlas:
+    def __init__(self, threads: int) -> None:
+        self.threads = threads
+        self.sets: list[int] = []
+
+    def get(self) -> int:
+        return self.threads
+
+    def set(self, threads: int) -> None:
+        self.sets.append(threads)
+        self.threads = threads
+
+
+def run_golden_with(models, workers: int):
+    with mock.patch.object(pipeline, "build_stage_models", return_value=models):
+        return run_pipeline(mean_pipeline(), golden_frames(), fps=GOLDEN_FPS, workers=workers)
+
+
+class TestBlasThreadsWhileScoring:
+    def test_pool_scores_at_split_count_then_restores_it(self):
+        previous = blas_api()[0]()
+        models = (BlasReadingModel(), BlasReadingModel())
+        run_golden_with(models, workers=2)
+        assert [len(model.seen) for model in models] == [9, 5]
+        assert set(models[0].seen + models[1].seen) == {max(1, previous // 2)}
+        assert blas_api()[0]() == previous
+
+    @pytest.mark.parametrize("failing_stage, fail_at", [(0, 4), (1, 3)])
+    def test_count_restored_when_a_stage_model_raises(self, failing_stage, fail_at):
+        previous = blas_api()[0]()
+        models = [MeanIntensityModel(), MeanIntensityModel()]
+        models[failing_stage] = BlasReadingModel(fail_at=fail_at)
+        with pytest.raises(RuntimeError, match="stage model failed"):
+            run_golden_with(tuple(models), workers=2)
+        assert models[failing_stage].seen[0] == max(1, previous // 2)
+        assert blas_api()[0]() == previous
+
+    @pytest.mark.parametrize(
+        "start, workers, sets",
+        [(4, 1, []), (4, 2, [2, 4]), (4, 3, [1, 4]), (2, 8, [1, 2]), (1, 2, [])],
+    )
+    def test_split_and_restore_calls(self, monkeypatch, start, workers, sets):
+        blas = FakeBlas(start)
+        monkeypatch.setattr(pipeline, "_blas_thread_api", lambda: (blas.get, blas.set))
+        run_pipeline(mean_pipeline(), golden_frames(), fps=GOLDEN_FPS, workers=workers)
+        assert blas.sets == sets
+
+
+@pytest.fixture
+def no_blas_symbols(monkeypatch):
+    monkeypatch.setattr(pipeline, "_BLAS_THREAD_SYMBOLS", ())
+    pipeline._blas_thread_api.cache_clear()
+    yield
+    pipeline._blas_thread_api.cache_clear()
+
+
+def test_without_blas_symbols_run_is_unchanged_and_says_so_once(
+    tmp_path, caplog, no_blas_symbols
+):
+    caplog.set_level(logging.INFO, logger="verisemble.pipeline")
+    frames = write_sequence(tmp_path / "frames", GOLDEN_COLORS)
+    config = write_mean_config(tmp_path / "config.json")
+    gt = tmp_path / "gt.csv"
+    gt.write_text("start_s,end_s\n0.1,0.3\n")
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
+        assert cli.main([
+            "-v", "run", "--config", str(config), "--frames", str(frames),
+            "--gt", str(gt), "--out", str(out), "--workers", workers,
+        ]) == 0
+        outputs.append([
+            (out / name).read_bytes()
+            for name in ("detections.csv", "predictions.csv", "report.json")
+        ])
+    assert outputs[0] == outputs[1]
+    assert pipeline._blas_thread_api() is None
+    notes = [m for m in caplog.messages if m.startswith("BLAS thread count not controlled")]
+    assert len(notes) == 1
