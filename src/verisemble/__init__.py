@@ -48,7 +48,6 @@ from .evaluate import (
     FrameMetrics,
     ScoreReport,
     SplitMix64,
-    bench_inference,
     events_from_series,
     frame_labels,
     frame_metrics,
@@ -124,7 +123,6 @@ __all__ = [
     "StageConfig",
     "ValidationError",
     "VerisembleError",
-    "bench_inference",
     "build_stage_models",
     "chain_fuse",
     "classify",

@@ -2,9 +2,10 @@
 
 Four subcommands cover the operational surface: ``run`` executes the
 full pipeline over a frame directory, ``eval`` scores a detections file
-against ground truth, ``bench`` measures inference latency and model
-sizes, and ``simulate`` drives the fusion stage with synthetic
-classifier outputs to study error rates without trained weights.
+against ground truth, ``bench`` times the same ``run_pipeline`` call as
+``run`` (weight loading included) per frame and reports model sizes, and
+``simulate`` drives the fusion stage with synthetic classifier outputs to
+study error rates without trained weights.
 
 Exit codes are a stable contract: 0 success, 2 usage or input error,
 1 internal error.
@@ -43,7 +44,6 @@ from .frameio import (
 )
 from .nn import count_params
 from .pipeline import CnnModel, PipelineResult, build_stage_models, run_pipeline
-from .preprocess import extract_features, resize_aa
 
 __all__ = ["main", "build_parser"]
 
@@ -70,8 +70,15 @@ def _dump_json(obj: object) -> str:
 # -- run -------------------------------------------------------------------
 
 
-def _resolve_fps(config: PipelineConfig, manifest_fps: float) -> float:
-    return config.fps if config.fps is not None else manifest_fps
+def _load_inputs(args: argparse.Namespace) -> tuple[PipelineConfig, list[Frame], float]:
+    """The config, the frames decoded on ``--workers`` threads and the frame
+    rate (the config's, else the manifest's) that ``run`` and ``bench`` score."""
+    config = load_config(args.config)
+    frames_dir = Path(args.frames)
+    manifest_path = Path(args.manifest) if args.manifest else frames_dir / "manifest.json"
+    manifest = load_manifest(manifest_path)
+    frames = load_sequence(frames_dir, manifest_path=manifest_path, workers=args.workers)
+    return config, frames, config.fps if config.fps is not None else manifest.fps
 
 
 def _write_predictions_csv(path: Path, config: PipelineConfig, result: PipelineResult) -> None:
@@ -100,13 +107,7 @@ def _write_predictions_csv(path: Path, config: PipelineConfig, result: PipelineR
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    frames_dir = Path(args.frames)
-    manifest_path = Path(args.manifest) if args.manifest else frames_dir / "manifest.json"
-    manifest = load_manifest(manifest_path)
-    frames = load_sequence(frames_dir, manifest_path=manifest_path, workers=args.workers)
-    fps = _resolve_fps(config, manifest.fps)
-
+    config, frames, fps = _load_inputs(args)
     result = run_pipeline(config, frames, fps=fps, workers=args.workers)
 
     out_dir = Path(args.out)
@@ -119,7 +120,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     if args.gt is not None:
         gt = load_ground_truth(args.gt)
-        report = match_score(result.events, gt, tolerance_s=args.tol, video=frames_dir.name)
+        report = match_score(
+            result.events, gt, tolerance_s=args.tol, video=Path(args.frames).name
+        )
         (out_dir / "report.json").write_text(_dump_json(_score_report_obj(report)))
     return 0
 
@@ -146,90 +149,44 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # -- bench -----------------------------------------------------------------
 
 
-def _stage_features(config: PipelineConfig, frames: Sequence[Frame]) -> list[list]:
-    """Per-frame, per-stage feature tensors, resizing each frame once."""
-    prepared: list[list] = []
-    for frame in frames:
-        resized = resize_aa(frame, config.input_width, config.input_height)
-        prepared.append(
-            [
-                extract_features(resized, stage.channels, config.luma_coefficients)
-                for stage in config.stages
-            ]
-        )
-    return prepared
-
-
-def _bench_once(
-    models: Sequence[object],
-    prepared: Sequence[Sequence],
-    warmup: int,
-    params: Sequence[int],
-) -> BenchReport:
-    for k in range(warmup):
-        for model, features in zip(models, prepared[k % len(prepared)]):
-            model.score(features)  # type: ignore[attr-defined]
-    samples = []
-    for per_stage in prepared:
-        t0 = perf_counter()
-        for model, features in zip(models, per_stage):
-            model.score(features)  # type: ignore[attr-defined]
-        samples.append((perf_counter() - t0) * 1e3)
-    return BenchReport.from_samples(samples, params_per_model=params)
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    frames = load_sequence(Path(args.frames), manifest_path=args.manifest, workers=1)
-    if not frames:
-        raise ValidationError("bench needs at least one frame")
-    if args.repeats < 1:
-        raise ValidationError(f"repeats must be >= 1, got {args.repeats}")
     if args.warmup < 0:
         raise ValidationError(f"warmup must be >= 0, got {args.warmup}")
-    models = build_stage_models(config)
+    if args.repeats < 1:
+        raise ValidationError(f"repeats must be >= 1, got {args.repeats}")
+    config, frames, fps = _load_inputs(args)
+    if not frames:
+        raise ValidationError("bench needs at least one frame")
     params = tuple(
         count_params(model.spec) if isinstance(model, CnnModel) else 0
-        for model in models
+        for model in build_stage_models(config)
     )
-    prepared = _stage_features(config, frames)
 
-    reports = []
+    for _ in range(args.warmup):
+        run_pipeline(config, frames, fps=fps, workers=args.workers)
+    samples = []
     for _ in range(args.repeats):
-        report = _bench_once(models, prepared, args.warmup, params)
-        reports.append(
-            {
-                "stages": [
-                    {"channels": stage.channels.value, "params": n}
-                    for stage, n in zip(config.stages, params)
-                ],
-                "params_total": report.params_total,
-                "frames": len(frames),
-                "warmup": args.warmup,
-                "latency_ms": {
-                    "mean": report.mean_ms,
-                    "median": report.median_ms,
-                    "p95": report.p95_ms,
-                },
-            }
-        )
-
-    out: dict = {"reports": reports}
-    if args.throughput_workers is not None:
-        if args.throughput_workers < 1:
-            raise ValidationError(
-                f"throughput workers must be >= 1, got {args.throughput_workers}"
-            )
         t0 = perf_counter()
-        run_pipeline(config, frames, fps=1.0, workers=args.throughput_workers)
-        wall_s = perf_counter() - t0
-        out["throughput"] = {
-            "workers": args.throughput_workers,
-            "frames": len(frames),
-            "wall_ms": wall_s * 1e3,
-            "frames_per_s": len(frames) / wall_s if wall_s > 0 else None,
-        }
-    sys.stdout.write(_dump_json(out))
+        run_pipeline(config, frames, fps=fps, workers=args.workers)
+        samples.append((perf_counter() - t0) * 1e3 / len(frames))
+    report = BenchReport.from_samples(samples, params_per_model=params)
+
+    out = {
+        "stages": [
+            {"channels": stage.channels.value, "params": n}
+            for stage, n in zip(config.stages, params)
+        ],
+        "params_total": report.params_total,
+        "frames": len(frames),
+        "warmup": args.warmup,
+        "workers": args.workers,
+        "latency_ms": {
+            "mean": report.mean_ms,
+            "median": report.median_ms,
+            "p95": report.p95_ms,
+        },
+    }
+    sys.stdout.write(_dump_json({"reports": [out]}))
     return 0
 
 
@@ -317,18 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--tol", type=float, default=1.0, help="match tolerance in seconds")
     ev.set_defaults(func=cmd_eval)
 
-    bench = sub.add_parser("bench", help="measure inference latency and model size")
+    bench = sub.add_parser("bench", help="time run's pipeline per frame; report model size")
     bench.add_argument("--config", required=True, help="pipeline config JSON")
     bench.add_argument("--frames", required=True, help="directory of frames + manifest")
-    bench.add_argument("--manifest", default=None, help="manifest path")
-    bench.add_argument("--warmup", type=int, default=5, help="untimed warmup passes")
-    bench.add_argument("--repeats", type=int, default=1, help="independent report count")
-    bench.add_argument(
-        "--throughput-workers",
-        type=int,
-        default=None,
-        help="also measure multi-worker wall clock with this many threads",
-    )
+    bench.add_argument("--manifest", default=None, help="manifest path (default: <frames>/manifest.json)")
+    bench.add_argument("--warmup", type=int, default=5, help="untimed pipeline runs first")
+    bench.add_argument("--repeats", type=int, default=1, help="timed pipeline runs")
+    bench.add_argument("--workers", type=int, default=1, help="frame-scoring threads; they share the cores with BLAS")
     bench.set_defaults(func=cmd_bench)
 
     sim = sub.add_parser("simulate", help="fuse synthetic classifier outputs")

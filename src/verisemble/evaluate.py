@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .ensemble import PredictionSeries, _series
 from .errors import ValidationError
-from .nn import ModelSpec, WeightStore, count_params, forward
 
 __all__ = [
     "SplitMix64",
@@ -37,7 +35,6 @@ __all__ = [
     "FrameMetrics",
     "frame_metrics",
     "BenchReport",
-    "bench_inference",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -391,28 +388,3 @@ class BenchReport:
             params_per_model=params,
             params_total=sum(params),
         )
-
-
-def bench_inference(
-    spec: ModelSpec,
-    weights: WeightStore,
-    inputs: Sequence[np.ndarray],
-    warmup: int = 5,
-) -> BenchReport:
-    """Time single-input forward passes; warmup runs are not recorded.
-
-    Runs single-threaded so samples reflect per-frame latency rather
-    than scheduler behavior.
-    """
-    if not inputs:
-        raise ValidationError("bench_inference needs at least one input")
-    if warmup < 0:
-        raise ValidationError(f"warmup must be >= 0, got {warmup}")
-    for k in range(warmup):
-        forward(spec, weights, inputs[k % len(inputs)])
-    samples: list[float] = []
-    for x in inputs:
-        t0 = perf_counter()
-        forward(spec, weights, x)
-        samples.append((perf_counter() - t0) * 1e3)
-    return BenchReport.from_samples(samples, params_per_model=(count_params(spec),))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import logging
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -188,21 +189,39 @@ def _blas_thread_api() -> tuple[Callable[[], int], Callable[[int], None]] | None
     return None
 
 
+# One record for the pools that overlap in this process: the BLAS count
+# saved when the first of them started, and how many are running.
+_blas_lock = threading.Lock()
+_blas_saved = 0
+_blas_pools = 0
+
+
 @contextmanager
 def _blas_threads_split(workers: int) -> Iterator[None]:
-    """Hold BLAS at ``max(1, n // workers)`` threads inside the block, ``n``
-    being the count on entry, and restore ``n`` on the way out."""
+    """Hold BLAS at no more than ``max(1, n // workers)`` threads inside the
+    block, ``n`` being the saved count. A block that starts while others
+    run may lower the count further but never raises it; the last block to
+    finish restores ``n``."""
+    global _blas_saved, _blas_pools
     api = _blas_thread_api()
-    previous = api[0]() if api is not None else 1
-    target = max(1, previous // workers)
-    if target == previous:
+    if api is None:
         yield
         return
-    api[1](target)
+    get, put = api
+    with _blas_lock:
+        if _blas_pools == 0:
+            _blas_saved = get()
+        _blas_pools += 1
+        target = max(1, _blas_saved // workers)
+        if target < get():
+            put(target)
     try:
         yield
     finally:
-        api[1](previous)
+        with _blas_lock:
+            _blas_pools -= 1
+            if _blas_pools == 0 and get() != _blas_saved:
+                put(_blas_saved)
 
 
 def run_pipeline(
@@ -221,7 +240,8 @@ def run_pipeline(
     input order.
 
     While the pool runs, numpy's BLAS thread count ``n`` is lowered to
-    ``max(1, n // workers)`` and restored afterwards, also when scoring
+    ``max(1, n // workers)``, or lower while other calls overlap, and the
+    last overlapping call to finish restores ``n``, also when scoring
     raises. The count is process-wide: other threads calling BLAS at that
     time see the lower count.
     """

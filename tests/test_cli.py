@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -14,8 +16,12 @@ from verisemble import (
     MeanIntensityModel,
     encode_ppm,
     extract_features,
+    load_config,
+    load_sequence,
     resize_aa,
+    run_pipeline,
 )
+from verisemble import pipeline
 from verisemble.cli import main
 
 from conftest import (
@@ -34,6 +40,19 @@ from conftest import (
 def mean_score(rgb: tuple[int, int, int], subset: ChannelSubset, size: int = 300) -> float:
     resized = resize_aa(solid_frame(rgb), size, size)
     return MeanIntensityModel().score(extract_features(resized, subset))
+
+
+class CountingModel:
+    """Mean-intensity stage that counts its calls from any thread."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def score(self, features) -> float:
+        with self._lock:
+            self.calls += 1
+        return MeanIntensityModel().score(features)
 
 
 def golden_workspace(tmp_path: Path) -> tuple[Path, Path, Path]:
@@ -343,16 +362,16 @@ class TestBench:
             "--warmup", "1", "--repeats", "2",
         ]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert len(out["reports"]) == 2
-        for report in out["reports"]:
-            assert report["frames"] == len(GOLDEN_COLORS)
-            assert report["warmup"] == 1
-            assert report["params_total"] == 0  # mean-intensity stages are weightless
-            assert [s["channels"] for s in report["stages"]] == ["RGB", "L"]
-            latency = report["latency_ms"]
-            assert latency["p95"] >= latency["median"]
-            assert latency["mean"] > 0
-        assert "throughput" not in out
+        (report,) = out["reports"]
+        assert report["frames"] == len(GOLDEN_COLORS)
+        assert report["warmup"] == 1
+        assert report["workers"] == 1
+        assert report["params_total"] == 0  # mean-intensity stages are weightless
+        assert [s["channels"] for s in report["stages"]] == ["RGB", "L"]
+        latency = report["latency_ms"]
+        assert latency["p95"] >= latency["median"]
+        assert latency["mean"] > 0
+        assert list(out) == ["reports"]
 
     def test_cnn_bench_reports_parameter_counts(self, tmp_path, capsys):
         from verisemble import count_params, random_weights, save_weights
@@ -381,14 +400,37 @@ class TestBench:
     def test_throughput_section(self, tmp_path, capsys):
         config, frames = self.small_workspace(tmp_path)
         assert main([
-            "bench", "--config", str(config), "--frames", str(frames),
-            "--throughput-workers", "2",
+            "bench", "--config", str(config), "--frames", str(frames), "--workers", "2",
         ]) == 0
         out = json.loads(capsys.readouterr().out)
-        throughput = out["throughput"]
-        assert throughput["workers"] == 2
-        assert throughput["frames"] == len(GOLDEN_COLORS)
-        assert throughput["frames_per_s"] > 0
+        (report,) = out["reports"]
+        assert report["workers"] == 2
+        assert report["frames"] == len(GOLDEN_COLORS)
+        assert report["latency_ms"]["median"] > 0
+        assert list(out) == ["reports"]
+
+    def test_times_the_lazy_path(self, tmp_path, capsys):
+        config, frames = self.small_workspace(tmp_path)
+        models = (CountingModel(), CountingModel())
+        with mock.patch.object(pipeline, "build_stage_models", return_value=models):
+            assert main([
+                "bench", "--config", str(config), "--frames", str(frames),
+                "--warmup", "2", "--repeats", "3",
+            ]) == 0
+        capsys.readouterr()
+        result = run_pipeline(load_config(config), load_sequence(frames), fps=GOLDEN_FPS)
+        assert len(result.scored[1]) < len(GOLDEN_COLORS)
+        assert [model.calls for model in models] == [(2 + 3) * len(s) for s in result.scored]
+
+    def test_zero_workers_exit_2(self, tmp_path, capsys):
+        config, frames = self.small_workspace(tmp_path)
+        code = main([
+            "bench", "--config", str(config), "--frames", str(frames), "--workers", "0",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: workers must be >= 1, got 0\n"
 
     def test_zero_frames_exit_2(self, tmp_path, capsys):
         config, _ = self.small_workspace(tmp_path)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 from verisemble import (
@@ -15,19 +14,15 @@ from verisemble import (
     PredictionSeries,
     SplitMix64,
     ValidationError,
-    bench_inference,
-    count_params,
     events_from_series,
     frame_labels,
     frame_metrics,
     match_score,
     median_report,
-    random_weights,
     simulate_predictor,
 )
 
 import oracles
-from test_nn import tiny_spec
 
 
 def mk(labels, scores=None) -> PredictionSeries:
@@ -473,32 +468,3 @@ class TestBenchReport:
                 params_per_model=(10,), params_total=11,
             )
 
-
-class TestBenchInference:
-    def test_one_sample_per_input(self):
-        spec = tiny_spec()
-        weights = random_weights(spec, seed=0)
-        rng = np.random.default_rng(1)
-        inputs = [rng.uniform(0, 1, size=(4, 4, 2)) for _ in range(10)]
-        report = bench_inference(spec, weights, inputs, warmup=2)
-        assert len(report.samples_ms) == 10
-        assert all(v >= 0 for v in report.samples_ms)
-        assert report.p95_ms >= report.median_ms
-
-    def test_params_match_spec(self):
-        spec = tiny_spec()
-        weights = random_weights(spec, seed=0)
-        inputs = [np.zeros((4, 4, 2))]
-        report = bench_inference(spec, weights, inputs, warmup=0)
-        assert report.params_per_model == (count_params(spec),)
-        assert report.params_total == count_params(spec)
-
-    def test_empty_inputs_rejected(self):
-        spec = tiny_spec()
-        with pytest.raises(ValidationError):
-            bench_inference(spec, random_weights(spec, 0), [], warmup=0)
-
-    def test_negative_warmup_rejected(self):
-        spec = tiny_spec()
-        with pytest.raises(ValidationError):
-            bench_inference(spec, random_weights(spec, 0), [np.zeros((4, 4, 2))], warmup=-1)

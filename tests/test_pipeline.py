@@ -547,6 +547,18 @@ class TestBlasThreadsWhileScoring:
         run_pipeline(mean_pipeline(), golden_frames(), fps=GOLDEN_FPS, workers=workers)
         assert blas.sets == sets
 
+    def test_overlapping_splits_restore_the_count_saved_first(self, monkeypatch):
+        blas = FakeBlas(4)
+        monkeypatch.setattr(pipeline, "_blas_thread_api", lambda: (blas.get, blas.set))
+        first, second = pipeline._blas_threads_split(2), pipeline._blas_threads_split(4)
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert blas.threads == 1
+        second.__exit__(None, None, None)
+        assert blas.threads == 4
+        assert blas.sets == [2, 1, 4]
+
 
 @pytest.fixture
 def no_blas_symbols(monkeypatch):
