@@ -57,6 +57,7 @@ from .evaluate import (
 )
 from .frameio import (
     Frame,
+    FrameSequence,
     GroundTruth,
     SequenceManifest,
     decode_ppm,
@@ -65,6 +66,7 @@ from .frameio import (
     load_ground_truth,
     load_manifest,
     load_sequence,
+    open_sequence,
     write_detections,
     write_ground_truth,
 )
@@ -106,6 +108,7 @@ __all__ = [
     "FormatError",
     "Frame",
     "FrameMetrics",
+    "FrameSequence",
     "FusionConfig",
     "GroundTruth",
     "LayerSpec",
@@ -145,6 +148,7 @@ __all__ = [
     "match_score",
     "median_report",
     "neighbor_validate",
+    "open_sequence",
     "pack_mode",
     "parse_config",
     "random_weights",

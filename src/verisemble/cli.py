@@ -3,9 +3,9 @@
 Four subcommands cover the operational surface: ``run`` executes the
 full pipeline over a frame directory, ``eval`` scores a detections file
 against ground truth, ``bench`` times the same ``run_pipeline`` call as
-``run`` (weight loading included) per frame and reports model sizes, and
-``simulate`` drives the fusion stage with synthetic classifier outputs to
-study error rates without trained weights.
+``run`` (weight loading and frame decoding included) per frame and
+reports model sizes, and ``simulate`` drives the fusion stage with
+synthetic classifier outputs to study error rates without trained weights.
 
 Exit codes are a stable contract: 0 success, 2 usage or input error,
 1 internal error.
@@ -35,11 +35,10 @@ from .evaluate import (
     simulate_predictor,
 )
 from .frameio import (
-    Frame,
+    FrameSequence,
     load_detections,
     load_ground_truth,
-    load_manifest,
-    load_sequence,
+    open_sequence,
     write_detections,
 )
 from .nn import count_params
@@ -70,15 +69,12 @@ def _dump_json(obj: object) -> str:
 # -- run -------------------------------------------------------------------
 
 
-def _load_inputs(args: argparse.Namespace) -> tuple[PipelineConfig, list[Frame], float]:
-    """The config, the frames decoded on ``--workers`` threads and the frame
-    rate (the config's, else the manifest's) that ``run`` and ``bench`` score."""
+def _load_inputs(args: argparse.Namespace) -> tuple[PipelineConfig, FrameSequence, float]:
+    """The config, the frames (decoded as they are scored) and the frame rate
+    (the config's, else the manifest's) that ``run`` and ``bench`` score."""
     config = load_config(args.config)
-    frames_dir = Path(args.frames)
-    manifest_path = Path(args.manifest) if args.manifest else frames_dir / "manifest.json"
-    manifest = load_manifest(manifest_path)
-    frames = load_sequence(frames_dir, manifest_path=manifest_path, workers=args.workers)
-    return config, frames, config.fps if config.fps is not None else manifest.fps
+    frames = open_sequence(args.frames, args.manifest)
+    return config, frames, config.fps if config.fps is not None else frames.fps
 
 
 def _write_predictions_csv(path: Path, config: PipelineConfig, result: PipelineResult) -> None:

@@ -11,6 +11,7 @@ threads.
 from __future__ import annotations
 
 import json
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,12 +23,14 @@ from .errors import FormatError, LoadError, ValidationError
 
 __all__ = [
     "Frame",
+    "FrameSequence",
     "SequenceManifest",
     "GroundTruth",
     "decode_ppm",
     "encode_ppm",
     "load_manifest",
     "load_sequence",
+    "open_sequence",
     "load_ground_truth",
     "write_ground_truth",
     "write_detections",
@@ -186,13 +189,8 @@ class _ByteScanner:
         return int(token)
 
 
-def decode_ppm(data: bytes, index: int = 0) -> Frame:
-    """Decode a binary PPM (magic ``P6``, maxval 255) byte string.
-
-    Pixels come back exactly as stored: row-major RGB. Raises
-    :class:`FormatError` for a wrong magic, an unsupported maxval, a
-    truncated payload, or trailing bytes after the payload.
-    """
+def _ppm_header(data: bytes) -> tuple[int, int, int]:
+    """Width, height and payload offset of a binary PPM; the payload is not read."""
     scanner = _ByteScanner(data)
     if data[:2] != b"P6":
         raise FormatError(f"frames must be binary PPM (P6): magic {data[:2]!r} is not b'P6'")
@@ -207,19 +205,27 @@ def decode_ppm(data: bytes, index: int = 0) -> Frame:
     # Exactly one whitespace byte separates the header from the payload.
     if scanner.pos >= len(data) or data[scanner.pos] not in _PPM_WHITESPACE:
         raise FormatError("PPM header: missing whitespace before payload")
-    scanner.pos += 1
-    payload = data[scanner.pos :]
+    return width, height, scanner.pos + 1
+
+
+def decode_ppm(data: bytes, index: int = 0) -> Frame:
+    """Decode a binary PPM (magic ``P6``, maxval 255) byte string.
+
+    Pixels come back exactly as stored: row-major RGB, viewing ``data``
+    without a copy. Raises :class:`FormatError` for a wrong magic, an
+    unsupported maxval, a truncated payload, or trailing bytes after the
+    payload.
+    """
+    data = bytes(data)  # no copy for bytes; a mutable buffer must not alias the frame
+    width, height, offset = _ppm_header(data)
     expected = width * height * 3
-    if len(payload) < expected:
-        raise FormatError(
-            f"PPM payload truncated: expected {expected} bytes, got {len(payload)}"
-        )
-    if len(payload) > expected:
-        raise FormatError(
-            f"PPM payload has {len(payload) - expected} trailing bytes"
-        )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return Frame(index=index, pixels=pixels)
+    got = len(data) - offset
+    if got < expected:
+        raise FormatError(f"PPM payload truncated: expected {expected} bytes, got {got}")
+    if got > expected:
+        raise FormatError(f"PPM payload has {got - expected} trailing bytes")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=offset)
+    return Frame(index=index, pixels=pixels.reshape(height, width, 3))
 
 
 def encode_ppm(frame: Frame) -> bytes:
@@ -228,14 +234,6 @@ def encode_ppm(frame: Frame) -> bytes:
         raise ValueError(f"PPM encoding requires 3 channels, got {frame.channels}")
     header = b"P6\n%d %d\n255\n" % (frame.width, frame.height)
     return header + np.ascontiguousarray(frame.pixels).tobytes()
-
-
-def _decode_frame_file(path: Path, index: int) -> Frame:
-    data = path.read_bytes()
-    try:
-        return decode_ppm(data, index=index)
-    except FormatError as exc:
-        raise FormatError(f"frame {index} ({path.name}): {exc}") from exc
 
 
 def load_manifest(path: str | Path) -> SequenceManifest:
@@ -267,37 +265,107 @@ def load_manifest(path: str | Path) -> SequenceManifest:
     )
 
 
+# Bytes read from frame 0 to find its header; a longer header reads the whole file.
+_HEADER_PROBE = 4096
+
+
+def _frame_error(index: int, path: Path, exc: FormatError) -> FormatError:
+    return FormatError(f"frame {index} ({path.name}): {exc}")
+
+
+def _header_shape(path: Path) -> tuple[int, int, int]:
+    """The pixel shape a PPM file's header declares, read without its payload."""
+    with path.open("rb") as file:
+        data = file.read(_HEADER_PROBE)
+        try:
+            width, height, _ = _ppm_header(data)
+        except FormatError:
+            # The header may run past the probe (long comments): read it all.
+            width, height, _ = _ppm_header(data + file.read())
+    return height, width, 3
+
+
+@dataclass(frozen=True)
+class FrameSequence(Sequence[Frame]):
+    """The frames of a directory in index order, each decoded when indexed.
+
+    Nothing is cached: a caller holds a decoded frame only as long as it
+    keeps it. Every frame must have ``shape``, read from frame 0's header;
+    indexing a frame that has another shape raises :class:`FormatError`
+    naming its index. Made by :func:`open_sequence`.
+    """
+
+    directory: Path
+    manifest: SequenceManifest
+    shape: tuple[int, int, int] | None
+
+    @property
+    def fps(self) -> float:
+        return self.manifest.fps
+
+    def __len__(self) -> int:
+        return self.manifest.frame_count
+
+    def __getitem__(self, index: int) -> Frame:
+        n = len(self)
+        i = operator.index(index)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"frame index {index} out of range for {n} frames")
+        path = self.manifest.frame_path(self.directory, i)
+        try:
+            frame = decode_ppm(path.read_bytes(), index=i)
+        except FormatError as exc:
+            raise _frame_error(i, path, exc) from exc
+        if frame.pixels.shape != self.shape:
+            raise FormatError(
+                f"frame {i} has shape {frame.pixels.shape}, expected {self.shape} like frame 0"
+            )
+        return frame
+
+
+def open_sequence(
+    directory: str | Path, manifest_path: str | Path | None = None
+) -> FrameSequence:
+    """Open a frame directory for decoding on access; see :class:`FrameSequence`.
+
+    The manifest defaults to ``<directory>/manifest.json``. Each frame file
+    must exist, and the first missing one raises :class:`LoadError` naming
+    its index; frame 0's header is read to fix the shape. No payload is
+    decoded here.
+    """
+    directory = Path(directory)
+    manifest = load_manifest(manifest_path or directory / "manifest.json")
+    for i in range(manifest.frame_count):
+        path = manifest.frame_path(directory, i)
+        if not path.is_file():
+            raise LoadError(f"frame {i} missing: {path}")
+    shape = None
+    if manifest.frame_count:
+        first = manifest.frame_path(directory, 0)
+        try:
+            shape = _header_shape(first)
+        except FormatError as exc:
+            raise _frame_error(0, first, exc) from exc
+    return FrameSequence(directory=directory, manifest=manifest, shape=shape)
+
+
 def load_sequence(
     directory: str | Path,
     manifest_path: str | Path | None = None,
     workers: int = 1,
 ) -> list[Frame]:
-    """Load a frame sequence in index order 0..frame_count-1.
+    """Decode every frame of :func:`open_sequence` in index order.
 
-    The manifest defaults to ``<directory>/manifest.json``. Frames decode
-    on a pool of ``workers`` threads; the returned order is by index
-    regardless. All frames must share one geometry; mismatches raise
-    :class:`FormatError` naming the offending index.
+    Frames decode on a pool of ``workers`` threads; the returned order is
+    by index regardless.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    directory = Path(directory)
-    manifest = load_manifest(manifest_path or directory / "manifest.json")
-    paths = [manifest.frame_path(directory, i) for i in range(manifest.frame_count)]
-    for i, path in enumerate(paths):
-        if not path.is_file():
-            raise LoadError(f"frame {i} missing: {path}")
-
+    frames = open_sequence(directory, manifest_path)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        frames = list(pool.map(_decode_frame_file, paths, range(len(paths))))
-
-    for frame in frames[1:]:
-        if frame.pixels.shape != frames[0].pixels.shape:
-            raise FormatError(
-                f"frame {frame.index} has shape {frame.pixels.shape}, "
-                f"expected {frames[0].pixels.shape} like frame 0"
-            )
-    return frames
+        return list(pool.map(frames.__getitem__, range(len(frames))))
 
 
 def load_ground_truth(path: str | Path) -> GroundTruth:

@@ -1,9 +1,12 @@
 """End-to-end pipeline: frames in, fused detection events out.
 
-The pipeline runs one pass per stage. Pass 0 resizes each frame once to
-the model input size and scores the first stage, the proposer, on every
-frame. Each later stage is a verifier that can only veto, so it scores
-only the frames its decision can depend on: the window of
+The pipeline runs one pass per stage. Pass 0 takes each frame from the
+sequence, resizes it once to the model input size and scores the first
+stage, the proposer, on every frame. Only the resized frames are kept: a
+lazy sequence such as :class:`~verisemble.frameio.FrameSequence` decodes
+each frame on the scoring threads, and the full-size frame is dropped once
+it is resized. Each later stage is a verifier that can only veto, so it
+scores only the frames its decision can depend on: the window of
 ``FusionConfig.verifier_radius`` frames around each proposal that has
 survived the fold so far. A frame outside every such window stays
 negative whatever the verifier would say. Per-stage label streams are
@@ -234,10 +237,11 @@ def run_pipeline(
 
     Stage 0 scores every frame; each later stage scores only the windows
     around the proposals that survive the stages before it (see the
-    module docstring). ``workers`` threads score the frames of each pass;
-    output order and values are identical for every worker count because
-    each frame is scored independently and results are collected in
-    input order.
+    module docstring). ``frames[i]`` is read once, on a scoring thread, and
+    only its resized copy is kept, so a lazy sequence is decoded there.
+    ``workers`` threads score the frames of each pass; output order and
+    values are identical for every worker count because each frame is
+    scored independently and results are collected in input order.
 
     While the pool runs, numpy's BLAS thread count ``n`` is lowered to
     ``max(1, n // workers)``, or lower while other calls overlap, and the
@@ -253,8 +257,8 @@ def run_pipeline(
     n = len(frames)
     logger.info("scoring %d frames with %d stages (%d workers)", n, len(models), workers)
 
-    def first_pass(frame: Frame) -> tuple[Frame, float]:
-        resized = resize_aa(frame, config.input_width, config.input_height)
+    def first_pass(i: int) -> tuple[Frame, float]:
+        resized = resize_aa(frames[i], config.input_width, config.input_height)
         return resized, _stage_score(resized, config.stages[0], models[0], config)
 
     def series(scores: Sequence[float]) -> PredictionSeries:
@@ -263,7 +267,7 @@ def run_pipeline(
         )
 
     with _blas_threads_split(workers), ThreadPoolExecutor(max_workers=workers) as pool:
-        prepared = list(pool.map(first_pass, frames))
+        prepared = list(pool.map(first_pass, range(n)))
         resized = [frame for frame, _ in prepared]
         stage_series = [series([score for _, score in prepared])]
         scored = [tuple(range(n))]

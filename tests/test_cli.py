@@ -18,10 +18,12 @@ from verisemble import (
     extract_features,
     load_config,
     load_sequence,
+    open_sequence,
     resize_aa,
     run_pipeline,
+    write_detections,
 )
-from verisemble import pipeline
+from verisemble import cli, frameio, pipeline
 from verisemble.cli import main
 
 from conftest import (
@@ -53,6 +55,44 @@ class CountingModel:
         with self._lock:
             self.calls += 1
         return MeanIntensityModel().score(features)
+
+
+def write_random_sequence(directory: Path, count: int, width: int, height: int) -> Path:
+    directory.mkdir(parents=True)
+    for i in range(count):
+        frame = random_frame(seed=500 + i, width=width, height=height)
+        (directory / f"frame_{i:04d}.ppm").write_bytes(encode_ppm(frame))
+    (directory / "manifest.json").write_text(
+        json.dumps({"frame_count": count, "fps": 10.0, "pattern": "frame_%04d.ppm"})
+    )
+    return directory
+
+
+# Runs `cli.main` on its arguments in a fresh process and prints the exit
+# code and the process's peak resident set (VmHWM) in KiB.
+PEAK_RSS_SCRIPT = """
+import sys
+from verisemble.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(code, next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")))
+"""
+
+# Runs `cli.main` on its arguments with at most 1 GiB more address space
+# than the interpreter holds once verisemble is imported.
+ADDRESS_LIMIT_SCRIPT = """
+import resource, sys
+from verisemble.cli import main
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+limit = size * 1024 + (1 << 30)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[1:]))
+"""
+
+needs_proc_status = pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="reads /proc/self/status"
+)
 
 
 def golden_workspace(tmp_path: Path) -> tuple[Path, Path, Path]:
@@ -175,6 +215,109 @@ class TestRun:
                 + (out / "predictions.csv").read_bytes()
             )
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("geometry", ["golden", "downscaled", "empty"])
+    def test_lazy_run_equals_eager_pipeline(self, tmp_path, geometry, workers):
+        """`run` decodes frames as it scores them; its files are the bytes
+        that `run_pipeline` over an eagerly loaded list gives."""
+        if geometry == "golden":
+            config, frames, _ = golden_workspace(tmp_path)
+        else:
+            count = 12 if geometry == "downscaled" else 0
+            frames = write_random_sequence(tmp_path / "frames", count, 64, 48)
+            config = write_mean_config(tmp_path / "config.json", input={"width": 32, "height": 32})
+        out = tmp_path / "out"
+        assert main([
+            "run", "--config", str(config), "--frames", str(frames),
+            "--out", str(out), "--workers", str(workers),
+        ]) == 0
+        parsed = load_config(config)
+        fps = open_sequence(frames).fps
+        eager = run_pipeline(parsed, load_sequence(frames, workers=workers), fps, workers)
+        assert run_pipeline(parsed, open_sequence(frames), fps, workers) == eager
+        want = tmp_path / "want"
+        want.mkdir()
+        write_detections(
+            [(e.timestamp_s, e.peak_score) for e in eager.events], want / "detections.csv"
+        )
+        cli._write_predictions_csv(want / "predictions.csv", parsed, eager)
+        for name in ("detections.csv", "predictions.csv"):
+            assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("fault", ["shape", "truncated"])
+    def test_bad_later_frame_exits_2_naming_it(self, tmp_path, capsys, fault, workers):
+        config, frames, out = golden_workspace(tmp_path)
+        path = frames / "frame_0005.ppm"
+        if fault == "shape":
+            path.write_bytes(encode_ppm(solid_frame(MAGENTA, index=5, size=8)))
+        else:
+            path.write_bytes(path.read_bytes()[:-1])
+        code = main([
+            "run", "--config", str(config), "--frames", str(frames),
+            "--out", str(out), "--workers", workers,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: frame 5 "), err
+
+    @needs_proc_status
+    def test_peak_memory_does_not_hold_decoded_frames(self, tmp_path):
+        """80 more 320x240 frames are 18 MB decoded; into a 32x32 model,
+        `run` keeps only the 3 KB resized frames, so its peak grows by far
+        less than the decoded bytes."""
+        config = write_mean_config(tmp_path / "config.json", input={"width": 32, "height": 32})
+        peaks = []
+        for count in (20, 100):
+            frames = write_random_sequence(tmp_path / f"frames{count}", count, 320, 240)
+            proc = subprocess.run(
+                [sys.executable, "-c", PEAK_RSS_SCRIPT, "run", "--config", str(config),
+                 "--frames", str(frames), "--out", str(tmp_path / f"out{count}")],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            code, peak_kb = proc.stdout.split()
+            assert code == "0"
+            peaks.append(int(peak_kb) * 1024)
+        decoded = 80 * 320 * 240 * 3
+        assert peaks[1] - peaks[0] < 0.25 * decoded, (peaks, decoded)
+
+    @needs_proc_status
+    def test_huge_frame_count_exits_2_at_the_first_missing_frame(self, tmp_path):
+        """The manifest promises 10**9 frames over 2 files; `run` must stop at
+        frame 2, not build a path per promised frame first."""
+        config, frames, out = golden_workspace(tmp_path)
+        (frames / "manifest.json").write_text(
+            json.dumps({"frame_count": 10**9, "fps": 25.0, "pattern": "frame_%04d.ppm"})
+        )
+        for i in range(2, len(GOLDEN_COLORS)):
+            (frames / f"frame_{i:04d}.ppm").unlink()
+        proc = subprocess.run(
+            [sys.executable, "-c", ADDRESS_LIMIT_SCRIPT, "run", "--config", str(config),
+             "--frames", str(frames), "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: frame 2 missing"), err
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_manifest_read_once(self, tmp_path, capsys, monkeypatch, command):
+        config, frames, out = golden_workspace(tmp_path)
+        original, paths = frameio.load_manifest, []
+
+        def counting(path):
+            paths.append(path)
+            return original(path)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("verisemble") and getattr(module, "load_manifest", None) is original:
+                monkeypatch.setattr(module, "load_manifest", counting)
+        extra = ["--out", str(out)] if command == "run" else ["--warmup", "1", "--repeats", "2"]
+        assert main([command, "--config", str(config), "--frames", str(frames), *extra]) == 0
+        capsys.readouterr()
+        assert len(paths) == 1, paths
 
     def test_zero_workers_exit_2(self, tmp_path, capsys):
         config, frames, out = golden_workspace(tmp_path)

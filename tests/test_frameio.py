@@ -11,6 +11,7 @@ import pytest
 from verisemble import (
     Frame,
     FormatError,
+    FrameSequence,
     GroundTruth,
     LoadError,
     SequenceManifest,
@@ -21,6 +22,7 @@ from verisemble import (
     load_ground_truth,
     load_manifest,
     load_sequence,
+    open_sequence,
     write_detections,
     write_ground_truth,
 )
@@ -93,6 +95,19 @@ class TestDecodePpm:
     def test_empty_input_rejected(self):
         with pytest.raises(FormatError):
             decode_ppm(b"")
+
+    def test_pixels_view_the_input_bytes(self):
+        data = encode_ppm(random_frame(seed=3, width=5, height=4))
+        base = decode_ppm(data).pixels
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert base is data
+
+    def test_mutable_buffer_is_not_aliased(self):
+        data = bytearray(b"P6\n1 1\n255\n\xff\x00\x00")
+        frame = decode_ppm(data)
+        data[-3:] = b"\x00\x00\x00"
+        assert frame.pixels.tolist() == [[[255, 0, 0]]]
 
 
 class TestEncodePpm:
@@ -190,6 +205,69 @@ class TestLoadSequence:
     def test_repeated_loads_identical(self, tmp_path):
         directory = write_sequence(tmp_path / "seq", [BLACK, WHITE, BLACK])
         assert load_sequence(directory) == load_sequence(directory)
+
+
+class TestOpenSequence:
+    def test_frames_decode_on_access(self, tmp_path):
+        colors = [(i * 11 % 256, i * 7 % 256, i * 3 % 256) for i in range(5)]
+        directory = write_sequence(tmp_path / "seq", colors, fps=12.5)
+        frames = open_sequence(directory)
+        assert isinstance(frames, FrameSequence)
+        assert (len(frames), frames.fps, frames.shape) == (5, 12.5, (16, 16, 3))
+        assert list(frames) == load_sequence(directory)
+        assert frames[-1] == frames[4] and frames[4].index == 4
+        with pytest.raises(IndexError):
+            frames[5]
+
+    def test_each_access_reads_the_file(self, tmp_path):
+        directory = write_sequence(tmp_path / "seq", [BLACK, BLACK])
+        frames = open_sequence(directory)
+        (directory / "frame_0001.ppm").write_bytes(encode_ppm(solid_frame(WHITE, index=1)))
+        assert frames[1].pixels[0, 0].tolist() == [255, 255, 255]
+
+    def test_manifest_path_and_empty_sequence(self, tmp_path):
+        directory = write_sequence(tmp_path / "seq", [])
+        moved = tmp_path / "elsewhere.json"
+        (directory / "manifest.json").rename(moved)
+        frames = open_sequence(directory, manifest_path=moved)
+        assert len(frames) == 0 and list(frames) == [] and frames.shape is None
+
+    def test_first_missing_frame_stops_the_scan(self, tmp_path):
+        directory = write_sequence(tmp_path / "seq", [BLACK, WHITE])
+        (directory / "manifest.json").write_text(
+            json.dumps({"frame_count": 10**9, "fps": 25, "pattern": "frame_%04d.ppm"})
+        )
+        with pytest.raises(LoadError, match="frame 2 missing"):
+            open_sequence(directory)
+
+    def test_shape_mismatch_raised_when_indexed(self, tmp_path):
+        directory = write_sequence(tmp_path / "seq", [BLACK, WHITE, BLACK])
+        (directory / "frame_0002.ppm").write_bytes(
+            encode_ppm(solid_frame(WHITE, index=2, size=8))
+        )
+        frames = open_sequence(directory)
+        assert frames[1].index == 1
+        with pytest.raises(
+            FormatError, match=r"frame 2 has shape \(8, 8, 3\), expected \(16, 16, 3\) like frame 0"
+        ):
+            frames[2]
+
+    def test_bad_first_header_fails_at_open(self, tmp_path):
+        directory = write_sequence(tmp_path / "seq", [BLACK, WHITE])
+        (directory / "frame_0000.ppm").write_bytes(b"P6\n16 16\n65535\n")
+        with pytest.raises(FormatError, match=r"frame 0 \(frame_0000.ppm\): PPM maxval"):
+            open_sequence(directory)
+
+    def test_header_longer_than_the_probe(self, tmp_path):
+        directory = write_sequence(tmp_path / "seq", [BLACK, WHITE])
+        frame = solid_frame(BLACK, size=16)
+        comment = b"#" + b"x" * 10_000 + b"\n"
+        (directory / "frame_0000.ppm").write_bytes(
+            b"P6\n" + comment + b"16 16\n255\n" + frame.pixels.tobytes()
+        )
+        frames = open_sequence(directory)
+        assert frames.shape == (16, 16, 3)
+        assert list(frames) == load_sequence(directory)
 
 
 class TestGroundTruth:
