@@ -11,7 +11,6 @@ threads.
 from __future__ import annotations
 
 import json
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -265,24 +264,8 @@ def load_manifest(path: str | Path) -> SequenceManifest:
     )
 
 
-# Bytes read from frame 0 to find its header; a longer header reads the whole file.
-_HEADER_PROBE = 4096
-
-
 def _frame_error(index: int, path: Path, exc: FormatError) -> FormatError:
     return FormatError(f"frame {index} ({path.name}): {exc}")
-
-
-def _header_shape(path: Path) -> tuple[int, int, int]:
-    """The pixel shape a PPM file's header declares, read without its payload."""
-    with path.open("rb") as file:
-        data = file.read(_HEADER_PROBE)
-        try:
-            width, height, _ = _ppm_header(data)
-        except FormatError:
-            # The header may run past the probe (long comments): read it all.
-            width, height, _ = _ppm_header(data + file.read())
-    return height, width, 3
 
 
 @dataclass(frozen=True)
@@ -307,20 +290,16 @@ class FrameSequence(Sequence[Frame]):
         return self.manifest.frame_count
 
     def __getitem__(self, index: int) -> Frame:
-        n = len(self)
-        i = operator.index(index)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(f"frame index {index} out of range for {n} frames")
-        path = self.manifest.frame_path(self.directory, i)
+        if not 0 <= index < len(self):
+            raise IndexError(f"frame index {index} out of range for {len(self)} frames")
+        path = self.manifest.frame_path(self.directory, index)
         try:
-            frame = decode_ppm(path.read_bytes(), index=i)
+            frame = decode_ppm(path.read_bytes(), index=index)
         except FormatError as exc:
-            raise _frame_error(i, path, exc) from exc
+            raise _frame_error(index, path, exc) from exc
         if frame.pixels.shape != self.shape:
             raise FormatError(
-                f"frame {i} has shape {frame.pixels.shape}, expected {self.shape} like frame 0"
+                f"frame {index} has shape {frame.pixels.shape}, expected {self.shape} like frame 0"
             )
         return frame
 
@@ -332,7 +311,7 @@ def open_sequence(
 
     The manifest defaults to ``<directory>/manifest.json``. Each frame file
     must exist, and the first missing one raises :class:`LoadError` naming
-    its index; frame 0's header is read to fix the shape. No payload is
+    its index; frame 0's header is parsed to fix the shape. No payload is
     decoded here.
     """
     directory = Path(directory)
@@ -345,9 +324,10 @@ def open_sequence(
     if manifest.frame_count:
         first = manifest.frame_path(directory, 0)
         try:
-            shape = _header_shape(first)
+            width, height, _ = _ppm_header(first.read_bytes())
         except FormatError as exc:
             raise _frame_error(0, first, exc) from exc
+        shape = (height, width, 3)
     return FrameSequence(directory=directory, manifest=manifest, shape=shape)
 
 
