@@ -30,10 +30,8 @@ from .ensemble import (
     FusionConfig,
     PredictionSeries,
     chain_fuse,
-    fuse_video,
     neighbor_validate,
     pack_mode,
-    verify_combine,
 )
 from .errors import (
     FormatError,
@@ -138,7 +136,6 @@ __all__ = [
     "forward",
     "frame_labels",
     "frame_metrics",
-    "fuse_video",
     "load_config",
     "load_detections",
     "load_ground_truth",
@@ -157,7 +154,6 @@ __all__ = [
     "save_weights",
     "simulate_predictor",
     "to_grayscale",
-    "verify_combine",
     "write_detections",
     "write_ground_truth",
     "__version__",

@@ -15,9 +15,9 @@ Fusion is one fold, :func:`chain_fuse`, over two steps:
 
 The fold packs the first stage (when packing is enabled), then lets each
 later stage veto through a window reaching ``FusionConfig.verifier_radius``
-frames either side of each positive. Two aliases name its common cases:
-``fuse_video`` is the fold over one primary and one verifier, and
-``verify_combine`` is the per-frame AND, a neighbor window of width 1.
+frames either side of each positive. Two-stage fusion is
+``chain_fuse((primary, verifier), config)``, and the per-frame AND is
+``neighbor_validate(primary, verifier, 1)``.
 
 All operations are pure: series are immutable value objects and every
 function returns a new series.
@@ -36,10 +36,8 @@ from .errors import ValidationError
 __all__ = [
     "FusionConfig",
     "PredictionSeries",
-    "verify_combine",
     "pack_mode",
     "neighbor_validate",
-    "fuse_video",
     "chain_fuse",
 ]
 
@@ -126,15 +124,6 @@ def _series(labels: tuple[bool, ...], scores: tuple[float, ...]) -> PredictionSe
     return out
 
 
-def verify_combine(primary: PredictionSeries, verifier: PredictionSeries) -> PredictionSeries:
-    """Per-frame AND of two aligned series: :func:`neighbor_validate` with ``window=1``.
-
-    A frame stays positive only if both stages agree; the fused score is
-    the weaker (minimum) of the two, so it never overstates confidence.
-    """
-    return neighbor_validate(primary, verifier, 1)
-
-
 def pack_mode(series: PredictionSeries, pack_size: int = 3) -> PredictionSeries:
     """Majority vote over non-overlapping packs of consecutive frames.
 
@@ -168,7 +157,8 @@ def neighbor_validate(
     fired anywhere in ``[i - r, i + r]`` with ``r = (window - 1) // 2``,
     clipped at the sequence boundaries. The fused score is the minimum of
     the primary score and the best verifier score in the window, so
-    ``window=1`` is the per-frame AND, :func:`verify_combine`.
+    ``window=1`` is the per-frame AND: a frame stays positive only if both
+    stages agree, and its score is the weaker of the two.
     """
     if window < 1 or window % 2 == 0:
         raise ValidationError(f"window must be a positive odd int, got {window}")
@@ -195,15 +185,6 @@ def neighbor_validate(
         best = tuple(c if c > b else b for b, c in zip(best, padded[shift : shift + n]))
     scores = tuple(mine if mine < b else b for mine, b in zip(primary.scores, best))
     return _series(labels, scores)
-
-
-def fuse_video(
-    primary: PredictionSeries,
-    verifier: PredictionSeries,
-    config: FusionConfig | None = None,
-) -> PredictionSeries:
-    """Standard two-stage fusion: :func:`chain_fuse` over ``(primary, verifier)``."""
-    return chain_fuse((primary, verifier), config)
 
 
 def chain_fuse(

@@ -8,6 +8,11 @@ Inference is deterministic and purely functional: specs and weight stores
 are immutable after load and may be shared across threads; dropout is an
 identity at inference time.
 
+One table, ``_LAYER_KINDS``, names the fields each layer kind requires and
+may set and its weight arrays in container order. ``LayerSpec``'s checks,
+its JSON form and the container's record order all read it; each field's
+type and range is one rule in ``_FIELD_RULES``.
+
 Each conv is one im2col copy and one GEMM. A relu conv directly followed by
 a max-pool runs as one step: it pools the conv output, then applies ReLU to
 the pooled ``1/pool**2`` of the data, and the batchnorm after it sees only
@@ -21,7 +26,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -49,18 +54,64 @@ __all__ = [
 ]
 
 _ACTIVATIONS = ("relu", "sigmoid")
-_KINDS = ("conv2d", "maxpool2", "batchnorm", "flatten", "dense", "dropout", "activation")
 
-# Weight array names per layer kind, in container serialization order.
-_PARAM_ORDER: dict[str, tuple[str, ...]] = {
-    "conv2d": ("kernel", "bias"),
-    "batchnorm": ("gamma", "beta", "mean", "var"),
-    "dense": ("kernel", "bias"),
-    "maxpool2": (),
-    "flatten": (),
-    "dropout": (),
-    "activation": (),
+
+class _Kind(NamedTuple):
+    required: tuple[str, ...]  # fields the layer must set
+    optional: tuple[str, ...]  # fields it may set
+    weights: tuple[str, ...]  # weight arrays, in container order
+
+    @property
+    def fields(self) -> tuple[str, ...]:
+        return self.required + self.optional
+
+
+# The one description of each layer kind: the fields it takes and the
+# weight arrays it holds.
+_LAYER_KINDS: dict[str, _Kind] = {
+    "conv2d": _Kind(("filters", "kernel"), ("stride", "padding", "activation"), ("kernel", "bias")),
+    "maxpool2": _Kind((), ("pool",), ()),
+    "batchnorm": _Kind((), (), ("gamma", "beta", "mean", "var")),
+    "flatten": _Kind((), (), ()),
+    "dense": _Kind(("units",), ("activation",), ("kernel", "bias")),
+    "dropout": _Kind(("rate",), (), ()),
+    "activation": _Kind(("activation",), (), ()),
 }
+
+# What an optional field holds when a layer that takes it leaves it unset;
+# an unset activation stays None (linear).
+_DEFAULTS = {"stride": 1, "padding": "same", "pool": 2}
+
+
+def _is_int(value: object, low: int) -> bool:
+    # bool is an int subclass; True must not pass as 1.
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+# Each field's rule: a test of its value, and what the test asks for.
+_FIELD_RULES: dict[str, tuple[Callable[[object], bool], str]] = {
+    "filters": (lambda v: _is_int(v, 1), "an int >= 1"),
+    "kernel": (
+        lambda v: isinstance(v, tuple) and len(v) == 2 and all(_is_int(k, 1) for k in v),
+        "two ints >= 1",
+    ),
+    "stride": (lambda v: _is_int(v, 1), "an int >= 1"),
+    "padding": (lambda v: v in ("same", "valid"), "'same' or 'valid'"),
+    "pool": (lambda v: _is_int(v, 2), "an int >= 2"),
+    "units": (lambda v: _is_int(v, 1), "an int >= 1"),
+    "rate": (
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v < 1.0,
+        "a number in [0, 1)",
+    ),
+    "activation": (lambda v: v in _ACTIVATIONS, "'relu' or 'sigmoid'"),
+}
+
+
+def _kind(kind: object, name: object) -> _Kind:
+    if not isinstance(kind, str) or kind not in _LAYER_KINDS:
+        raise ValidationError(f"layer {name!r}: unknown kind {kind!r}")
+    return _LAYER_KINDS[kind]
+
 
 WEIGHTS_MAGIC = b"TSTM"
 WEIGHTS_VERSION = 1
@@ -68,81 +119,40 @@ WEIGHTS_VERSION = 1
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer of the model graph; fields are kind-specific."""
+    """One layer of the model graph; ``_LAYER_KINDS`` says which fields
+    each kind takes, and an unset optional field takes its ``_DEFAULTS``
+    value."""
 
     kind: str
     name: str
     filters: int | None = None
     kernel: tuple[int, int] | None = None
-    stride: int = 1
-    padding: str = "same"
+    stride: int | None = None
+    padding: str | None = None
     pool: int | None = None
     units: int | None = None
     rate: float | None = None
     activation: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValidationError(f"unknown layer kind {self.kind!r}")
-        if not self.name:
-            raise ValidationError("layer name must be non-empty")
-        check = getattr(self, f"_check_{self.kind}")
-        check()
-
-    def _require(self, wanted: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
-        for fname in ("filters", "kernel", "pool", "units", "rate", "activation"):
+        if not isinstance(self.name, str) or not self.name:
+            raise ValidationError(f"layer name must be a non-empty string, got {self.name!r}")
+        kind = _kind(self.kind, self.name)
+        if isinstance(self.kernel, list):  # JSON has no tuples
+            object.__setattr__(self, "kernel", tuple(self.kernel))
+        for fname, (test, wanted) in _FIELD_RULES.items():
             value = getattr(self, fname)
-            if fname in wanted:
-                if value is None:
+            if value is None:
+                if fname in kind.required:
                     raise ValidationError(f"layer {self.name}: {self.kind} requires {fname}")
-            elif value is not None and fname not in optional:
+                if fname in kind.optional and fname in _DEFAULTS:
+                    object.__setattr__(self, fname, _DEFAULTS[fname])
+            elif fname not in kind.fields:
+                raise ValidationError(f"layer {self.name}: {self.kind} does not take {fname}")
+            elif not test(value):
                 raise ValidationError(
-                    f"layer {self.name}: {self.kind} does not take {fname}"
+                    f"layer {self.name}: {fname} must be {wanted}, got {value!r}"
                 )
-
-    def _check_conv2d(self) -> None:
-        self._require(("filters", "kernel"), optional=("activation",))
-        assert self.filters is not None and self.kernel is not None
-        if self.filters < 1:
-            raise ValidationError(f"layer {self.name}: filters must be >= 1")
-        if len(self.kernel) != 2 or min(self.kernel) < 1:
-            raise ValidationError(f"layer {self.name}: bad kernel {self.kernel}")
-        if self.stride < 1:
-            raise ValidationError(f"layer {self.name}: stride must be >= 1")
-        if self.padding not in ("same", "valid"):
-            raise ValidationError(f"layer {self.name}: padding must be same or valid")
-        if self.activation is not None and self.activation not in _ACTIVATIONS:
-            raise ValidationError(f"layer {self.name}: unknown activation {self.activation!r}")
-
-    def _check_maxpool2(self) -> None:
-        self._require((), optional=("pool",))
-        if self.pool is not None and self.pool < 2:
-            raise ValidationError(f"layer {self.name}: pool size must be >= 2")
-
-    def _check_batchnorm(self) -> None:
-        self._require(())
-
-    def _check_flatten(self) -> None:
-        self._require(())
-
-    def _check_dense(self) -> None:
-        self._require(("units",), optional=("activation",))
-        assert self.units is not None
-        if self.units < 1:
-            raise ValidationError(f"layer {self.name}: units must be >= 1")
-        if self.activation is not None and self.activation not in _ACTIVATIONS:
-            raise ValidationError(f"layer {self.name}: unknown activation {self.activation!r}")
-
-    def _check_dropout(self) -> None:
-        self._require(("rate",))
-        assert self.rate is not None
-        if not (0.0 <= self.rate < 1.0):
-            raise ValidationError(f"layer {self.name}: dropout rate must be in [0, 1)")
-
-    def _check_activation(self) -> None:
-        self._require(("activation",))
-        if self.activation not in _ACTIVATIONS:
-            raise ValidationError(f"layer {self.name}: unknown activation {self.activation!r}")
 
     # -- constructors ------------------------------------------------------
 
@@ -189,49 +199,21 @@ class LayerSpec:
 
     def to_json_obj(self) -> dict:
         obj: dict = {"kind": self.kind, "name": self.name}
-        if self.kind == "conv2d":
-            obj.update(
-                filters=self.filters, kernel=list(self.kernel or ()),
-                stride=self.stride, padding=self.padding,
-            )
-            if self.activation is not None:
-                obj["activation"] = self.activation
-        elif self.kind == "maxpool2":
-            obj["pool"] = self.pool if self.pool is not None else 2
-        elif self.kind == "dense":
-            obj["units"] = self.units
-            if self.activation is not None:
-                obj["activation"] = self.activation
-        elif self.kind == "dropout":
-            obj["rate"] = self.rate
-        elif self.kind == "activation":
-            obj["activation"] = self.activation
+        for fname in _LAYER_KINDS[self.kind].fields:
+            value = getattr(self, fname)
+            if value is not None:
+                obj[fname] = list(value) if fname == "kernel" else value
         return obj
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "LayerSpec":
         if not isinstance(obj, Mapping) or "kind" not in obj or "name" not in obj:
             raise FormatError(f"bad layer spec entry: {obj!r}")
-        kind, name = obj["kind"], obj["name"]
-        allowed = {
-            "conv2d": {"filters", "kernel", "stride", "padding", "activation"},
-            "maxpool2": {"pool"},
-            "batchnorm": set(),
-            "flatten": set(),
-            "dense": {"units", "activation"},
-            "dropout": {"rate"},
-            "activation": {"activation"},
-        }
-        if kind not in allowed:
-            raise FormatError(f"layer {name!r}: unknown kind {kind!r}")
-        unknown = set(obj) - allowed[kind] - {"kind", "name"}
-        if unknown:
-            raise FormatError(f"layer {name!r}: unknown keys {sorted(unknown)}")
-        fields: dict = {k: obj[k] for k in allowed[kind] if k in obj}
-        if "kernel" in fields:
-            fields["kernel"] = tuple(fields["kernel"])
         try:
-            return cls(kind=kind, name=name, **fields)
+            unknown = set(obj) - {"kind", "name", *_kind(obj["kind"], obj["name"]).fields}
+            if unknown:
+                raise FormatError(f"layer {obj['name']!r}: unknown keys {sorted(unknown)}")
+            return cls(**obj)
         except ValidationError as exc:
             raise FormatError(str(exc)) from exc
 
@@ -248,11 +230,12 @@ class ModelSpec:
     layers: tuple[LayerSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "input_shape", tuple(int(v) for v in self.input_shape))
+        object.__setattr__(self, "input_shape", tuple(self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
-        h, w, c = self.input_shape
-        if h < 1 or w < 1 or c < 1:
-            raise ValidationError(f"bad input shape {self.input_shape}")
+        if len(self.input_shape) != 3 or not all(_is_int(v, 1) for v in self.input_shape):
+            raise ValidationError(
+                f"bad input shape {self.input_shape}, expected three ints >= 1"
+            )
         names = [layer.name for layer in self.layers]
         if len(set(names)) != len(names):
             raise ValidationError("layer names must be unique")
@@ -302,8 +285,10 @@ class ModelSpec:
         if "input" not in obj or "layers" not in obj:
             raise FormatError("model spec: missing 'input' or 'layers'")
         shape = obj["input"]
-        if not isinstance(shape, list) or len(shape) != 3:
+        if not isinstance(shape, list):
             raise FormatError(f"model spec: bad input shape {shape!r}")
+        if not isinstance(obj["layers"], list):
+            raise FormatError(f"model spec: 'layers' must be a list, got {obj['layers']!r}")
         layers = tuple(LayerSpec.from_json_obj(entry) for entry in obj["layers"])
         try:
             return cls(input_shape=tuple(shape), layers=layers)
@@ -332,7 +317,7 @@ def _layer_output_shape(layer: LayerSpec, shape: tuple[int, ...]) -> tuple[int, 
     if kind == "maxpool2":
         if len(shape) != 3:
             raise ValidationError(f"layer {layer.name}: maxpool needs a 3-D input, got {shape}")
-        pool = layer.pool or 2
+        pool = layer.pool
         h, w, c = shape
         if h < pool or w < pool:
             raise ValidationError(f"layer {layer.name}: input {h}x{w} smaller than pool {pool}")
@@ -362,20 +347,16 @@ def expected_weight_shapes(spec: ModelSpec) -> dict[str, dict[str, tuple[int, ..
     """Shapes every weight array must have for the given spec."""
     shapes: dict[str, dict[str, tuple[int, ...]]] = {}
     for layer, in_shape in zip(spec.layers, spec.layer_input_shapes()):
+        names = _LAYER_KINDS[layer.kind].weights
+        if not names:
+            continue
         if layer.kind == "conv2d":
-            kh, kw = layer.kernel  # type: ignore[misc]
-            shapes[layer.name] = {
-                "kernel": (kh, kw, in_shape[2], layer.filters),  # type: ignore[index]
-                "bias": (layer.filters,),  # type: ignore[dict-item]
-            }
-        elif layer.kind == "batchnorm":
-            c = in_shape[2]
-            shapes[layer.name] = {name: (c,) for name in _PARAM_ORDER["batchnorm"]}
+            kernel, out = (*layer.kernel, in_shape[2], layer.filters), layer.filters
         elif layer.kind == "dense":
-            shapes[layer.name] = {
-                "kernel": (in_shape[0], layer.units),  # type: ignore[dict-item]
-                "bias": (layer.units,),  # type: ignore[dict-item]
-            }
+            kernel, out = (in_shape[0], layer.units), layer.units
+        else:  # batchnorm: gamma, beta, mean and var hold one value per channel
+            kernel, out = None, in_shape[2]
+        shapes[layer.name] = {n: kernel if n == "kernel" else (out,) for n in names}
     return shapes
 
 
@@ -587,7 +568,7 @@ def forward(spec: ModelSpec, weights: WeightStore, x: np.ndarray) -> float:
             and i + 1 < len(layers)
             and layers[i + 1].kind == "maxpool2"
         ):
-            pool = layers[i + 1].pool or 2
+            pool = layers[i + 1].pool
         try:
             x = _forward_layer(layer, weights, x, pool)
         except (ShapeError, ValidationError, KeyError) as exc:
@@ -613,7 +594,7 @@ def _forward_layer(
             out = maxpool2(out, pool)
         return _apply_activation(out, layer.activation)
     if kind == "maxpool2":
-        return maxpool2(x, layer.pool or 2)
+        return maxpool2(x, layer.pool)
     if kind == "batchnorm":
         params = weights[layer.name]
         return batchnorm_infer(x, params["gamma"], params["beta"], params["mean"], params["var"])
@@ -716,7 +697,7 @@ def save_weights(path: str | Path, spec: ModelSpec, weights: WeightStore) -> Non
     chunks.append(struct.pack("<I", len(spec_json)))
     chunks.append(spec_json)
     for layer in spec.layers:
-        for param_name in _PARAM_ORDER[layer.kind]:
+        for param_name in _LAYER_KINDS[layer.kind].weights:
             arr = np.ascontiguousarray(weights[layer.name][param_name], dtype="<f4")
             name = f"{layer.name}/{param_name}".encode()
             chunks.append(struct.pack("<H", len(name)))

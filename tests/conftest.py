@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from verisemble import Frame, encode_ppm
+
+# CI keeps no example database between runs, so it runs derandomized and a
+# failure prints the blob that replays it (`@reproduce_failure`). Select the
+# profile with HYPOTHESIS_PROFILE=ci.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 BLACK = (0, 0, 0)
 WHITE = (255, 255, 255)

@@ -35,7 +35,6 @@ from verisemble import (
     encode_ppm,
     events_from_series,
     forward,
-    fuse_video,
     load_weights,
     match_score,
     median_report,
@@ -141,15 +140,9 @@ def fusion_sweep():
             cfg.neighbor_window,
             cfg.packing_enabled,
         )
-        fused = fuse_video(pa, pb, cfg)
-        chained = chain_fuse([pa, pb], cfg)
+        fused = chain_fuse((pa, pb), cfg)
         stats["pairs"] += 1
-        if (
-            list(fused.labels) != ref_labels
-            or list(fused.scores) != ref_scores
-            or chained.labels != fused.labels
-            or chained.scores != fused.scores
-        ):
+        if list(fused.labels) != ref_labels or list(fused.scores) != ref_scores:
             stats["mismatches"] += 1
         for flag, packed in zip(fused.labels, base):
             if flag and not packed:
@@ -212,7 +205,7 @@ def test_criterion_03_false_positive_product_law():
         master = SplitMix64(3_000_000)
         proposer = simulate_predictor(truth, tpr=0.9, fpr=0.1, rng=master.spawn())
         verifier = simulate_predictor(truth, tpr=0.9, fpr=0.2, rng=master.spawn())
-        fused = fuse_video(proposer, verifier, FusionConfig(packing_enabled=False))
+        fused = chain_fuse((proposer, verifier), FusionConfig(packing_enabled=False))
         fpr = fused.positive_count() / n
         detail.append(f"empirical fpr {fpr:.5f}, expected 0.02000")
         assert 0.0173 <= fpr <= 0.0227
@@ -241,7 +234,7 @@ def test_criterion_04_precision_filter_end_to_end():
             master = SplitMix64(9000 + trial)
             proposer = simulate_predictor(truth, tpr=0.9, fpr=0.05, rng=master.spawn())
             verifier = simulate_predictor(truth, tpr=0.9, fpr=0.05, rng=master.spawn())
-            fused = fuse_video(proposer, verifier, cfg)
+            fused = chain_fuse((proposer, verifier), cfg)
             proposer_only = pack_mode(proposer, cfg.pack_size)
 
             fused_report = match_score(events_from_series(fused, fps), intervals)

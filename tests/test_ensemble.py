@@ -12,10 +12,8 @@ from verisemble import (
     PredictionSeries,
     ValidationError,
     chain_fuse,
-    fuse_video,
     neighbor_validate,
     pack_mode,
-    verify_combine,
 )
 
 import oracles
@@ -117,39 +115,39 @@ class TestVerifyCombine:
     def test_truth_table(self):
         primary = mk([True, True, False, False])
         verifier = mk([True, False, True, False])
-        fused = verify_combine(primary, verifier)
+        fused = neighbor_validate(primary, verifier, 1)
         assert fused.labels == (True, False, False, False)
 
     def test_scores_take_minimum(self):
         primary = mk([True, True], scores=(0.9, 0.3))
         verifier = mk([True, True], scores=(0.6, 0.8))
-        fused = verify_combine(primary, verifier)
+        fused = neighbor_validate(primary, verifier, 1)
         assert fused.scores == (0.6, 0.3)
 
     def test_verifier_cannot_add_positives(self):
         primary = mk([False, False, False])
         verifier = mk([True, True, True])
-        assert verify_combine(primary, verifier).positive_count() == 0
+        assert neighbor_validate(primary, verifier, 1).positive_count() == 0
 
     def test_label_commutative(self):
         rng = random.Random(10)
         for _ in range(20):
             a, b = rand_series(rng, 8), rand_series(rng, 8)
-            assert verify_combine(a, b).labels == verify_combine(b, a).labels
-            assert verify_combine(a, b).scores == verify_combine(b, a).scores
+            assert neighbor_validate(a, b, 1).labels == neighbor_validate(b, a, 1).labels
+            assert neighbor_validate(a, b, 1).scores == neighbor_validate(b, a, 1).scores
 
     def test_self_combine_keeps_labels(self):
         series = rand_series(random.Random(11), 12)
-        fused = verify_combine(series, series)
+        fused = neighbor_validate(series, series, 1)
         assert fused.labels == series.labels
         assert fused.scores == series.scores
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="lengths differ"):
-            verify_combine(mk([True]), mk([True, True]))
+            neighbor_validate(mk([True]), mk([True, True]), 1)
 
     def test_empty_series(self):
-        fused = verify_combine(mk([]), mk([]))
+        fused = neighbor_validate(mk([]), mk([]), 1)
         assert len(fused) == 0
 
 
@@ -270,16 +268,6 @@ class TestNeighborValidate:
         # Window maxima of verifier scores: 0.7, 0.7, 0.2.
         assert fused.scores == (0.7, 0.4, 0.2)
 
-    def test_window_one_equals_verify_combine(self):
-        rng = random.Random(16)
-        for _ in range(50):
-            n = rng.randint(0, 15)
-            a, b = rand_series(rng, n), rand_series(rng, n)
-            one = neighbor_validate(a, b, window=1)
-            plain = verify_combine(a, b)
-            assert one.labels == plain.labels
-            assert one.scores == plain.scores
-
     def test_even_window_rejected(self):
         with pytest.raises(ValidationError, match="odd"):
             neighbor_validate(mk([True]), mk([True]), window=2)
@@ -306,26 +294,26 @@ class TestFuseVideo:
     def test_default_config_packs_and_validates(self):
         primary = mk([False, False, False, True, True, True, False, False, False])
         verifier = mk([False, False, False, False, True, False, False, False, False])
-        fused = fuse_video(primary, verifier)
+        fused = chain_fuse((primary, verifier))
         assert fused.labels == primary.labels
 
     def test_offset_verifier_confirms_only_window_reach(self):
         primary = mk([False, False, False, True, True, True, False, False, False])
         verifier = mk([False, False, False, False, False, False, True, False, False])
-        fused = fuse_video(primary, verifier)
+        fused = chain_fuse((primary, verifier))
         # Only frame 5 sees the verifier positive at 6 inside its window.
         assert fused.positive_indices() == (5,)
 
     def test_flicker_smoothed_then_confirmed(self):
         primary = mk([True, False, True])
         verifier = mk([False, True, False])
-        fused = fuse_video(primary, verifier)
+        fused = chain_fuse((primary, verifier))
         assert fused.labels == (True, True, True)
 
     def test_lone_primary_positive_erased_by_packing(self):
         primary = mk([False, True, False])
         verifier = mk([True, True, True])
-        assert fuse_video(primary, verifier).positive_count() == 0
+        assert chain_fuse((primary, verifier)).positive_count() == 0
 
     def test_packing_disabled_is_plain_and(self):
         rng = random.Random(18)
@@ -333,8 +321,8 @@ class TestFuseVideo:
         for _ in range(30):
             n = rng.randint(0, 15)
             a, b = rand_series(rng, n), rand_series(rng, n)
-            fused = fuse_video(a, b, config)
-            plain = verify_combine(a, b)
+            fused = chain_fuse((a, b), config)
+            plain = neighbor_validate(a, b, 1)
             assert fused.labels == plain.labels
             assert fused.scores == plain.scores
 
@@ -344,14 +332,14 @@ class TestFuseVideo:
             n = rng.randint(1, 20)
             primary = mk([False] * n)
             verifier = rand_series(rng, n)
-            assert fuse_video(primary, verifier).positive_count() == 0
+            assert chain_fuse((primary, verifier)).positive_count() == 0
 
     def test_fused_positives_subset_of_packed_primary(self):
         rng = random.Random(20)
         for _ in range(50):
             n = rng.randint(1, 18)
             a, b = rand_series(rng, n), rand_series(rng, n)
-            fused = fuse_video(a, b)
+            fused = chain_fuse((a, b))
             packed = set(pack_mode(a, 3).positive_indices())
             assert set(fused.positive_indices()) <= packed
 
@@ -366,7 +354,7 @@ class TestFuseVideo:
             config = FusionConfig(
                 pack_size=pack_size, neighbor_window=window, packing_enabled=packing
             )
-            fused = fuse_video(a, b, config)
+            fused = chain_fuse((a, b), config)
             want_labels, want_scores, _ = oracles.fuse_ref(
                 list(a.labels), list(a.scores), list(b.labels), list(b.scores),
                 pack_size, window, packing,
@@ -376,7 +364,7 @@ class TestFuseVideo:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            fuse_video(mk([True]), mk([True, False]))
+            chain_fuse((mk([True]), mk([True, False])))
 
 
 class TestChainFuse:
@@ -389,18 +377,6 @@ class TestChainFuse:
         fused = chain_fuse([series])
         assert fused.labels == series.labels
         assert fused.scores == series.scores
-
-    def test_two_stages_equal_fuse_video(self):
-        rng = random.Random(23)
-        for _ in range(50):
-            n = rng.randint(0, 15)
-            packing = rng.random() < 0.5
-            config = FusionConfig(packing_enabled=packing)
-            a, b = rand_series(rng, n), rand_series(rng, n)
-            chained = chain_fuse([a, b], config)
-            direct = fuse_video(a, b, config)
-            assert chained.labels == direct.labels
-            assert chained.scores == direct.scores
 
     def test_three_stages_without_packing_intersect(self):
         rng = random.Random(24)

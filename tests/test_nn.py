@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import random
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +33,7 @@ from verisemble import (
     random_weights,
     save_weights,
 )
-from verisemble import nn
+from verisemble import cli, nn
 from verisemble.nn import (
     WEIGHTS_MAGIC,
     WEIGHTS_VERSION,
@@ -46,6 +49,7 @@ from verisemble.nn import (
 )
 
 import oracles
+from conftest import GOLDEN_COLORS, write_sequence
 
 
 def tiny_spec() -> ModelSpec:
@@ -152,6 +156,43 @@ class TestLayerSpec:
         with pytest.raises(FormatError):
             LayerSpec.from_json_obj({"kind": "flatten"})
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "conv2d", "filters": "16", "kernel": (3, 3)},
+            {"kind": "conv2d", "filters": True, "kernel": (3, 3)},
+            {"kind": "conv2d", "filters": 16, "kernel": 3},
+            {"kind": "conv2d", "filters": 16, "kernel": (3, 3.0)},
+            {"kind": "conv2d", "filters": 16, "kernel": (3, 3, 3)},
+            {"kind": "conv2d", "filters": 16, "kernel": (3, 3), "stride": True},
+            {"kind": "conv2d", "filters": 16, "kernel": (3, 3), "padding": ["same"]},
+            {"kind": "maxpool2", "pool": 2.0},
+            {"kind": "dense", "units": 1.0},
+            {"kind": "dropout", "rate": "0.2"},
+            {"kind": "dropout", "rate": False},
+            {"kind": "dropout", "rate": math.nan},
+            {"kind": ["conv2d"]},
+            {"kind": None},
+        ],
+    )
+    def test_mistyped_field_rejected(self, fields):
+        with pytest.raises(ValidationError):
+            LayerSpec(name="x", **fields)
+        with pytest.raises(FormatError):
+            LayerSpec.from_json_obj({"name": "x", **fields})
+
+    @pytest.mark.parametrize("name", [5, None, ["x"], ""])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(ValidationError, match="name"):
+            LayerSpec(kind="flatten", name=name)
+
+    def test_unset_optional_fields_take_defaults(self):
+        assert LayerSpec(kind="maxpool2", name="p").pool == 2
+        conv = LayerSpec(kind="conv2d", name="c", filters=1, kernel=[3, 3])
+        assert (conv.kernel, conv.stride, conv.padding, conv.activation) == ((3, 3), 1, "same", None)
+        with pytest.raises(ValidationError, match="does not take"):
+            LayerSpec(kind="dense", name="d", units=1, stride=1)
+
 
 class TestModelSpec:
     def test_tiny_spec_shapes(self):
@@ -252,6 +293,21 @@ class TestModelSpec:
             ],
         }
         with pytest.raises(FormatError, match="sigmoid"):
+            ModelSpec.from_json_obj(obj)
+
+    def test_from_json_layers_must_be_a_list(self):
+        obj = tiny_spec().to_json_obj()
+        obj["layers"] = 5
+        with pytest.raises(FormatError, match="layers"):
+            ModelSpec.from_json_obj(obj)
+
+    @pytest.mark.parametrize("shape", [(32.5, 32, 3), (True, 4, 2), (4, 4, "2"), (4, 4)])
+    def test_input_shape_entries_must_be_ints(self, shape):
+        with pytest.raises(ValidationError, match="input shape"):
+            ModelSpec(input_shape=shape, layers=tiny_spec().layers)
+        obj = tiny_spec().to_json_obj()
+        obj["input"] = list(shape)
+        with pytest.raises(FormatError, match="input shape"):
             ModelSpec.from_json_obj(obj)
 
 
@@ -1106,3 +1162,164 @@ class TestWeightContainer:
         save_weights(path, spec, weights)
         loaded_spec, loaded = load_weights(path)
         assert forward(loaded_spec, loaded, x) == before
+
+
+# -- the container's spec JSON against malformed values ----------------------
+
+
+def split_container(path: Path) -> tuple[dict, bytes]:
+    """A container's spec JSON object and the weight records that follow it."""
+    data = path.read_bytes()
+    (spec_len,) = struct.unpack("<I", data[8:12])
+    return json.loads(data[12 : 12 + spec_len]), data[12 + spec_len :]
+
+
+@functools.cache
+def stock_container() -> tuple[dict, bytes]:
+    """:func:`split_container` of the stock 300x300 RGB model."""
+    spec = default_model_spec(3, 300, 300)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "stock.weights"
+        save_weights(path, spec, random_weights(spec, seed=3))
+        return split_container(path)
+
+
+def container_bytes(spec_obj, records: bytes) -> bytes:
+    spec_json = json.dumps(spec_obj, sort_keys=True, separators=(",", ":")).encode()
+    return WEIGHTS_MAGIC + struct.pack("<II", WEIGHTS_VERSION, len(spec_json)) + spec_json + records
+
+
+def with_field(spec_obj: dict, path: tuple, value) -> dict:
+    """A deep copy of ``spec_obj`` with the entry at ``path`` set to ``value``."""
+    out = json.loads(json.dumps(spec_obj))
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return out
+
+
+def layer_index(spec_obj: dict, name: str) -> int:
+    return [layer["name"] for layer in spec_obj["layers"]].index(name)
+
+
+# Every key a layer entry of the spec JSON can hold.
+LAYER_KEYS = [
+    "activation", "filters", "kernel", "kind", "name", "padding", "pool", "rate", "stride", "units",
+]
+
+BAD_VALUES = st.one_of(
+    st.text(max_size=6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.lists(st.one_of(st.integers(-2, 4), st.just(2**70)), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(-1, 3), max_size=2),
+    st.none(),
+    st.integers(max_value=0),
+    st.just(2**70),
+)
+
+
+@st.composite
+def spec_field_paths(draw):
+    """Where to put the bad value: ``input``, one ``input`` entry, ``layers``,
+    or one key (present or not) of one of the stock model's layers."""
+    layers = len(default_model_spec().layers)
+    return draw(st.one_of(
+        st.just(("input",)),
+        st.tuples(st.just("input"), st.integers(0, 2)),
+        st.just(("layers",)),
+        st.tuples(st.just("layers"), st.integers(0, layers - 1), st.sampled_from(LAYER_KEYS)),
+    ))
+
+
+class TestContainerSpecParser:
+    @settings(max_examples=300, deadline=None)
+    @given(path=spec_field_paths(), value=BAD_VALUES)
+    def test_bad_field_loads_or_raises_format_error(self, tmp_path_factory, path, value):
+        spec_obj, records = stock_container()
+        bad = tmp_path_factory.getbasetemp() / "bad_field.weights"
+        bad.write_bytes(container_bytes(with_field(spec_obj, path, value), records))
+        try:
+            load_weights(bad)
+        except FormatError:
+            pass
+
+    def test_unchanged_spec_loads(self, tmp_path):
+        path = tmp_path / "stock.weights"
+        path.write_bytes(container_bytes(*stock_container()))
+        spec, _ = load_weights(path)
+        assert spec == default_model_spec(3, 300, 300)
+
+
+# Spec edits that made `run` exit 1 with a TypeError traceback (the first
+# five), or that it accepted and ran with exit 0 (the rest; 32.5 was
+# truncated to 32), before every field's type was checked.
+RUN_SPEC_EDITS = {
+    "filters-str": ("conv1", "filters", "16"),
+    "kernel-int": ("conv1", "kernel", 3),
+    "rate-str": ("dropout1", "rate", "0.2"),
+    "kind-list": ("conv1", "kind", ["conv2d"]),
+    "layers-int": (None, "layers", 5),
+    "units-float": ("dense1", "units", 64.0),
+    "stride-bool": ("conv2", "stride", True),
+    "input-float": (None, "input", [32.5, 32, 3]),
+}
+
+
+def run_stock_container(tmp_path: Path, edit) -> int:
+    """``run`` one RGB stage of the stock model at 32x32 over nine frames,
+    with ``edit`` (layer name or None, key, value) applied to its
+    container's spec JSON; returns the exit code."""
+    spec = default_model_spec(3, 32, 32)
+    saved = tmp_path / "saved.weights"
+    save_weights(saved, spec, random_weights(spec, seed=4))
+    spec_obj, records = split_container(saved)
+    if edit is not None:
+        layer, key, value = edit
+        path = (key,) if layer is None else ("layers", layer_index(spec_obj, layer), key)
+        spec_obj = with_field(spec_obj, path, value)
+    (tmp_path / "model.weights").write_bytes(container_bytes(spec_obj, records))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "config_version": 1,
+        "input": {"width": 32, "height": 32},
+        "stages": [{"channels": "RGB", "model": {"type": "cnn", "weights": "model.weights"}}],
+    }))
+    frames = write_sequence(tmp_path / "frames", GOLDEN_COLORS, size=32)
+    return cli.main([
+        "run", "--config", str(config), "--frames", str(frames), "--out", str(tmp_path / "out"),
+    ])
+
+
+class TestRunRejectsMalformedSpec:
+    def test_unchanged_container_runs(self, tmp_path, capsys):
+        assert run_stock_container(tmp_path, None) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("edit", RUN_SPEC_EDITS.values(), ids=RUN_SPEC_EDITS.keys())
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, edit):
+        assert run_stock_container(tmp_path, edit) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+class TestContainerFormatPinned:
+    # SHA-256 of `_spec_json_bytes(default_model_spec(c, 300, 300))`, taken
+    # from the per-kind serializers the layer-kind table replaced.
+    SPEC_SHA256 = {
+        1: "cecb6d36d5504c0a8a3ee26d3c0994d8a2ab89825e7b1e7ea96565f0ae5c3e22",
+        3: "b75ed78a3f7173f37c2394dc49b02030f7414c78b4a72af93219a04b5701b93e",
+    }
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_stock_spec_json_bytes(self, channels):
+        spec_json = nn._spec_json_bytes(default_model_spec(channels, 300, 300))
+        assert hashlib.sha256(spec_json).hexdigest() == self.SPEC_SHA256[channels]
+
+    def test_stock_container_round_trips_byte_for_byte(self, tmp_path):
+        spec = default_model_spec(3, 300, 300)
+        first, again = tmp_path / "first.weights", tmp_path / "again.weights"
+        save_weights(first, spec, random_weights(spec, seed=8))
+        save_weights(again, *load_weights(first))
+        assert again.read_bytes() == first.read_bytes()
