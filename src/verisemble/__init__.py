@@ -41,7 +41,6 @@ from .errors import (
     VerisembleError,
 )
 from .evaluate import (
-    BenchReport,
     DetectionEvent,
     FrameMetrics,
     ScoreReport,
@@ -63,7 +62,6 @@ from .frameio import (
     load_detections,
     load_ground_truth,
     load_manifest,
-    load_sequence,
     open_sequence,
     write_detections,
     write_ground_truth,
@@ -98,7 +96,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BT601_LUMA",
-    "BenchReport",
     "ChannelSubset",
     "CnnModel",
     "CnnModelConfig",
@@ -140,7 +137,6 @@ __all__ = [
     "load_detections",
     "load_ground_truth",
     "load_manifest",
-    "load_sequence",
     "load_weights",
     "match_score",
     "median_report",

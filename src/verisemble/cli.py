@@ -22,12 +22,12 @@ from pathlib import Path
 from time import perf_counter
 from typing import Sequence
 
+import numpy as np
+
 from .config import PipelineConfig, load_config
 from .ensemble import FusionConfig, chain_fuse
 from .errors import ValidationError, VerisembleError
 from .evaluate import (
-    BenchReport,
-    DetectionEvent,
     ScoreReport,
     SplitMix64,
     frame_metrics,
@@ -117,7 +117,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.gt is not None:
         gt = load_ground_truth(args.gt)
         report = match_score(
-            result.events, gt, tolerance_s=args.tol, video=Path(args.frames).name
+            [event.timestamp_s for event in result.events],
+            gt,
+            tolerance_s=args.tol,
+            video=Path(args.frames).name,
         )
         (out_dir / "report.json").write_text(_dump_json(_score_report_obj(report)))
     return 0
@@ -129,15 +132,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     rows = load_detections(args.detections)
     gt = load_ground_truth(args.gt)
-    events = []
-    for t, score in rows:
-        frame = int(round(t * args.fps))
-        events.append(
-            DetectionEvent(
-                start_frame=frame, end_frame=frame, timestamp_s=t, peak_score=score
-            )
-        )
-    report = match_score(events, gt, tolerance_s=args.tol)
+    report = match_score([t for t, _ in rows], gt, tolerance_s=args.tol)
     sys.stdout.write(_dump_json(_score_report_obj(report)))
     return 0
 
@@ -165,21 +160,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
         t0 = perf_counter()
         run_pipeline(config, frames, fps=fps, workers=args.workers)
         samples.append((perf_counter() - t0) * 1e3 / len(frames))
-    report = BenchReport.from_samples(samples, params_per_model=params)
 
     out = {
         "stages": [
             {"channels": stage.channels.value, "params": n}
             for stage, n in zip(config.stages, params)
         ],
-        "params_total": report.params_total,
+        "params_total": sum(params),
         "frames": len(frames),
         "warmup": args.warmup,
         "workers": args.workers,
         "latency_ms": {
-            "mean": report.mean_ms,
-            "median": report.median_ms,
-            "p95": report.p95_ms,
+            "mean": float(np.mean(samples)),
+            "median": float(np.percentile(samples, 50)),
+            "p95": float(np.percentile(samples, 95)),
         },
     }
     sys.stdout.write(_dump_json({"reports": [out]}))
@@ -266,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score a detections CSV against ground truth")
     ev.add_argument("--detections", required=True, help="detections CSV")
     ev.add_argument("--gt", required=True, help="ground-truth CSV")
-    ev.add_argument("--fps", type=float, default=25.0, help="frame rate for frame indices")
     ev.add_argument("--tol", type=float, default=1.0, help="match tolerance in seconds")
     ev.set_defaults(func=cmd_eval)
 

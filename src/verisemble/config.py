@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping, Union
 
 from .ensemble import FusionConfig
-from .errors import FormatError, LoadError, ValidationError
+from .errors import FormatError, LoadError, ValidationError, _require_keys
 from .preprocess import BT601_LUMA, ChannelSubset
 
 __all__ = [
@@ -163,17 +163,6 @@ class PipelineConfig:
         if self.fps is not None:
             obj["fps"] = self.fps
         return obj
-
-
-def _require_keys(obj: Mapping, allowed: set[str], required: set[str], where: str) -> None:
-    if not isinstance(obj, Mapping):
-        raise FormatError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise FormatError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise FormatError(f"{where}: missing keys {sorted(missing)}")
 
 
 def _parse_model(obj: Mapping, base_dir: Path) -> ModelConfig:

@@ -1,10 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the key check of the
+JSON objects it reads.
 
 The CLI maps these (plus ``OSError``/``ValueError``) to exit code 2;
 anything else is treated as an internal error (exit code 1).
 """
 
 from __future__ import annotations
+
+from typing import Mapping
 
 
 class VerisembleError(Exception):
@@ -25,3 +28,16 @@ class ShapeError(VerisembleError):
 
 class LoadError(VerisembleError):
     """A referenced resource (frame file, weight file) is missing or unreadable."""
+
+
+def _require_keys(obj: Mapping, allowed: set[str], required: set[str], where: str) -> None:
+    """Raise :class:`FormatError` unless ``obj`` is a JSON object whose keys
+    are all in ``allowed`` and include every key in ``required``."""
+    if not isinstance(obj, Mapping):
+        raise FormatError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    unknown = set(obj) - allowed
+    if unknown:
+        raise FormatError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = required - set(obj)
+    if missing:
+        raise FormatError(f"{where}: missing keys {sorted(missing)}")

@@ -1,4 +1,4 @@
-"""Event extraction, timestamp-based scoring, simulation, benchmarking.
+"""Event extraction, timestamp-based scoring, and simulation.
 
 Detections are compared to ground truth at event granularity: each
 maximal run of positive frames becomes one event stamped at its first
@@ -18,8 +18,6 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .ensemble import PredictionSeries, _series
 from .errors import ValidationError
 
@@ -34,7 +32,6 @@ __all__ = [
     "frame_labels",
     "FrameMetrics",
     "frame_metrics",
-    "BenchReport",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -184,33 +181,30 @@ def _distance(t: float, start: float, end: float) -> float:
 
 
 def match_score(
-    events: Sequence[DetectionEvent],
+    timestamps: Sequence[float | DetectionEvent],
     intervals: object,
     tolerance_s: float = 1.0,
     video: str | None = None,
 ) -> ScoreReport:
-    """Score detected events against ground-truth intervals.
+    """Score detection timestamps, in seconds, against ground-truth intervals.
 
-    An event matches an interval when its timestamp lies inside it or
+    A detection matches an interval when its timestamp lies inside it or
     within ``tolerance_s`` of either endpoint. Precision counts matched
-    events, recall counts covered intervals; both sides of the matching
-    are independent, so one event can cover several adjacent intervals
-    and vice versa.
+    detections, recall counts covered intervals; both sides of the matching
+    are independent, so one detection can cover several adjacent intervals
+    and vice versa. A :class:`DetectionEvent` stands for its ``timestamp_s``.
     """
     if tolerance_s < 0:
         raise ValidationError(f"tolerance must be >= 0, got {tolerance_s}")
+    times = [getattr(t, "timestamp_s", t) for t in timestamps]
     spans = _interval_list(intervals)
     matched_events = sum(
-        1
-        for event in events
-        if any(_distance(event.timestamp_s, a, b) <= tolerance_s for a, b in spans)
+        1 for t in times if any(_distance(t, a, b) <= tolerance_s for a, b in spans)
     )
     matched_intervals = sum(
-        1
-        for a, b in spans
-        if any(_distance(event.timestamp_s, a, b) <= tolerance_s for event in events)
+        1 for a, b in spans if any(_distance(t, a, b) <= tolerance_s for t in times)
     )
-    precision = matched_events / len(events) if events else None
+    precision = matched_events / len(times) if times else None
     recall = matched_intervals / len(spans) if spans else None
     if precision is None or recall is None:
         f1 = None
@@ -222,7 +216,7 @@ def match_score(
         precision=precision,
         recall=recall,
         f1=f1,
-        events=len(events),
+        events=len(times),
         matched_events=matched_events,
         intervals=len(spans),
         matched_intervals=matched_intervals,
@@ -331,60 +325,3 @@ def frame_metrics(truth: Sequence[bool], predicted: Sequence[bool]) -> FrameMetr
     return FrameMetrics(
         true_positives=tp, false_positives=fp, false_negatives=fn, true_negatives=tn
     )
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    """Per-inference wall-clock latencies plus model sizes.
-
-    ``params_per_model`` holds one count per benched model in order;
-    ``params_total`` is their sum. Latency is in milliseconds.
-    """
-
-    samples_ms: tuple[float, ...]
-    mean_ms: float
-    median_ms: float
-    p95_ms: float
-    params_per_model: tuple[int, ...] = ()
-    params_total: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "samples_ms", tuple(float(v) for v in self.samples_ms))
-        object.__setattr__(
-            self, "params_per_model", tuple(int(v) for v in self.params_per_model)
-        )
-        if not self.samples_ms:
-            raise ValidationError("benchmark needs at least one sample")
-        if any(v < 0 for v in self.samples_ms):
-            raise ValidationError("latency samples must be non-negative")
-        if self.p95_ms < self.median_ms:
-            raise ValidationError(
-                f"p95 {self.p95_ms} below median {self.median_ms}; "
-                "percentiles must be monotone"
-            )
-        if any(v < 0 for v in self.params_per_model):
-            raise ValidationError("parameter counts must be non-negative")
-        if self.params_total != sum(self.params_per_model):
-            raise ValidationError(
-                f"params_total {self.params_total} does not equal the sum of "
-                f"per-model counts {self.params_per_model}"
-            )
-
-    @classmethod
-    def from_samples(
-        cls,
-        samples_ms: Sequence[float],
-        params_per_model: Sequence[int] = (),
-    ) -> "BenchReport":
-        arr = np.asarray(samples_ms, dtype=np.float64)
-        if arr.size == 0:
-            raise ValidationError("benchmark needs at least one sample")
-        params = tuple(int(v) for v in params_per_model)
-        return cls(
-            samples_ms=tuple(arr.tolist()),
-            mean_ms=float(arr.mean()),
-            median_ms=float(np.percentile(arr, 50)),
-            p95_ms=float(np.percentile(arr, 95)),
-            params_per_model=params,
-            params_total=sum(params),
-        )

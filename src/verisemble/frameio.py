@@ -11,14 +11,14 @@ threads.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FormatError, LoadError, ValidationError
+from .errors import FormatError, LoadError, ValidationError, _require_keys
 
 __all__ = [
     "Frame",
@@ -28,7 +28,6 @@ __all__ = [
     "decode_ppm",
     "encode_ppm",
     "load_manifest",
-    "load_sequence",
     "open_sequence",
     "load_ground_truth",
     "write_ground_truth",
@@ -244,19 +243,15 @@ def load_manifest(path: str | Path) -> SequenceManifest:
         raise LoadError(f"manifest not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"manifest {path}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise FormatError(f"manifest {path}: expected a JSON object")
-    expected = {"frame_count", "fps", "pattern"}
-    unknown = set(obj) - expected
-    if unknown:
-        raise FormatError(f"manifest {path}: unknown keys {sorted(unknown)}")
-    missing = expected - set(obj)
-    if missing:
-        raise FormatError(f"manifest {path}: missing keys {sorted(missing)}")
+    keys = {"frame_count", "fps", "pattern"}
+    _require_keys(obj, keys, keys, f"manifest {path}")
     if not isinstance(obj["frame_count"], int) or isinstance(obj["frame_count"], bool):
         raise FormatError(f"manifest {path}: frame_count must be an integer")
     if not isinstance(obj["fps"], (int, float)) or isinstance(obj["fps"], bool):
         raise FormatError(f"manifest {path}: fps must be a number")
+    # Compared, not converted: a JSON integer may exceed every float.
+    if not abs(obj["fps"]) <= sys.float_info.max:
+        raise FormatError(f"manifest {path}: fps must be a finite number")
     if not isinstance(obj["pattern"], str):
         raise FormatError(f"manifest {path}: pattern must be a string")
     return SequenceManifest(
@@ -331,23 +326,6 @@ def open_sequence(
     return FrameSequence(directory=directory, manifest=manifest, shape=shape)
 
 
-def load_sequence(
-    directory: str | Path,
-    manifest_path: str | Path | None = None,
-    workers: int = 1,
-) -> list[Frame]:
-    """Decode every frame of :func:`open_sequence` in index order.
-
-    Frames decode on a pool of ``workers`` threads; the returned order is
-    by index regardless.
-    """
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    frames = open_sequence(directory, manifest_path)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(frames.__getitem__, range(len(frames))))
-
-
 def load_ground_truth(path: str | Path) -> GroundTruth:
     """Parse a ground-truth CSV of ``start_s,end_s`` rows (header optional)."""
     path = Path(path)
@@ -407,7 +385,8 @@ def load_detections(path: str | Path) -> tuple[tuple[float, float], ...]:
     """Parse a detections CSV back into ``(timestamp_s, score)`` pairs.
 
     Accepts the ``timestamp_s,score`` header as optional; rows must be
-    finite and sorted by timestamp, mirroring :func:`write_detections`.
+    finite and sorted by timestamp, mirroring :func:`write_detections`,
+    with scores in [0, 1].
     """
     path = Path(path)
     rows: list[tuple[float, float]] = []
@@ -430,6 +409,8 @@ def load_detections(path: str | Path) -> tuple[tuple[float, float], ...]:
             raise ValidationError(f"{path} row {lineno}: non-finite value in {line!r}")
         if t < 0:
             raise ValidationError(f"{path} row {lineno}: negative timestamp {t}")
+        if not 0.0 <= score <= 1.0:
+            raise ValidationError(f"{path} row {lineno}: score {score} outside [0, 1]")
         if rows and t < rows[-1][0]:
             raise ValidationError(
                 f"{path} row {lineno}: timestamps not sorted ({t} after {rows[-1][0]})"

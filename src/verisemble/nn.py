@@ -361,7 +361,8 @@ def expected_weight_shapes(spec: ModelSpec) -> dict[str, dict[str, tuple[int, ..
 
 
 def validate_weights(spec: ModelSpec, weights: WeightStore) -> None:
-    """Check a weight store against a spec: names, shapes, finite variances."""
+    """Check a weight store against a spec: every array the spec names and no
+    other, shapes, finite values and non-negative variances."""
     expected = expected_weight_shapes(spec)
     for layer_name, params in expected.items():
         if layer_name not in weights:
@@ -379,6 +380,9 @@ def validate_weights(spec: ModelSpec, weights: WeightStore) -> None:
                 raise ValidationError(f"layer {layer_name}: {param_name!r} has non-finite values")
         if "var" in params and np.any(np.asarray(weights[layer_name]["var"]) < 0):
             raise ValidationError(f"layer {layer_name}: negative moving variance")
+        for param_name in weights[layer_name]:
+            if param_name not in params:
+                raise ValidationError(f"layer {layer_name}: unexpected array {param_name!r}")
     for layer_name in weights:
         if layer_name not in expected:
             raise ValidationError(f"unexpected weights for layer {layer_name!r}")
@@ -774,11 +778,6 @@ def load_weights(path: str | Path) -> tuple[ModelSpec, dict[str, dict[str, np.nd
         arr.setflags(write=False)
         layer_store[param_name] = arr
 
-    expected = expected_weight_shapes(spec)
-    for layer_name, params in expected.items():
-        for param_name in params:
-            if layer_name not in store or param_name not in store[layer_name]:
-                raise FormatError(f"{path}: missing weights for layer {layer_name}")
     try:
         validate_weights(spec, store)
     except ValidationError as exc:

@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from verisemble import (
-    DetectionEvent,
     Frame,
     FusionConfig,
     PredictionSeries,
@@ -373,19 +372,13 @@ def test_criterion_08_metric_oracle():
     with criterion(8, "event matcher reproduces the hand-worked examples"):
         interval = ((10.0, 12.0),)
 
-        def event(t: float) -> DetectionEvent:
-            frame = int(round(t * 10))
-            return DetectionEvent(
-                start_frame=frame, end_frame=frame, timestamp_s=t, peak_score=0.9
-            )
-
-        inside = match_score([event(10.5)], interval)
+        inside = match_score([10.5], interval)
         assert (inside.precision, inside.recall, inside.f1) == (1.0, 1.0, 1.0)
 
-        near = match_score([event(9.1)], interval, tolerance_s=1.0)
+        near = match_score([9.1], interval, tolerance_s=1.0)
         assert (near.precision, near.recall, near.f1) == (1.0, 1.0, 1.0)
 
-        far = match_score([event(5.0)], interval)
+        far = match_score([5.0], interval)
         assert (far.precision, far.recall, far.f1) == (0.0, 0.0, 0.0)
 
         def report(p: float) -> ScoreReport:

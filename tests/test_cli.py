@@ -17,7 +17,6 @@ from verisemble import (
     encode_ppm,
     extract_features,
     load_config,
-    load_sequence,
     open_sequence,
     resize_aa,
     run_pipeline,
@@ -234,7 +233,7 @@ class TestRun:
         ]) == 0
         parsed = load_config(config)
         fps = open_sequence(frames).fps
-        eager = run_pipeline(parsed, load_sequence(frames, workers=workers), fps, workers)
+        eager = run_pipeline(parsed, list(open_sequence(frames)), fps, workers)
         assert run_pipeline(parsed, open_sequence(frames), fps, workers) == eager
         want = tmp_path / "want"
         want.mkdir()
@@ -380,6 +379,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert "nowhere.weights" in err
 
+    @pytest.mark.parametrize("fps", ["1" + "0" * 400, "-1" + "0" * 400], ids=["10**400", "-10**400"])
+    def test_manifest_fps_beyond_every_float_exits_2(self, tmp_path, capsys, fps):
+        config, frames, out = golden_workspace(tmp_path)
+        (frames / "manifest.json").write_text(
+            '{"frame_count": 9, "fps": %s, "pattern": "frame_%%04d.ppm"}' % fps
+        )
+        code = main(["run", "--config", str(config), "--frames", str(frames), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith("fps must be a finite number"), err
+
     def test_missing_frame_file_exits_2(self, tmp_path, capsys):
         config, frames, out = golden_workspace(tmp_path)
         (frames / "frame_0004.ppm").unlink()
@@ -481,6 +491,26 @@ class TestEval:
         assert main(["eval", "--detections", str(detections), "--gt", str(gt)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("score", ["1.5", "-0.25"])
+    def test_score_outside_unit_interval_exits_2(self, tmp_path, capsys, score):
+        detections = tmp_path / "detections.csv"
+        detections.write_text(f"timestamp_s,score\n1.000,{score}\n")
+        gt = tmp_path / "gt.csv"
+        gt.write_text("1.0,2.0\n")
+        assert main(["eval", "--detections", str(detections), "--gt", str(gt)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "outside [0, 1]" in err[0], err
+
+    def test_fps_option_is_gone(self, tmp_path, capsys):
+        detections = tmp_path / "detections.csv"
+        write_detections([(1.0, 0.9)], detections)
+        gt = tmp_path / "gt.csv"
+        gt.write_text("1.0,2.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--detections", str(detections), "--gt", str(gt), "--fps", "25"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fps" in capsys.readouterr().err
+
     def test_missing_detections_exit_2(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
         gt.write_text("1.0,2.0\n")
@@ -512,6 +542,7 @@ class TestBench:
         assert report["params_total"] == 0  # mean-intensity stages are weightless
         assert [s["channels"] for s in report["stages"]] == ["RGB", "L"]
         latency = report["latency_ms"]
+        assert list(latency) == ["mean", "median", "p95"]
         assert latency["p95"] >= latency["median"]
         assert latency["mean"] > 0
         assert list(out) == ["reports"]
@@ -550,6 +581,8 @@ class TestBench:
         assert report["workers"] == 2
         assert report["frames"] == len(GOLDEN_COLORS)
         assert report["latency_ms"]["median"] > 0
+        # One timed run: its per-frame time is the mean, median and p95.
+        assert len(set(report["latency_ms"].values())) == 1
         assert list(out) == ["reports"]
 
     def test_times_the_lazy_path(self, tmp_path, capsys):
@@ -561,7 +594,7 @@ class TestBench:
                 "--warmup", "2", "--repeats", "3",
             ]) == 0
         capsys.readouterr()
-        result = run_pipeline(load_config(config), load_sequence(frames), fps=GOLDEN_FPS)
+        result = run_pipeline(load_config(config), list(open_sequence(frames)), fps=GOLDEN_FPS)
         assert len(result.scored[1]) < len(GOLDEN_COLORS)
         assert [model.calls for model in models] == [(2 + 3) * len(s) for s in result.scored]
 

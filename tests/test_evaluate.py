@@ -1,4 +1,4 @@
-"""Events, timestamp scoring, simulation PRNG, and benchmarking."""
+"""Events, timestamp scoring, and the simulation PRNG."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import random
 import pytest
 
 from verisemble import (
-    BenchReport,
     DetectionEvent,
     FrameMetrics,
     GroundTruth,
@@ -29,13 +28,6 @@ def mk(labels, scores=None) -> PredictionSeries:
     if scores is None:
         scores = tuple(0.9 if v else 0.1 for v in labels)
     return PredictionSeries(labels=tuple(labels), scores=tuple(scores))
-
-
-def event_at(t: float, fps: float = 10.0) -> DetectionEvent:
-    frame = int(round(t * fps))
-    return DetectionEvent(
-        start_frame=frame, end_frame=frame, timestamp_s=t, peak_score=0.9
-    )
 
 
 class TestSplitMix64:
@@ -209,7 +201,7 @@ class TestEventsFromSeries:
 
 class TestMatchScore:
     def test_event_inside_interval(self):
-        report = match_score([event_at(10.5)], [(10.0, 12.0)])
+        report = match_score([10.5], [(10.0, 12.0)])
         assert report.precision == 1.0
         assert report.recall == 1.0
         assert report.f1 == 1.0
@@ -217,12 +209,12 @@ class TestMatchScore:
         assert report.matched_intervals == 1
 
     def test_event_within_tolerance_before_start(self):
-        report = match_score([event_at(9.1)], [(10.0, 12.0)], tolerance_s=1.0)
+        report = match_score([9.1], [(10.0, 12.0)], tolerance_s=1.0)
         assert report.precision == 1.0
         assert report.recall == 1.0
 
     def test_event_too_early(self):
-        report = match_score([event_at(5.0)], [(10.0, 12.0)])
+        report = match_score([5.0], [(10.0, 12.0)])
         assert report.precision == 0.0
         assert report.recall == 0.0
         assert report.f1 == 0.0
@@ -235,7 +227,7 @@ class TestMatchScore:
         assert report.events == 0
 
     def test_events_without_intervals(self):
-        report = match_score([event_at(1.0)], [])
+        report = match_score([1.0], [])
         assert report.precision == 0.0
         assert report.recall is None
         assert report.f1 is None
@@ -248,7 +240,7 @@ class TestMatchScore:
 
     def test_one_event_can_cover_adjacent_intervals(self):
         report = match_score(
-            [event_at(10.0)], [(9.5, 10.2), (10.4, 10.8)], tolerance_s=1.0
+            [10.0], [(9.5, 10.2), (10.4, 10.8)], tolerance_s=1.0
         )
         assert report.matched_events == 1
         assert report.matched_intervals == 2
@@ -256,13 +248,13 @@ class TestMatchScore:
         assert report.recall == 1.0
 
     def test_zero_tolerance_requires_inside(self):
-        inside = match_score([event_at(10.0)], [(9.5, 10.5)], tolerance_s=0.0)
-        outside = match_score([event_at(9.4)], [(9.5, 10.5)], tolerance_s=0.0)
+        inside = match_score([10.0], [(9.5, 10.5)], tolerance_s=0.0)
+        outside = match_score([9.4], [(9.5, 10.5)], tolerance_s=0.0)
         assert inside.precision == 1.0
         assert outside.precision == 0.0
 
     def test_boundary_distance_exactly_tolerance_matches(self):
-        report = match_score([event_at(9.0)], [(10.0, 12.0)], tolerance_s=1.0)
+        report = match_score([9.0], [(10.0, 12.0)], tolerance_s=1.0)
         assert report.precision == 1.0
 
     def test_negative_tolerance_rejected(self):
@@ -271,16 +263,20 @@ class TestMatchScore:
 
     def test_accepts_ground_truth_object(self):
         truth = GroundTruth(intervals=((1.0, 2.0),))
-        report = match_score([event_at(1.5)], truth)
+        report = match_score([1.5], truth)
         assert report.recall == 1.0
 
     def test_video_name_carried(self):
         report = match_score([], [], video="clip_7")
         assert report.video == "clip_7"
 
+    def test_events_scored_by_their_timestamps(self):
+        events = events_from_series(mk([False, True, False, True, True]), fps=10.0)
+        intervals = [(0.0, 0.15), (2.0, 3.0)]
+        assert match_score(events, intervals) == match_score([0.1, 0.3], intervals)
+
     def test_f1_formula(self):
-        events = [event_at(1.0), event_at(50.0)]
-        report = match_score(events, [(0.5, 1.5), (10.0, 11.0), (20.0, 21.0)])
+        report = match_score([1.0, 50.0], [(0.5, 1.5), (10.0, 11.0), (20.0, 21.0)])
         assert report.precision == pytest.approx(0.5)
         assert report.recall == pytest.approx(1 / 3)
         assert report.f1 == pytest.approx(2 * 0.5 * (1 / 3) / (0.5 + 1 / 3))
@@ -288,9 +284,7 @@ class TestMatchScore:
     def test_matches_reference_on_random_instances(self):
         rng = random.Random(31)
         for _ in range(50):
-            events = [
-                event_at(round(rng.uniform(0, 30), 2)) for _ in range(rng.randint(0, 6))
-            ]
+            times = [round(rng.uniform(0, 30), 2) for _ in range(rng.randint(0, 6))]
             intervals = []
             t = 0.0
             for _ in range(rng.randint(0, 4)):
@@ -299,10 +293,8 @@ class TestMatchScore:
                 intervals.append((round(start, 2), round(end, 2)))
                 t = end
             tol = rng.choice([0.0, 0.5, 1.0, 2.0])
-            report = match_score(events, intervals, tolerance_s=tol)
-            want_events, want_intervals = oracles.match_counts_ref(
-                [e.timestamp_s for e in events], intervals, tol
-            )
+            report = match_score(times, intervals, tolerance_s=tol)
+            want_events, want_intervals = oracles.match_counts_ref(times, intervals, tol)
             assert report.matched_events == want_events
             assert report.matched_intervals == want_intervals
 
@@ -310,9 +302,9 @@ class TestMatchScore:
 class TestMedianReport:
     def test_median_of_three(self):
         reports = [
-            match_score([event_at(1.0)], [(0.5, 1.5)]),          # P = 1
-            match_score([event_at(1.0), event_at(9.0)], [(0.5, 1.5)]),  # P = 0.5
-            match_score([event_at(9.0)], [(0.5, 1.5)]),          # P = 0
+            match_score([1.0], [(0.5, 1.5)]),       # P = 1
+            match_score([1.0, 9.0], [(0.5, 1.5)]),  # P = 0.5
+            match_score([9.0], [(0.5, 1.5)]),       # P = 0
         ]
         combined = median_report(reports)
         assert combined.precision == 0.5
@@ -320,13 +312,13 @@ class TestMedianReport:
 
     def test_even_count_averages(self):
         reports = [
-            match_score([event_at(1.0)], [(0.5, 1.5)]),
-            match_score([event_at(9.0)], [(0.5, 1.5)]),
+            match_score([1.0], [(0.5, 1.5)]),
+            match_score([9.0], [(0.5, 1.5)]),
         ]
         assert median_report(reports).precision == 0.5
 
     def test_single_report_passthrough(self):
-        report = match_score([event_at(1.0)], [(0.5, 1.5)])
+        report = match_score([1.0], [(0.5, 1.5)])
         combined = median_report([report])
         assert combined.precision == report.precision
         assert combined.recall == report.recall
@@ -334,8 +326,8 @@ class TestMedianReport:
 
     def test_undefined_metrics_excluded(self):
         reports = [
-            match_score([], [(0.0, 1.0)]),         # precision None
-            match_score([event_at(0.5)], [(0.0, 1.0)]),  # precision 1
+            match_score([], [(0.0, 1.0)]),     # precision None
+            match_score([0.5], [(0.0, 1.0)]),  # precision 1
         ]
         combined = median_report(reports)
         assert combined.precision == 1.0  # the None entry is not counted as 0
@@ -349,8 +341,8 @@ class TestMedianReport:
 
     def test_counts_are_summed(self):
         reports = [
-            match_score([event_at(1.0)], [(0.5, 1.5)]),
-            match_score([event_at(9.0)], [(0.5, 1.5), (8.5, 9.5)]),
+            match_score([1.0], [(0.5, 1.5)]),
+            match_score([9.0], [(0.5, 1.5), (8.5, 9.5)]),
         ]
         combined = median_report(reports)
         assert combined.events == 2
@@ -427,44 +419,3 @@ class TestFrameMetrics:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             frame_metrics([True], [True, False])
-
-
-class TestBenchReport:
-    def test_single_sample(self):
-        report = BenchReport.from_samples([2.5])
-        assert report.mean_ms == 2.5
-        assert report.median_ms == 2.5
-        assert report.p95_ms == 2.5
-
-    def test_percentiles_monotone_on_random_samples(self):
-        rng = random.Random(40)
-        for _ in range(20):
-            samples = [rng.uniform(0.1, 10.0) for _ in range(rng.randint(1, 50))]
-            report = BenchReport.from_samples(samples)
-            assert report.p95_ms >= report.median_ms
-            assert min(samples) <= report.mean_ms <= max(samples)
-
-    def test_params_carried_and_summed(self):
-        report = BenchReport.from_samples([1.0, 2.0], params_per_model=(911169, 910881))
-        assert report.params_per_model == (911169, 910881)
-        assert report.params_total == 1822050
-
-    def test_empty_samples_rejected(self):
-        with pytest.raises(ValidationError):
-            BenchReport.from_samples([])
-
-    def test_negative_sample_rejected(self):
-        with pytest.raises(ValidationError):
-            BenchReport(samples_ms=(-1.0,), mean_ms=-1.0, median_ms=-1.0, p95_ms=-1.0)
-
-    def test_inverted_percentiles_rejected(self):
-        with pytest.raises(ValidationError, match="monotone"):
-            BenchReport(samples_ms=(1.0,), mean_ms=1.0, median_ms=2.0, p95_ms=1.0)
-
-    def test_params_total_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            BenchReport(
-                samples_ms=(1.0,), mean_ms=1.0, median_ms=1.0, p95_ms=1.0,
-                params_per_model=(10,), params_total=11,
-            )
-

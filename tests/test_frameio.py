@@ -21,7 +21,6 @@ from verisemble import (
     load_detections,
     load_ground_truth,
     load_manifest,
-    load_sequence,
     open_sequence,
     write_detections,
     write_ground_truth,
@@ -156,6 +155,17 @@ class TestManifest:
         with pytest.raises(ValidationError):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "fps",
+        ["1" + "0" * 400, "-1" + "0" * 400, "Infinity", "NaN"],
+        ids=["10**400", "-10**400", "Infinity", "NaN"],
+    )
+    def test_fps_beyond_every_float_rejected(self, tmp_path, fps):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"frame_count": 1, "fps": %s, "pattern": "f_%%d.ppm"}' % fps)
+        with pytest.raises(FormatError, match="fps must be a finite number"):
+            load_manifest(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(LoadError):
             load_manifest(tmp_path / "nope.json")
@@ -166,9 +176,11 @@ class TestManifest:
 
 
 class TestLoadSequence:
+    """Every frame decoded at once, as ``list(open_sequence(...))``."""
+
     def test_three_frames_in_order(self, tmp_path):
         directory = write_sequence(tmp_path / "seq", [BLACK, WHITE, BLACK])
-        frames = load_sequence(directory)
+        frames = list(open_sequence(directory))
         assert [f.index for f in frames] == [0, 1, 2]
         assert frames[1].pixels[0, 0].tolist() == [255, 255, 255]
 
@@ -176,11 +188,11 @@ class TestLoadSequence:
         directory = write_sequence(tmp_path / "seq", [BLACK, WHITE])
         (directory / "frame_0001.ppm").unlink()
         with pytest.raises(LoadError, match="frame 1"):
-            load_sequence(directory)
+            list(open_sequence(directory))
 
     def test_empty_sequence(self, tmp_path):
         directory = write_sequence(tmp_path / "seq", [])
-        assert load_sequence(directory) == []
+        assert list(open_sequence(directory)) == []
 
     def test_dimension_mismatch_names_index(self, tmp_path):
         directory = write_sequence(tmp_path / "seq", [BLACK, WHITE])
@@ -188,23 +200,11 @@ class TestLoadSequence:
             encode_ppm(solid_frame(WHITE, index=1, size=8))
         )
         with pytest.raises(FormatError, match="frame 1"):
-            load_sequence(directory)
-
-    def test_workers_do_not_change_result(self, tmp_path):
-        colors = [(i * 11 % 256, i * 7 % 256, i * 3 % 256) for i in range(9)]
-        directory = write_sequence(tmp_path / "seq", colors)
-        sequential = load_sequence(directory, workers=1)
-        threaded = load_sequence(directory, workers=4)
-        assert sequential == threaded
-
-    def test_zero_workers_rejected(self, tmp_path):
-        directory = write_sequence(tmp_path / "seq", [BLACK, WHITE])
-        with pytest.raises(ValidationError, match="workers"):
-            load_sequence(directory, workers=0)
+            list(open_sequence(directory))
 
     def test_repeated_loads_identical(self, tmp_path):
         directory = write_sequence(tmp_path / "seq", [BLACK, WHITE, BLACK])
-        assert load_sequence(directory) == load_sequence(directory)
+        assert list(open_sequence(directory)) == list(open_sequence(directory))
 
 
 class TestOpenSequence:
@@ -214,7 +214,10 @@ class TestOpenSequence:
         frames = open_sequence(directory)
         assert isinstance(frames, FrameSequence)
         assert (len(frames), frames.fps, frames.shape) == (5, 12.5, (16, 16, 3))
-        assert list(frames) == load_sequence(directory)
+        assert list(frames) == [
+            decode_ppm((directory / f"frame_{i:04d}.ppm").read_bytes(), index=i)
+            for i in range(5)
+        ]
         assert frames[4].index == 4
         with pytest.raises(IndexError):
             frames[5]
@@ -338,6 +341,13 @@ class TestDetections:
         path = tmp_path / "det.csv"
         path.write_text("1.000,0.5,9\n")
         with pytest.raises(FormatError, match="row 1"):
+            load_detections(path)
+
+    @pytest.mark.parametrize("row", ["1.000,1.5", "1.000,-0.25"])
+    def test_read_score_outside_unit_interval_rejected(self, tmp_path, row):
+        path = tmp_path / "det.csv"
+        path.write_text(f"timestamp_s,score\n{row}\n")
+        with pytest.raises(ValidationError, match=r"row 2: score .* outside \[0, 1\]"):
             load_detections(path)
 
     @pytest.mark.parametrize("row", ["nan,0.5", "inf,0.5", "1.000,nan", "1.000,-inf"])

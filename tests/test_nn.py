@@ -958,6 +958,13 @@ class TestValidateWeights:
         with pytest.raises(ValidationError, match="variance"):
             validate_weights(spec, weights)
 
+    def test_unexpected_array(self):
+        spec = tiny_spec()
+        weights = {k: dict(v) for k, v in random_weights(spec, seed=0).items()}
+        weights["b1"]["kernel"] = np.zeros(2, dtype=np.float32)
+        with pytest.raises(ValidationError, match="layer b1: unexpected array 'kernel'"):
+            validate_weights(spec, weights)
+
     def test_unexpected_layer(self):
         spec = tiny_spec()
         weights = dict(random_weights(spec, seed=0))
@@ -1078,6 +1085,19 @@ class TestWeightContainer:
         dup.write_bytes(data + record)
         with pytest.raises(FormatError, match="duplicate"):
             load_weights(dup)
+
+    def test_extra_record_rejected(self, tmp_path):
+        """An array the layer's kind does not name fails the load; it used to
+        load and then vanish from the re-saved container."""
+        spec = head_spec()
+        path = tmp_path / "model.weights"
+        save_weights(path, spec, random_weights(spec, seed=0))
+        record = struct.pack("<H", 9) + b"out/extra" + struct.pack("<B", 1)
+        record += struct.pack("<I", 1) + struct.pack("<f", 0.0)
+        extra = tmp_path / "extra.weights"
+        extra.write_bytes(path.read_bytes() + record)
+        with pytest.raises(FormatError, match="layer out: unexpected array 'extra'"):
+            load_weights(extra)
 
     def test_missing_record_names_layer(self, tmp_path):
         spec = head_spec()
@@ -1267,10 +1287,11 @@ RUN_SPEC_EDITS = {
 }
 
 
-def run_stock_container(tmp_path: Path, edit) -> int:
+def run_stock_container(tmp_path: Path, edit, extra_records: bytes = b"") -> int:
     """``run`` one RGB stage of the stock model at 32x32 over nine frames,
     with ``edit`` (layer name or None, key, value) applied to its
-    container's spec JSON; returns the exit code."""
+    container's spec JSON and ``extra_records`` after its weight records;
+    returns the exit code."""
     spec = default_model_spec(3, 32, 32)
     saved = tmp_path / "saved.weights"
     save_weights(saved, spec, random_weights(spec, seed=4))
@@ -1279,7 +1300,7 @@ def run_stock_container(tmp_path: Path, edit) -> int:
         layer, key, value = edit
         path = (key,) if layer is None else ("layers", layer_index(spec_obj, layer), key)
         spec_obj = with_field(spec_obj, path, value)
-    (tmp_path / "model.weights").write_bytes(container_bytes(spec_obj, records))
+    (tmp_path / "model.weights").write_bytes(container_bytes(spec_obj, records + extra_records))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "config_version": 1,
@@ -1302,6 +1323,14 @@ class TestRunRejectsMalformedSpec:
         assert run_stock_container(tmp_path, edit) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
+
+    def test_extra_array_exits_2(self, tmp_path, capsys):
+        record = struct.pack("<H", 11) + b"dense3/gain" + struct.pack("<B", 1)
+        record += struct.pack("<I", 1) + struct.pack("<f", 1.0)
+        assert run_stock_container(tmp_path, None, record) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "layer dense3: unexpected array 'gain'" in err[0]
 
 
 class TestContainerFormatPinned:
