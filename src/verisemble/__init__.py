@@ -46,7 +46,6 @@ from .evaluate import (
     ScoreReport,
     SplitMix64,
     events_from_series,
-    frame_labels,
     frame_metrics,
     match_score,
     median_report,
@@ -64,7 +63,6 @@ from .frameio import (
     load_manifest,
     open_sequence,
     write_detections,
-    write_ground_truth,
 )
 from .nn import (
     LayerSpec,
@@ -131,7 +129,6 @@ __all__ = [
     "events_from_series",
     "extract_features",
     "forward",
-    "frame_labels",
     "frame_metrics",
     "load_config",
     "load_detections",
@@ -151,6 +148,5 @@ __all__ = [
     "simulate_predictor",
     "to_grayscale",
     "write_detections",
-    "write_ground_truth",
     "__version__",
 ]

@@ -9,14 +9,20 @@ a config file fails loudly instead of silently running with defaults.
 
 from __future__ import annotations
 
-import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Union
 
 from .ensemble import FusionConfig
-from .errors import FormatError, LoadError, ValidationError, _require_keys
+from .errors import (
+    FormatError,
+    LoadError,
+    ValidationError,
+    _is_finite_number,
+    _is_int_at_least,
+    _parse_json,
+    _require_keys,
+)
 from .preprocess import BT601_LUMA, ChannelSubset
 
 __all__ = [
@@ -33,16 +39,6 @@ __all__ = [
 CONFIG_VERSION = 1
 
 
-def _is_number(value: object, kind: type = float) -> bool:
-    """Whether ``value`` is an int, or for ``kind=float`` an int or float.
-
-    Python counts ``True`` and ``False`` as integers; they are refused.
-    """
-    return not isinstance(value, bool) and isinstance(
-        value, (int, float) if kind is float else int
-    )
-
-
 @dataclass(frozen=True)
 class CnnModelConfig:
     """A stage backed by a trained network stored in a weight container."""
@@ -53,9 +49,6 @@ class CnnModelConfig:
         if not self.weights:
             raise ValidationError("cnn model config needs a weights path")
 
-    def to_json_obj(self) -> dict:
-        return {"type": "cnn", "weights": self.weights}
-
 
 @dataclass(frozen=True)
 class MeanIntensityModelConfig:
@@ -64,9 +57,6 @@ class MeanIntensityModelConfig:
     Deterministic and model-free; useful for pipeline plumbing tests and
     synthetic demos where real weights would add nothing.
     """
-
-    def to_json_obj(self) -> dict:
-        return {"type": "mean_intensity"}
 
 
 ModelConfig = Union[CnnModelConfig, MeanIntensityModelConfig]
@@ -84,9 +74,6 @@ class StageConfig:
             raise ValidationError(f"channels must be a ChannelSubset, got {self.channels!r}")
         if not isinstance(self.model, (CnnModelConfig, MeanIntensityModelConfig)):
             raise ValidationError(f"unsupported stage model: {self.model!r}")
-
-    def to_json_obj(self) -> dict:
-        return {"channels": self.channels.value, "model": self.model.to_json_obj()}
 
 
 @dataclass(frozen=True)
@@ -123,46 +110,28 @@ class PipelineConfig:
                     f"chain, got {cards}"
                 )
         for name in ("input_width", "input_height"):
-            if not _is_number(getattr(self, name), int):
-                raise ValidationError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if self.input_width < 1 or self.input_height < 1:
-            raise ValidationError(
-                f"bad input size {self.input_width}x{self.input_height}"
-            )
+            if not _is_int_at_least(getattr(self, name), 1):
+                raise ValidationError(
+                    f"bad input size: {name} must be an int >= 1, got {getattr(self, name)!r}"
+                )
         luma = self.luma_coefficients
         if not (
             isinstance(luma, (tuple, list))
             and len(luma) == 3
-            # Compared, not converted: a JSON integer may exceed every float.
-            and all(_is_number(v) and 0 <= v <= sys.float_info.max for v in luma)
+            and all(_is_finite_number(v) and v >= 0 for v in luma)
         ):
             raise ValidationError(
                 f"luma coefficients must be 3 non-negative finite numbers, got {luma!r}"
             )
         object.__setattr__(self, "luma_coefficients", tuple(float(v) for v in luma))
-        if not (_is_number(self.threshold) and 0.0 < self.threshold < 1.0):
+        if not (_is_finite_number(self.threshold) and 0.0 < self.threshold < 1.0):
             raise ValidationError(
                 f"threshold must be a number strictly between 0 and 1, got {self.threshold!r}"
             )
-        if self.fps is not None and not (_is_number(self.fps) and self.fps > 0):
-            raise ValidationError(f"fps must be a positive number when set, got {self.fps!r}")
-
-    def to_json_obj(self) -> dict:
-        obj: dict = {
-            "config_version": CONFIG_VERSION,
-            "input": {"width": self.input_width, "height": self.input_height},
-            "threshold": self.threshold,
-            "luma": list(self.luma_coefficients),
-            "fusion": {
-                "pack_size": self.fusion.pack_size,
-                "neighbor_window": self.fusion.neighbor_window,
-                "packing_enabled": self.fusion.packing_enabled,
-            },
-            "stages": [stage.to_json_obj() for stage in self.stages],
-        }
-        if self.fps is not None:
-            obj["fps"] = self.fps
-        return obj
+        if self.fps is not None and not (_is_finite_number(self.fps) and self.fps > 0):
+            raise ValidationError(
+                f"fps must be a positive finite number when set, got {self.fps!r}"
+            )
 
 
 def _parse_model(obj: Mapping, base_dir: Path) -> ModelConfig:
@@ -253,11 +222,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     """Read and parse a config file; relative paths resolve against it."""
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except FileNotFoundError as exc:
         raise LoadError(f"config file not found: {path}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    return parse_config(obj, base_dir=path.parent)
+    return parse_config(_parse_json(data, str(path)), base_dir=path.parent)

@@ -31,7 +31,7 @@ from itertools import accumulate
 from operator import and_, gt
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _is_int_at_least
 
 __all__ = [
     "FusionConfig",
@@ -62,8 +62,7 @@ class FusionConfig:
             ("neighbor_window", "the window is centered"),
         ):
             value = getattr(self, name)
-            # bool is an int subclass; True must not pass as 1.
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if not _is_int_at_least(value, 1):
                 raise ValidationError(f"{name} must be a positive int, got {value!r}")
             if value % 2 == 0:
                 raise ValidationError(f"{name} must be odd so {why}, got {value}")
@@ -167,8 +166,10 @@ def neighbor_validate(
             f"series lengths differ: primary {len(primary.labels)}, "
             f"verifier {len(verifier.labels)}"
         )
-    r = (window - 1) // 2
     n = len(primary.labels)
+    # A radius past the sequence length sees what a radius of n sees; the
+    # padding below is sized by it.
+    r = min((window - 1) // 2, n)
     # Verifier positives in [i - r, i + r], clipped at the ends: a difference
     # of the cumulative count, held at 0 before the start and at the total
     # past the end.

@@ -1,5 +1,9 @@
-"""Exception types shared across the package, and the key check of the
-JSON objects it reads.
+"""Exception types shared across the package, and the one home of the rules
+that input from outside the program is checked by: the JSON parse
+(:func:`_parse_json`), the keys of a JSON object (:func:`_require_keys`) and
+the two number rules (:func:`_is_int_at_least`, :func:`_is_finite_number`).
+A bool is never a number, and a number is compared with the float range,
+never converted to a float, because a JSON integer may exceed every float.
 
 The CLI maps these (plus ``OSError``/``ValueError``) to exit code 2;
 anything else is treated as an internal error (exit code 1).
@@ -7,6 +11,8 @@ anything else is treated as an internal error (exit code 1).
 
 from __future__ import annotations
 
+import json
+import sys
 from typing import Mapping
 
 
@@ -30,6 +36,15 @@ class LoadError(VerisembleError):
     """A referenced resource (frame file, weight file) is missing or unreadable."""
 
 
+def _parse_json(data: bytes, where: str) -> object:
+    """Parse a JSON document; raise :class:`FormatError` naming ``where``
+    when it is not JSON or nests too deep to parse."""
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:  # JSON and Unicode decode errors are ValueErrors
+        raise FormatError(f"{where}: not valid JSON: {exc}") from exc
+
+
 def _require_keys(obj: Mapping, allowed: set[str], required: set[str], where: str) -> None:
     """Raise :class:`FormatError` unless ``obj`` is a JSON object whose keys
     are all in ``allowed`` and include every key in ``required``."""
@@ -41,3 +56,14 @@ def _require_keys(obj: Mapping, allowed: set[str], required: set[str], where: st
     missing = required - set(obj)
     if missing:
         raise FormatError(f"{where}: missing keys {sorted(missing)}")
+
+
+def _is_int_at_least(value: object, low: int) -> bool:
+    """Whether ``value`` is an int ``>= low``; a bool is not an int here."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _is_finite_number(value: object) -> bool:
+    """Whether ``value`` is an int or float in the finite float range; a bool is not."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max

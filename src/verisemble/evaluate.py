@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .ensemble import PredictionSeries, _series
-from .errors import ValidationError
+from .errors import ValidationError, _is_finite_number
 
 __all__ = [
     "SplitMix64",
@@ -29,7 +29,6 @@ __all__ = [
     "ScoreReport",
     "match_score",
     "median_report",
-    "frame_labels",
     "FrameMetrics",
     "frame_metrics",
 ]
@@ -194,8 +193,8 @@ def match_score(
     are independent, so one detection can cover several adjacent intervals
     and vice versa. A :class:`DetectionEvent` stands for its ``timestamp_s``.
     """
-    if tolerance_s < 0:
-        raise ValidationError(f"tolerance must be >= 0, got {tolerance_s}")
+    if not (_is_finite_number(tolerance_s) and tolerance_s >= 0):
+        raise ValidationError(f"tolerance must be a finite number >= 0, got {tolerance_s!r}")
     times = [getattr(t, "timestamp_s", t) for t in timestamps]
     spans = _interval_list(intervals)
     matched_events = sum(
@@ -246,19 +245,6 @@ def median_report(reports: Sequence[ScoreReport]) -> ScoreReport:
         intervals=sum(r.intervals for r in reports),
         matched_intervals=sum(r.matched_intervals for r in reports),
         video=None,
-    )
-
-
-def frame_labels(intervals: object, frame_count: int, fps: float) -> tuple[bool, ...]:
-    """Per-frame truth: frame ``i`` is positive iff ``i / fps`` lies in
-    some ground-truth interval (endpoints inclusive)."""
-    if frame_count < 0:
-        raise ValidationError(f"frame_count must be >= 0, got {frame_count}")
-    if not (fps > 0):
-        raise ValidationError(f"fps must be positive, got {fps}")
-    spans = _interval_list(intervals)
-    return tuple(
-        any(a <= i / fps <= b for a, b in spans) for i in range(frame_count)
     )
 
 

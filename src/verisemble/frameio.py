@@ -10,15 +10,22 @@ threads.
 
 from __future__ import annotations
 
-import json
-import sys
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import FormatError, LoadError, ValidationError, _require_keys
+from .errors import (
+    FormatError,
+    LoadError,
+    ValidationError,
+    _is_finite_number,
+    _is_int_at_least,
+    _parse_json,
+    _require_keys,
+)
 
 __all__ = [
     "Frame",
@@ -30,12 +37,18 @@ __all__ = [
     "load_manifest",
     "open_sequence",
     "load_ground_truth",
-    "write_ground_truth",
     "write_detections",
     "load_detections",
 ]
 
 _PPM_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+# The widest field a frame file pattern may pad to: NAME_MAX, the longest
+# file name on common file systems, so no wider field can name a file.
+_MAX_PATTERN_WIDTH = 255
+# A conversion of a printf-style pattern, with its width and precision;
+# ``%%`` is a literal percent sign.
+_CONVERSION = re.compile(r"%%|%(?:\([^)]*\))?[-+ #0]*(\d*)(\.[0-9*]*)?")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +127,15 @@ class SequenceManifest:
             raise ValidationError(f"frame_count must be >= 0, got {self.frame_count}")
         if not (self.fps > 0):
             raise ValidationError(f"fps must be > 0, got {self.fps}")
+        # `pattern % 0` pads to the width and precision the pattern asks for.
+        for conversion in _CONVERSION.finditer(self.pattern):
+            width, precision = conversion.groups(default="")
+            # The flags take every leading zero, so a width of 4+ digits is over the bound.
+            if precision or len(width) > 3 or int(width or 0) > _MAX_PATTERN_WIDTH:
+                raise ValidationError(
+                    f"frame file pattern {self.pattern!r}: {conversion.group()!r} may set "
+                    f"no precision and no width over {_MAX_PATTERN_WIDTH}"
+                )
         try:
             first = self.pattern % 0
         except (TypeError, ValueError) as exc:
@@ -238,22 +260,19 @@ def load_manifest(path: str | Path) -> SequenceManifest:
     """Load and validate a sequence manifest JSON file."""
     path = Path(path)
     try:
-        obj = json.loads(path.read_text())
+        data = path.read_bytes()
     except FileNotFoundError as exc:
         raise LoadError(f"manifest not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"manifest {path}: invalid JSON: {exc}") from exc
+    where = f"manifest {path}"
+    obj = _parse_json(data, where)
     keys = {"frame_count", "fps", "pattern"}
-    _require_keys(obj, keys, keys, f"manifest {path}")
-    if not isinstance(obj["frame_count"], int) or isinstance(obj["frame_count"], bool):
-        raise FormatError(f"manifest {path}: frame_count must be an integer")
-    if not isinstance(obj["fps"], (int, float)) or isinstance(obj["fps"], bool):
-        raise FormatError(f"manifest {path}: fps must be a number")
-    # Compared, not converted: a JSON integer may exceed every float.
-    if not abs(obj["fps"]) <= sys.float_info.max:
-        raise FormatError(f"manifest {path}: fps must be a finite number")
+    _require_keys(obj, keys, keys, where)
+    if not _is_int_at_least(obj["frame_count"], 0):
+        raise FormatError(f"{where}: frame_count must be an int >= 0")
+    if not _is_finite_number(obj["fps"]):
+        raise FormatError(f"{where}: fps must be a finite number")
     if not isinstance(obj["pattern"], str):
-        raise FormatError(f"manifest {path}: pattern must be a string")
+        raise FormatError(f"{where}: pattern must be a string")
     return SequenceManifest(
         frame_count=obj["frame_count"], fps=float(obj["fps"]), pattern=obj["pattern"]
     )
@@ -326,37 +345,36 @@ def open_sequence(
     return FrameSequence(directory=directory, manifest=manifest, shape=shape)
 
 
+def _csv_rows(path: Path, header: str) -> Iterator[tuple[int, float, float]]:
+    """``(lineno, a, b)`` for each row of a two-column CSV of numbers.
+
+    Lines are stripped and blank ones skipped; line 1 may be ``header``.
+    """
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line or (lineno == 1 and line.replace(" ", "") == header):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise FormatError(f"{path} row {lineno}: expected {header!r}, got {line!r}")
+        try:
+            a, b = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise FormatError(f"{path} row {lineno}: non-numeric value: {exc}") from exc
+        yield lineno, a, b
+
+
 def load_ground_truth(path: str | Path) -> GroundTruth:
     """Parse a ground-truth CSV of ``start_s,end_s`` rows (header optional)."""
     path = Path(path)
     intervals: list[tuple[float, float]] = []
-    lines = path.read_text().splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if lineno == 1 and line.replace(" ", "") == "start_s,end_s":
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise FormatError(f"{path} row {lineno}: expected 'start_s,end_s', got {line!r}")
-        try:
-            start, end = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise FormatError(f"{path} row {lineno}: non-numeric value: {exc}") from exc
+    for lineno, start, end in _csv_rows(path, "start_s,end_s"):
         if start > end:
             raise ValidationError(f"{path} row {lineno}: start {start} exceeds end {end}")
         if start < 0 or end < 0:
             raise ValidationError(f"{path} row {lineno}: negative interval ({start}, {end})")
         intervals.append((start, end))
     return GroundTruth(intervals=tuple(intervals))
-
-
-def write_ground_truth(gt: GroundTruth, path: str | Path) -> None:
-    """Write a ground-truth CSV that :func:`load_ground_truth` round-trips."""
-    lines = ["start_s,end_s"]
-    lines += [f"{repr(start)},{repr(end)}" for start, end in gt.intervals]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_detections(
@@ -390,23 +408,9 @@ def load_detections(path: str | Path) -> tuple[tuple[float, float], ...]:
     """
     path = Path(path)
     rows: list[tuple[float, float]] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if lineno == 1 and line.replace(" ", "") == "timestamp_s,score":
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise FormatError(
-                f"{path} row {lineno}: expected 'timestamp_s,score', got {line!r}"
-            )
-        try:
-            t, score = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise FormatError(f"{path} row {lineno}: non-numeric value: {exc}") from exc
+    for lineno, t, score in _csv_rows(path, "timestamp_s,score"):
         if not (np.isfinite(t) and np.isfinite(score)):
-            raise ValidationError(f"{path} row {lineno}: non-finite value in {line!r}")
+            raise ValidationError(f"{path} row {lineno}: non-finite value in ({t}, {score})")
         if t < 0:
             raise ValidationError(f"{path} row {lineno}: negative timestamp {t}")
         if not 0.0 <= score <= 1.0:

@@ -30,7 +30,16 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import FormatError, LoadError, ShapeError, ValidationError
+from .errors import (
+    FormatError,
+    LoadError,
+    ShapeError,
+    ValidationError,
+    _is_finite_number,
+    _is_int_at_least,
+    _parse_json,
+    _require_keys,
+)
 
 __all__ = [
     "LayerSpec",
@@ -83,26 +92,18 @@ _LAYER_KINDS: dict[str, _Kind] = {
 _DEFAULTS = {"stride": 1, "padding": "same", "pool": 2}
 
 
-def _is_int(value: object, low: int) -> bool:
-    # bool is an int subclass; True must not pass as 1.
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
-
-
 # Each field's rule: a test of its value, and what the test asks for.
 _FIELD_RULES: dict[str, tuple[Callable[[object], bool], str]] = {
-    "filters": (lambda v: _is_int(v, 1), "an int >= 1"),
+    "filters": (lambda v: _is_int_at_least(v, 1), "an int >= 1"),
     "kernel": (
-        lambda v: isinstance(v, tuple) and len(v) == 2 and all(_is_int(k, 1) for k in v),
+        lambda v: isinstance(v, tuple) and len(v) == 2 and all(_is_int_at_least(k, 1) for k in v),
         "two ints >= 1",
     ),
-    "stride": (lambda v: _is_int(v, 1), "an int >= 1"),
+    "stride": (lambda v: _is_int_at_least(v, 1), "an int >= 1"),
     "padding": (lambda v: v in ("same", "valid"), "'same' or 'valid'"),
-    "pool": (lambda v: _is_int(v, 2), "an int >= 2"),
-    "units": (lambda v: _is_int(v, 1), "an int >= 1"),
-    "rate": (
-        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v < 1.0,
-        "a number in [0, 1)",
-    ),
+    "pool": (lambda v: _is_int_at_least(v, 2), "an int >= 2"),
+    "units": (lambda v: _is_int_at_least(v, 1), "an int >= 1"),
+    "rate": (lambda v: _is_finite_number(v) and 0.0 <= v < 1.0, "a number in [0, 1)"),
     "activation": (lambda v: v in _ACTIVATIONS, "'relu' or 'sigmoid'"),
 }
 
@@ -210,9 +211,8 @@ class LayerSpec:
         if not isinstance(obj, Mapping) or "kind" not in obj or "name" not in obj:
             raise FormatError(f"bad layer spec entry: {obj!r}")
         try:
-            unknown = set(obj) - {"kind", "name", *_kind(obj["kind"], obj["name"]).fields}
-            if unknown:
-                raise FormatError(f"layer {obj['name']!r}: unknown keys {sorted(unknown)}")
+            fields = {"kind", "name", *_kind(obj["kind"], obj["name"]).fields}
+            _require_keys(obj, fields, set(), f"layer {obj['name']!r}")
             return cls(**obj)
         except ValidationError as exc:
             raise FormatError(str(exc)) from exc
@@ -232,7 +232,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
-        if len(self.input_shape) != 3 or not all(_is_int(v, 1) for v in self.input_shape):
+        if len(self.input_shape) != 3 or not all(_is_int_at_least(v, 1) for v in self.input_shape):
             raise ValidationError(
                 f"bad input shape {self.input_shape}, expected three ints >= 1"
             )
@@ -277,13 +277,7 @@ class ModelSpec:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "ModelSpec":
-        if not isinstance(obj, Mapping):
-            raise FormatError("model spec must be a JSON object")
-        unknown = set(obj) - {"input", "layers"}
-        if unknown:
-            raise FormatError(f"model spec: unknown keys {sorted(unknown)}")
-        if "input" not in obj or "layers" not in obj:
-            raise FormatError("model spec: missing 'input' or 'layers'")
+        _require_keys(obj, {"input", "layers"}, {"input", "layers"}, "model spec")
         shape = obj["input"]
         if not isinstance(shape, list):
             raise FormatError(f"model spec: bad input shape {shape!r}")
@@ -762,10 +756,7 @@ def load_weights(path: str | Path) -> tuple[ModelSpec, dict[str, dict[str, np.nd
         raise FormatError(f"{path}: unsupported version {version}")
     (spec_len,) = struct.unpack("<I", reader.take(4, "spec length"))
     spec_json = reader.take(spec_len, "spec JSON")
-    try:
-        spec = ModelSpec.from_json_obj(json.loads(spec_json))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"{path}: bad spec JSON: {exc}") from exc
+    spec = ModelSpec.from_json_obj(_parse_json(spec_json, f"{path}: spec"))
 
     store: dict[str, dict[str, np.ndarray]] = {}
     for name, arr in reader.records():

@@ -126,7 +126,6 @@ class PipelineResult:
     stage_series: tuple[PredictionSeries, ...]
     fused: PredictionSeries
     events: tuple[DetectionEvent, ...]
-    fps: float
     scored: tuple[tuple[int, ...], ...]
 
     def fused_score_known(self, fusion: FusionConfig) -> tuple[bool, ...]:
@@ -295,6 +294,5 @@ def run_pipeline(
         stage_series=tuple(stage_series),
         fused=fused,
         events=events,
-        fps=fps,
         scored=tuple(scored),
     )

@@ -475,6 +475,22 @@ class TestEval:
         main(["eval", "--detections", str(detections), "--gt", str(gt)])
         assert json.loads(capsys.readouterr().out)["precision"] == 1.0
 
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_tolerance_not_finite_and_non_negative_exits_2(self, tmp_path, capsys, command, tol):
+        config, frames, out = golden_workspace(tmp_path)
+        gt = tmp_path / "gt.csv"
+        gt.write_text("0.0,1.0\n")
+        detections = tmp_path / "detections.csv"
+        detections.write_text("timestamp_s,score\n0.500,0.9\n")
+        if command == "run":
+            argv = ["run", "--config", str(config), "--frames", str(frames), "--out", str(out)]
+        else:
+            argv = ["eval", "--detections", str(detections)]
+        assert main(argv + ["--gt", str(gt), f"--tol={tol}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: tolerance must be"), err
+
     def test_unsorted_detections_exit_2(self, tmp_path, capsys):
         detections = tmp_path / "detections.csv"
         detections.write_text("timestamp_s,score\n5.000,0.9\n1.000,0.8\n")

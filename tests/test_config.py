@@ -68,16 +68,6 @@ class TestParseConfig:
         assert config.fusion.pack_size == 5
         assert [s.channels for s in config.stages] == [ChannelSubset.RGB, ChannelSubset.LUMA]
 
-    def test_round_trip_through_json_obj(self):
-        config = parse_config(full_obj())
-        assert parse_config(config.to_json_obj()) == config
-
-    def test_round_trip_minimal(self):
-        config = parse_config(minimal_obj())
-        obj = config.to_json_obj()
-        assert "fps" not in obj  # unset fps is omitted, not null
-        assert parse_config(obj) == config
-
     def test_unknown_top_level_key(self):
         obj = minimal_obj()
         obj["extra"] = True

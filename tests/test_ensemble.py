@@ -280,7 +280,8 @@ class TestNeighborValidate:
         rng = random.Random(17)
         for _ in range(50):
             n = rng.randint(1, 14)
-            window = rng.choice([1, 3, 5])
+            # The last two windows are wider than the sequence.
+            window = rng.choice([1, 3, 5, 2 * n + 3, 2**64 + 1])
             a, b = rand_series(rng, n), rand_series(rng, n)
             want_labels, want_scores = oracles.validate_ref(
                 list(a.labels), list(a.scores), list(b.labels), list(b.scores), window

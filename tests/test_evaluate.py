@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -14,7 +15,6 @@ from verisemble import (
     SplitMix64,
     ValidationError,
     events_from_series,
-    frame_labels,
     frame_metrics,
     match_score,
     median_report,
@@ -261,6 +261,11 @@ class TestMatchScore:
         with pytest.raises(ValidationError):
             match_score([], [], tolerance_s=-0.5)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, True])
+    def test_tolerance_must_be_a_finite_number(self, tol):
+        with pytest.raises(ValidationError, match="tolerance"):
+            match_score([1.0], [(0.5, 1.5)], tolerance_s=tol)
+
     def test_accepts_ground_truth_object(self):
         truth = GroundTruth(intervals=((1.0, 2.0),))
         report = match_score([1.5], truth)
@@ -354,33 +359,6 @@ class TestMedianReport:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             median_report([])
-
-
-class TestFrameLabels:
-    def test_inclusive_endpoints(self):
-        # fps 2: frame times 0, 0.5, 1.0, 1.5, 2.0, 2.5
-        labels = frame_labels([(1.0, 2.0)], frame_count=6, fps=2.0)
-        assert labels == (False, False, True, True, True, False)
-
-    def test_multiple_intervals(self):
-        labels = frame_labels([(0.0, 0.0), (2.0, 3.0)], frame_count=4, fps=1.0)
-        assert labels == (True, False, True, True)
-
-    def test_no_intervals(self):
-        assert frame_labels([], frame_count=3, fps=10.0) == (False,) * 3
-
-    def test_accepts_ground_truth_object(self):
-        truth = GroundTruth(intervals=((0.0, 0.1),))
-        assert frame_labels(truth, frame_count=2, fps=10.0) == (True, True)
-
-    def test_zero_frames(self):
-        assert frame_labels([(0.0, 1.0)], frame_count=0, fps=1.0) == ()
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValidationError):
-            frame_labels([], frame_count=-1, fps=1.0)
-        with pytest.raises(ValidationError):
-            frame_labels([], frame_count=1, fps=0.0)
 
 
 class TestFrameMetrics:

@@ -1,8 +1,9 @@
 """Property tests of the exit-code contract over the text inputs.
 
-Every ``manifest.json`` object and every ground-truth or detections CSV text
-either parses, or makes ``cli.main`` exit 2 with exactly one ``error:`` line;
-it never exits 1 (an internal error with a traceback).
+Every pipeline config object, ``manifest.json`` object, weight-container spec
+and ground-truth or detections CSV text either parses, or makes ``cli.main``
+exit 2 with exactly one ``error:`` line; it never exits 1 (an internal error
+with a traceback).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,14 +40,28 @@ def assert_exit_contract(argv: list[str]) -> int:
 
 # -- manifest.json -----------------------------------------------------------
 
-# `pattern % 0` formats with the pattern itself, so a width or precision in
-# it sizes a string: the patterns are a fixed set without such digits. The
-# frames on disk are named by the first one.
+# The frames on disk are named by the first pattern.
 PATTERNS = [
     "frame_%d.ppm", "frame_%i.ppm", "frame_%s.ppm", "frame_%x.ppm", "frame_%r.ppm",
     "frame_%c.ppm", "frame_%d.png", "frame.ppm", "frame_%d_%d.ppm", "frame_%(i)d.ppm",
     "frame_%q.ppm", "frame_%", "frame_%%d.ppm", "../frame_%d.ppm", "",
 ]
+# `pattern % 0` pads to the pattern's width and precision, so the manifest
+# refuses a precision and a width over 255 before it formats; the widths and
+# precisions below reach far past that.
+WIDTHS = st.one_of(
+    st.just(""), st.integers(0, 300).map(str), st.sampled_from(["1000000000", "1" + "0" * 400])
+)
+PRECISIONS = st.one_of(
+    st.just(""), st.just("."), st.sampled_from([0, 5, 10**9, 10**400]).map(".{}".format)
+)
+SIZED_PATTERNS = st.builds(
+    "frame_%{}{}{}{}.ppm".format,
+    st.sampled_from(["", "0", "-", "#", " +", "(i)"]),
+    WIDTHS,
+    PRECISIONS,
+    st.sampled_from("dsxf%"),
+)
 
 ODD_VALUES = st.one_of(
     st.none(), st.booleans(), st.text(max_size=4), st.lists(st.integers(), max_size=2),
@@ -65,7 +81,7 @@ VALID_FIELDS = {
 ANY_FIELDS = {
     "frame_count": st.one_of(NUMBERS, ODD_VALUES),
     "fps": st.one_of(NUMBERS, ODD_VALUES),
-    "pattern": st.one_of(st.sampled_from(PATTERNS), ODD_VALUES),
+    "pattern": st.one_of(st.sampled_from(PATTERNS), SIZED_PATTERNS, ODD_VALUES),
 }
 
 
@@ -94,8 +110,17 @@ def run_workspace(tmp_path_factory):
     frames.mkdir()
     for i, rgb in enumerate(GOLDEN_COLORS):
         (frames / f"frame_{i}.ppm").write_bytes(encode_ppm(solid_frame(rgb, index=i, size=8)))
+    (frames / "manifest.json").write_text(
+        json.dumps({"frame_count": FRAME_COUNT, "fps": 25, "pattern": PATTERNS[0]})
+    )
     config = write_mean_config(root / "config.json", input={"width": 32, "height": 32})
     return root, frames, config
+
+
+def run_exit_code(root, frames, config, manifest=None) -> int:
+    """``cli.main``'s exit code for ``run`` on these inputs, under the contract."""
+    argv = ["run", "--config", str(config), "--frames", str(frames), "--out", str(root / "out")]
+    return assert_exit_contract(argv + (["--manifest", str(manifest)] if manifest else []))
 
 
 @settings(max_examples=300, deadline=None)
@@ -104,20 +129,172 @@ def test_run_exit_code_contract_over_manifests(run_workspace, manifest):
     root, frames, config = run_workspace
     path = root / "manifest.json"
     path.write_text(json.dumps(manifest))
-    assert_exit_contract([
-        "run", "--config", str(config), "--frames", str(frames),
-        "--manifest", str(path), "--out", str(root / "out"),
-    ])
+    run_exit_code(root, frames, config, manifest=path)
 
 
 def test_stock_manifest_runs(run_workspace):
     root, frames, config = run_workspace
     path = root / "stock.json"
     path.write_text(json.dumps({"frame_count": FRAME_COUNT, "fps": 25, "pattern": PATTERNS[0]}))
-    assert assert_exit_contract([
-        "run", "--config", str(config), "--frames", str(frames),
-        "--manifest", str(path), "--out", str(root / "out"),
-    ]) == 0
+    assert run_exit_code(root, frames, config, manifest=path) == 0
+
+
+@pytest.mark.parametrize(
+    "pattern, code",
+    [
+        ("frame_%0255d.ppm", 0),
+        ("frame_%-255d.ppm", 0),
+        ("frame_%0256d.ppm", 2),
+        ("frame_%1000000000d.ppm", 2),
+        ("frame_%.0d.ppm", 2),
+        ("frame_%.1000000000d.ppm", 2),
+    ],
+)
+def test_pattern_width_is_bounded_and_precision_refused(run_workspace, pattern, code):
+    root, frames, config = run_workspace
+    path = root / "sized.json"
+    path.write_text(json.dumps({"frame_count": 0, "fps": 25, "pattern": pattern}))
+    assert run_exit_code(root, frames, config, manifest=path) == code
+
+
+# -- pipeline config JSON ----------------------------------------------------
+
+# A valid input size allocates width x height per frame, so the sizes drawn
+# are small, or too large for any array.
+INPUT_SIZES = st.one_of(
+    st.integers(-3, 40), st.sampled_from([10**400, 2**1024]),
+    st.floats(allow_nan=True, allow_infinity=True), ODD_VALUES,
+)
+FUSION_KEYS = ["pack_size", "neighbor_window", "packing_enabled", "extra"]
+STAGES = st.fixed_dictionaries({
+    "channels": st.one_of(st.sampled_from(["RGB", "RG", "L", "XYZ"]), ODD_VALUES),
+    "model": st.one_of(
+        st.sampled_from([
+            {"type": "mean_intensity"}, {"type": "cnn", "weights": "absent.weights"},
+            {"type": "cnn"}, {"type": "svm"},
+        ]),
+        ODD_VALUES,
+    ),
+})
+CONFIG_FIELDS = {
+    "config_version": st.one_of(st.just(1), NUMBERS, ODD_VALUES),
+    "input": st.one_of(
+        st.fixed_dictionaries({"width": INPUT_SIZES, "height": INPUT_SIZES}), ODD_VALUES
+    ),
+    "threshold": st.one_of(st.floats(0, 1), NUMBERS, ODD_VALUES),
+    "fps": st.one_of(st.floats(1e-3, 1e3), NUMBERS, ODD_VALUES),
+    "luma": st.one_of(
+        st.lists(st.one_of(st.floats(0, 1), NUMBERS, ODD_VALUES), max_size=4), ODD_VALUES
+    ),
+    "fusion": st.one_of(
+        st.dictionaries(
+            st.sampled_from(FUSION_KEYS),
+            st.one_of(st.sampled_from([1, 3, 5]), st.booleans(), NUMBERS, ODD_VALUES),
+        ),
+        ODD_VALUES,
+    ),
+    "stages": st.one_of(st.lists(STAGES, max_size=3), ODD_VALUES),
+}
+
+
+@st.composite
+def configs(draw) -> object:
+    """A valid config with some fields replaced by any value, with keys
+    dropped or added, or a JSON value that is not an object."""
+    shape = draw(st.sampled_from(["fields", "keys", "not an object"]))
+    if shape == "not an object":
+        return draw(st.one_of(NUMBERS, ODD_VALUES))
+    obj = {
+        "config_version": 1,
+        "input": {"width": 32, "height": 32},
+        "stages": [
+            {"channels": "RGB", "model": {"type": "mean_intensity"}},
+            {"channels": "L", "model": {"type": "mean_intensity"}},
+        ],
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(CONFIG_FIELDS)))):
+        obj[key] = draw(CONFIG_FIELDS[key])
+    if shape == "keys":
+        for key in draw(st.sets(st.sampled_from(sorted(obj)))):
+            del obj[key]
+        if draw(st.booleans()):
+            obj["extra"] = draw(st.integers())
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=configs())
+def test_run_exit_code_contract_over_configs(run_workspace, config):
+    root, frames, _ = run_workspace
+    path = root / "drawn_config.json"
+    path.write_text(json.dumps(config))
+    run_exit_code(root, frames, path)
+
+
+# Where a non-finite or out-of-range JSON number can stand in a config.
+NUMBER_SLOTS = {
+    "fps": '"fps": @',
+    "threshold": '"threshold": @',
+    "luma": '"luma": [0.299, @, 0.114]',
+    "input": '"input": {"width": @, "height": 32}',
+    "pack_size": '"fusion": {"pack_size": @}',
+    "neighbor_window": '"fusion": {"neighbor_window": @}',
+}
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["Infinity", "-Infinity", "NaN", "1e400", "1" + "0" * 400],
+    ids=["Infinity", "-Infinity", "NaN", "1e400", "10**400"],
+)
+@pytest.mark.parametrize("slot", sorted(NUMBER_SLOTS))
+def test_config_number_beyond_every_float_exits_2(run_workspace, slot, literal):
+    root, frames, _ = run_workspace
+    path = root / "number_config.json"
+    path.write_text(
+        '{"config_version": 1, "stages": [{"channels": "RGB", "model": {"type": "mean_intensity"}}], '
+        + NUMBER_SLOTS[slot].replace("@", literal) + "}"
+    )
+    assert run_exit_code(root, frames, path) == 2
+
+
+def test_verifier_window_wider_than_any_sequence_runs(run_workspace):
+    """The window's padding is sized by the sequence, not by the window;
+    a window of 2**64 + 1 frames once overflowed (exit 1)."""
+    root, frames, _ = run_workspace
+    path = write_mean_config(
+        root / "wide_window.json", input={"width": 8, "height": 8},
+        fusion={"neighbor_window": 2**64 + 1},
+    )
+    assert run_exit_code(root, frames, path) == 0
+
+
+# -- nesting past the parser's recursion limit --------------------------------
+
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("document", ["config", "manifest", "weights"])
+def test_deeply_nested_json_exits_2(run_workspace, document):
+    """Each JSON reader turns a nesting too deep to parse into a FormatError;
+    it once escaped as a RecursionError (exit 1)."""
+    root, frames, config = run_workspace
+    manifest = None
+    if document == "config":
+        config = root / "deep_config.json"
+        config.write_bytes(DEEP)
+    elif document == "manifest":
+        manifest = root / "deep_manifest.json"
+        manifest.write_bytes(DEEP)
+    else:
+        weights = root / "deep.weights"
+        weights.write_bytes(b"TSTM" + struct.pack("<II", 1, len(DEEP)) + DEEP)
+        config = root / "deep_weights_config.json"
+        config.write_text(json.dumps({
+            "config_version": 1,
+            "stages": [{"channels": "RGB", "model": {"type": "cnn", "weights": str(weights)}}],
+        }))
+    assert run_exit_code(root, frames, config, manifest) == 2
 
 
 # -- ground-truth and detections CSV -----------------------------------------

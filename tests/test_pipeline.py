@@ -256,7 +256,6 @@ class TestGoldenSequence:
         event = result.events[0]
         assert (event.start_frame, event.end_frame) == (5, 5)
         assert event.timestamp_s == 0.2
-        assert result.fps == GOLDEN_FPS
 
     def test_event_peak_is_min_of_stage_and_window_best(self):
         config = mean_pipeline()
@@ -440,7 +439,6 @@ def test_lazy_run_equals_eager_oracle(case):
         stage_series=tuple(direct),
         fused=oracle,
         events=events_from_series(oracle, 10.0),
-        fps=10.0,
         scored=(tuple(range(n)),) * count,
     )
     eager_cells = predictions_cells(config, eager)
