@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -30,6 +31,7 @@ from .errors import ValidationError, VerisembleError
 from .evaluate import (
     ScoreReport,
     SplitMix64,
+    _check_tolerance,
     frame_metrics,
     match_score,
     simulate_predictor,
@@ -103,6 +105,9 @@ def _write_predictions_csv(path: Path, config: PipelineConfig, result: PipelineR
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    # Checked before scoring, so a bad value costs no pass and leaves no CSV.
+    _check_tolerance(args.tol)
+    gt = load_ground_truth(args.gt) if args.gt is not None else None
     config, frames, fps = _load_inputs(args)
     result = run_pipeline(config, frames, fps=fps, workers=args.workers)
 
@@ -114,8 +119,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     _write_predictions_csv(out_dir / "predictions.csv", config, result)
 
-    if args.gt is not None:
-        gt = load_ground_truth(args.gt)
+    if gt is not None:
         report = match_score(
             [event.timestamp_s for event in result.events],
             gt,
@@ -237,7 +241,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
+    workers = {
+        "type": int,
+        "default": _usable_cpus(),
+        "help": "frame-scoring threads; they share the cores with BLAS "
+        "(default: the CPUs this process may use, here %(default)s)",
+    }
     parser = argparse.ArgumentParser(
         prog="verisemble",
         description="Verification-based two-stage frame classification ensemble.",
@@ -253,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--manifest", default=None, help="manifest path (default: <frames>/manifest.json)")
     run.add_argument("--gt", default=None, help="ground-truth CSV; enables report.json")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--workers", type=int, default=1, help="frame-scoring threads; they share the cores with BLAS")
+    run.add_argument("--workers", **workers)
     run.add_argument("--tol", type=float, default=1.0, help="match tolerance in seconds")
     run.set_defaults(func=cmd_run)
 
@@ -269,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--manifest", default=None, help="manifest path (default: <frames>/manifest.json)")
     bench.add_argument("--warmup", type=int, default=5, help="untimed pipeline runs first")
     bench.add_argument("--repeats", type=int, default=1, help="timed pipeline runs")
-    bench.add_argument("--workers", type=int, default=1, help="frame-scoring threads; they share the cores with BLAS")
+    bench.add_argument("--workers", **workers)
     bench.set_defaults(func=cmd_bench)
 
     sim = sub.add_parser("simulate", help="fuse synthetic classifier outputs")
@@ -299,7 +317,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     try:
         return args.func(args)
-    except (VerisembleError, OSError, ValueError) as exc:
+    except (VerisembleError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -5,8 +5,8 @@ the two number rules (:func:`_is_int_at_least`, :func:`_is_finite_number`).
 A bool is never a number, and a number is compared with the float range,
 never converted to a float, because a JSON integer may exceed every float.
 
-The CLI maps these (plus ``OSError``/``ValueError``) to exit code 2;
-anything else is treated as an internal error (exit code 1).
+The CLI maps these (plus ``OSError``, ``ValueError`` and ``MemoryError``) to
+exit code 2; anything else is treated as an internal error (exit code 1).
 """
 
 from __future__ import annotations

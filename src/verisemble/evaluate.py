@@ -179,6 +179,12 @@ def _distance(t: float, start: float, end: float) -> float:
     return min(abs(t - start), abs(t - end))
 
 
+def _check_tolerance(tolerance_s: object) -> None:
+    """Raise :class:`ValidationError` unless ``tolerance_s`` is a finite number >= 0."""
+    if not (_is_finite_number(tolerance_s) and tolerance_s >= 0):
+        raise ValidationError(f"tolerance must be a finite number >= 0, got {tolerance_s!r}")
+
+
 def match_score(
     timestamps: Sequence[float | DetectionEvent],
     intervals: object,
@@ -193,8 +199,7 @@ def match_score(
     are independent, so one detection can cover several adjacent intervals
     and vice versa. A :class:`DetectionEvent` stands for its ``timestamp_s``.
     """
-    if not (_is_finite_number(tolerance_s) and tolerance_s >= 0):
-        raise ValidationError(f"tolerance must be a finite number >= 0, got {tolerance_s!r}")
+    _check_tolerance(tolerance_s)
     times = [getattr(t, "timestamp_s", t) for t in timestamps]
     spans = _interval_list(intervals)
     matched_events = sum(

@@ -25,6 +25,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import logging
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -248,12 +249,14 @@ def run_pipeline(
     raises. The count is process-wide: other threads calling BLAS at that
     time see the lower count.
     """
+    n = len(frames)
     if not (fps > 0):
         raise ValidationError(f"fps must be positive, got {fps}")
+    if not math.isfinite((n - 1) / fps):
+        raise ValidationError(f"fps {fps} is too small: frame {n - 1} has no finite timestamp")
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     models = build_stage_models(config)
-    n = len(frames)
     logger.info("scoring %d frames with %d stages (%d workers)", n, len(models), workers)
 
     def first_pass(i: int) -> tuple[Frame, float]:

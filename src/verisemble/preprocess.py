@@ -71,13 +71,18 @@ def _round_half_up_u8(values: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _axis_taps(in_n: int, out_n: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _axis_taps(
+    in_n: int, out_n: int, channels: int = 1
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Integer resample taps for one axis of an ``in_n -> out_n`` resize.
 
-    Returns ``(index, weight, denominator)`` with ``index`` and ``weight`` of
-    shape ``(out_n, K)``: output cell ``j`` is
-    ``sum_k weight[j, k] * src[index[j, k]] / denominator``. Weights are
-    non-negative integers summing to ``denominator`` on every row.
+    The axis is read flattened with ``channels`` values per cell, as a row
+    of a ``(height, width * channels)`` frame is. Returns ``(index, weight,
+    denominator)`` with ``index`` and ``weight`` of shape
+    ``(K, out_n * channels)``: output value ``m`` is
+    ``sum_k weight[k, m] * src[index[k, m]] / denominator``. Both arrays
+    are int64; the weights are non-negative and sum to ``denominator`` in
+    every column.
 
     A downscale is an area average: in units of ``1 / out_n`` of a source
     pixel, cell ``j`` spans ``[j * in_n, (j + 1) * in_n)`` and source pixel
@@ -106,23 +111,13 @@ def _axis_taps(in_n: int, out_n: int) -> tuple[np.ndarray, np.ndarray, int]:
         weight = np.concatenate([denominator - frac, frac], axis=1)
     # Non-zero taps are a prefix of each row; drop columns that are all zero.
     taps = int(np.count_nonzero(weight, axis=1).max())
-    index = np.minimum(index[:, :taps], in_n - 1)
-    weight = weight[:, :taps].astype(np.float64)
+    # Column j * channels + c reads value c of the cells that cell j reads.
+    index = np.minimum(index[:, :taps], in_n - 1).T
+    index = (index[:, :, None] * channels + np.arange(channels)).reshape(taps, -1)
+    weight = np.repeat(weight[:, :taps].T, channels, axis=1)
     index.setflags(write=False)
     weight.setflags(write=False)
     return index, weight, denominator
-
-
-def _apply_taps(
-    values: np.ndarray, index: np.ndarray, weight: np.ndarray, axis: int
-) -> np.ndarray:
-    """Resample ``values`` along ``axis`` (0 or 1) as a band of gathered rows
-    or columns; the result is the un-normalised float64 weighted sum."""
-    shape = (-1, 1, 1) if axis == 0 else (1, -1, 1)
-    acc = np.take(values, index[:, 0], axis=axis) * weight[:, 0].reshape(shape)
-    for k in range(1, index.shape[1]):
-        acc += np.take(values, index[:, k], axis=axis) * weight[:, k].reshape(shape)
-    return acc
 
 
 def resize_aa(frame: Frame, out_w: int, out_h: int) -> Frame:
@@ -131,24 +126,41 @@ def resize_aa(frame: Frame, out_w: int, out_h: int) -> Frame:
     Downscaled axes use area-average resampling (the anti-aliasing box
     filter); other axes use bilinear interpolation on half-pixel centres.
     Each output value is the exact round-half-up of the real-valued
-    resample: every weight is an integer over a per-axis denominator, so
-    the weighted sum ``N`` (at most ``255 * D_y * D_x``) is an integer
-    below 2**53 that float64 holds exactly in any summation order, and the
-    result is ``floor(N / (D_y * D_x) + 1/2)``. Ties round up. The per-axis
-    taps are built once per geometry and cached. Same-size requests return
-    the input byte-identically.
+    resample; ties round up. Every weight is an integer over a per-axis
+    denominator, so with ``D = D_y * D_x`` the weighted sum ``N`` is an
+    integer in ``[0, 255 * D]`` and the result ``floor(N / D + 1/2)``
+    equals ``(N + D // 2) // D``, computed in integers. Every partial sum,
+    and ``N + D // 2``, is below ``256 * D``: the sums are accumulated in
+    int32 when ``256 * D <= 2**31`` (a 3840x2160 -> 300x300 downscale
+    still is) and in int64 otherwise, which holds them while every axis of
+    the frame and the target is under 2**26 pixels. The per-axis taps are
+    built once per geometry and cached. Same-size requests return the input
+    byte-identically.
     """
     if out_w < 1 or out_h < 1:
         raise ValueError(f"resize target must be at least 1x1, got {out_w}x{out_h}")
     if out_w == frame.width and out_h == frame.height:
         return frame
 
-    y_index, y_weight, d_y = _axis_taps(frame.height, out_h)
-    x_index, x_weight, d_x = _axis_taps(frame.width, out_w)
-    sums = _apply_taps(frame.pixels, y_index, y_weight, axis=0)
-    sums = _apply_taps(sums, x_index, x_weight, axis=1)
-    rounded = (2 * sums.astype(np.int64) + d_y * d_x) // (2 * d_y * d_x)
-    return Frame(index=frame.index, pixels=rounded.astype(np.uint8))
+    height, width, channels = frame.pixels.shape
+    y_index, y_weight, d_y = _axis_taps(height, out_h)
+    x_index, x_weight, d_x = _axis_taps(width, out_w, channels)
+    denominator = d_y * d_x
+    dtype = np.int32 if 256 * denominator <= 2**31 else np.int64
+    # Gather every tap's source rows at once and sum them over the tap axis
+    # k, then the same for the columns. Each gathered copy is a temporary,
+    # freed as soon as its sum is taken.
+    rows = frame.pixels.reshape(height, width * channels)
+    sums = np.einsum(
+        "kjx,kj->jx", np.take(rows, y_index, axis=0), y_weight.astype(dtype), dtype=dtype
+    )
+    sums = np.einsum(
+        "ykj,kj->yj", np.take(sums, x_index, axis=1), x_weight.astype(dtype), dtype=dtype
+    )
+    sums += denominator // 2
+    sums //= denominator
+    pixels = sums.astype(np.uint8).reshape(out_h, out_w, channels)
+    return Frame(index=frame.index, pixels=pixels)
 
 
 def to_grayscale(

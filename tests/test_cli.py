@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -31,6 +32,7 @@ from conftest import (
     GOLDEN_FPS,
     GREEN,
     MAGENTA,
+    WHITE,
     random_frame,
     solid_frame,
     write_mean_config,
@@ -390,6 +392,57 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].endswith("fps must be a finite number"), err
 
+    @pytest.mark.parametrize(
+        "gt_text, tol",
+        [("start_s,end_s\nabc,1.0\n", "1.0"), ("start_s,end_s\n0.1,0.3\n", "nan")],
+        ids=["malformed-gt", "tol-nan"],
+    )
+    def test_bad_scoring_input_exits_2_before_scoring(self, tmp_path, capsys, gt_text, tol):
+        config, frames, out = golden_workspace(tmp_path)
+        gt = tmp_path / "gt.csv"
+        gt.write_text(gt_text)
+        code = main([
+            "run", "--config", str(config), "--frames", str(frames),
+            "--out", str(out), "--gt", str(gt), f"--tol={tol}",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("source", ["config", "manifest"])
+    def test_fps_too_small_for_finite_timestamps_exits_2(self, tmp_path, capsys, source):
+        """At 5e-324 fps frame 2 would be stamped inf seconds."""
+        tiny = 5e-324
+        frames = write_sequence(
+            tmp_path / "frames", [WHITE, BLACK, WHITE], fps=tiny if source == "manifest" else 25.0
+        )
+        extra = {"fps": tiny} if source == "config" else {}
+        config = write_mean_config(tmp_path / "config.json", **extra)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config), "--frames", str(frames), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: fps 5e-324 is too small: frame 2 has no finite timestamp"]
+        assert not list(out.glob("*.csv"))
+
+    @needs_proc_status
+    def test_input_size_beyond_memory_exits_2(self, tmp_path):
+        """Resizing to a 1,000,000 x 100,000 input needs terabytes; running
+        out of memory is a resource error like an unreadable file."""
+        _, frames, out = golden_workspace(tmp_path)
+        config = write_mean_config(
+            tmp_path / "huge.json", input={"width": 1_000_000, "height": 100_000}
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", ADDRESS_LIMIT_SCRIPT, "run", "--config", str(config),
+             "--frames", str(frames), "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
     def test_missing_frame_file_exits_2(self, tmp_path, capsys):
         config, frames, out = golden_workspace(tmp_path)
         (frames / "frame_0004.ppm").unlink()
@@ -548,7 +601,7 @@ class TestBench:
         config, frames = self.small_workspace(tmp_path)
         assert main([
             "bench", "--config", str(config), "--frames", str(frames),
-            "--warmup", "1", "--repeats", "2",
+            "--warmup", "1", "--repeats", "2", "--workers", "1",
         ]) == 0
         out = json.loads(capsys.readouterr().out)
         (report,) = out["reports"]
@@ -793,6 +846,16 @@ class TestSimulate:
 
 
 class TestParser:
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_workers_default_to_usable_cpus(self, command):
+        argv = [command, "--config", "c.json", "--frames", "frames"]
+        argv += ["--out", "out"] if command == "run" else []
+        if hasattr(os, "sched_getaffinity"):
+            usable = len(os.sched_getaffinity(0))
+        else:
+            usable = os.cpu_count()
+        assert cli.build_parser().parse_args(argv).workers == usable
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -99,6 +99,23 @@ class TestResize:
             want = resize_integer(frame.pixels, out_w, out_h)
             assert np.array_equal(got, want), f"{in_w}x{in_h} -> {out_w}x{out_h}"
 
+    # Either side of the int32 bound, 256 * D_y * D_x <= 2**31, with
+    # D = width * height for these downscales: at 3840x2160 the sums fit in
+    # int32 but 2 * sum + D would not; at 4096x2304 they run in int64.
+    @pytest.mark.parametrize("width, height", [(3840, 2160), (4096, 2304)])
+    @pytest.mark.parametrize("value", [0, 1, 254, 255])
+    def test_constant_frame_either_side_of_int32_bound(self, width, height, value):
+        frame = Frame(index=0, pixels=np.full((height, width, 3), value, np.uint8))
+        out = resize_aa(frame, 300, 300)
+        assert out.pixels.shape == (300, 300, 3)
+        assert np.all(out.pixels == value)
+
+    @pytest.mark.parametrize("width, height", [(3840, 2160), (4096, 2304)])
+    def test_random_frame_either_side_of_int32_bound(self, width, height):
+        frame = random_frame(seed=width, width=width, height=height)
+        got = resize_aa(frame, 300, 300).pixels
+        assert np.array_equal(got, resize_integer(frame.pixels, 300, 300))
+
     def test_taps_cached_per_geometry(self):
         frame = random_frame(seed=5, width=37, height=23)
         resize_aa(frame, 19, 41)
