@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 _PPM_WHITESPACE = b" \t\n\r\x0b\x0c"
+# More significant digits than a PPM header number can have for any payload
+# that fits in memory; ``int()`` refuses more than 4,300 digits by default.
+_PPM_MAX_DIGITS = 20
 
 # The widest field a frame file pattern may pad to: NAME_MAX, the longest
 # file name on common file systems, so no wider field can name a file.
@@ -206,7 +209,10 @@ class _ByteScanner:
         token = self.read_token()
         if not token.isdigit():
             raise FormatError(f"PPM header: bad {what} {token!r}")
-        return int(token)
+        digits = token.lstrip(b"0") or b"0"
+        if len(digits) > _PPM_MAX_DIGITS:
+            raise FormatError(f"PPM header: {what} has more than {_PPM_MAX_DIGITS} digits")
+        return int(digits)
 
 
 def _ppm_header(data: bytes) -> tuple[int, int, int]:

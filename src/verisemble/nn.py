@@ -13,17 +13,34 @@ may set and its weight arrays in container order. ``LayerSpec``'s checks,
 its JSON form and the container's record order all read it; each field's
 type and range is one rule in ``_FIELD_RULES``.
 
-Each conv is one im2col copy and one GEMM. A relu conv directly followed by
-a max-pool runs as one step: it pools the conv output, then applies ReLU to
-the pooled ``1/pool**2`` of the data, and the batchnorm after it sees only
-that. ReLU is exact and monotone non-decreasing, so it commutes with max and
-the result is bit-identical to applying the layers one by one.
+Each conv runs in strips of output rows, each a whole number of pool
+windows with about ``_STRIP_BYTES`` of im2col: a strip's im2col rows are
+copied into a per-thread scratch buffer, one GEMM writes the strip's product
+into a second one, and the bias is added and the strip max-pooled straight
+into its rows of the output. The whole-frame im2col is never built, and each
+strip's operands stay in a core's L2 cache while they are used. A relu conv
+directly followed by a max-pool runs as one step: it pools the conv output,
+then applies ReLU to the pooled ``1/pool**2`` of the data, and the batchnorm
+after it sees only that. ReLU is exact and monotone non-decreasing, so it
+commutes with max and the result is bit-identical to applying the layers one
+by one.
+
+Strips are bit-identical to the whole product under one rule: every strip's
+GEMM has at least 2 rows and at least ``_MIN_STRIP_MACS`` multiply-adds, and
+a short last strip is folded into the one before it. Below that OpenBLAS
+rounds some products differently: numpy sends a 1-row product to gemv, and
+OpenBLAS takes its small-matrix kernel below about 10**6 multiply-adds. A
+conv that cannot make two such strips runs as one strip, which is exactly
+the whole-frame product. So does a one-filter conv: numpy computes its
+product with gemv, whose rounding depends on where a row sits in the
+product.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple
@@ -409,17 +426,62 @@ def _apply_activation(x: np.ndarray, activation: str | None) -> np.ndarray:
     raise ValidationError(f"unknown activation {activation!r}")
 
 
+# About half of one core's 2 MiB L2: a strip's im2col rows, which leaves
+# room for the kernel matrix and the strip's product.
+_STRIP_BYTES = 1 << 20
+# The fewest multiply-adds a strip's GEMM may have, so that OpenBLAS computes
+# it with the same kernel as the whole product (see the module docstring).
+_MIN_STRIP_MACS = 1 << 20
+
+# Each thread's scratch buffers, reused across strips, layers and frames.
+_scratch = threading.local()
+
+
+def _scratch_buffer(slot: str, size: int) -> np.ndarray:
+    """``size`` float64s of this thread's buffer ``slot``, grown on demand."""
+    buf = getattr(_scratch, slot, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(_scratch, slot, buf)
+    return buf[:size]
+
+
+def _strip_bounds(out_h: int, out_w: int, depth: int, filters: int, pool: int) -> list[int]:
+    """Conv-row bounds of the strips of an ``out_h`` x ``out_w`` conv whose
+    GEMM has inner dimension ``depth``.
+
+    Each strip is ``pool * t`` rows: ``t`` pool windows with about
+    ``_STRIP_BYTES`` of im2col, raised until the strip's GEMM has 2 rows and
+    ``_MIN_STRIP_MACS`` multiply-adds. The last strip also takes the rows
+    left over; a conv with fewer than two strips is one strip, and so is a
+    one-filter conv, whose product numpy computes with gemv.
+    """
+    window = pool * out_w  # GEMM rows per pool window
+    t = max(
+        _STRIP_BYTES // (window * depth * 8),
+        -(-_MIN_STRIP_MACS // (window * depth * filters)),
+        -(-2 // window),
+    )
+    strips = out_h // (pool * t)
+    if strips < 2 or filters == 1:
+        return [0, out_h]
+    return [i * pool * t for i in range(strips)] + [out_h]
+
+
 def conv2d(
     x: np.ndarray,
     kernel: np.ndarray,
     bias: np.ndarray,
     stride: int = 1,
     padding: str = "same",
+    pool: int = 1,
 ) -> np.ndarray:
-    """2-D cross-correlation over a channel-last tensor.
+    """2-D cross-correlation over a channel-last tensor, then with
+    ``pool > 1`` a max-pool with window = stride = ``pool``.
 
     ``kernel`` is ``(kh, kw, in_channels, filters)``; "same" zero-pads so
-    that stride-1 output keeps the input height and width.
+    that stride-1 output keeps the input height and width. The pooled output
+    is bit-identical to ``maxpool2(conv2d(...), pool)``.
     """
     x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
@@ -437,6 +499,8 @@ def conv2d(
         raise ShapeError(f"conv2d bias must have shape ({filters},), got {bias.shape}")
     if stride < 1:
         raise ValueError(f"conv2d stride must be >= 1, got {stride}")
+    if pool < 1:
+        raise ValueError(f"conv2d pool must be >= 1, got {pool}")
 
     h, w, _ = x.shape
     if padding == "same":
@@ -455,6 +519,8 @@ def conv2d(
         out_w = (w - kw) // stride + 1
     else:
         raise ValueError(f"conv2d padding must be 'same' or 'valid', got {padding!r}")
+    if out_h < pool or out_w < pool:
+        raise ShapeError(f"conv2d: output {out_h}x{out_w} smaller than pool window {pool}")
 
     sy, sx, sc = x.strides
     cols = np.lib.stride_tricks.as_strided(
@@ -463,9 +529,38 @@ def conv2d(
         strides=(stride * sy, stride * sx, sy, sx, sc),
         writeable=False,
     )
-    out = np.dot(cols.reshape(out_h * out_w, kh * kw * in_ch), kernel.reshape(-1, filters))
-    out += bias
-    return out.reshape(out_h, out_w, filters)
+    depth = kh * kw * in_ch
+    matrix = kernel.reshape(depth, filters)
+    out = np.empty((out_h // pool, out_w // pool, filters))
+    bounds = _strip_bounds(out_h, out_w, depth, filters, pool)
+    for r0, r1 in zip(bounds, bounds[1:]):
+        m = (r1 - r0) * out_w
+        strip = _scratch_buffer("cols", m * depth).reshape(r1 - r0, out_w, kh, kw, in_ch)
+        strip[...] = cols[r0:r1]
+        if pool == 1:
+            prod = out[r0:r1].reshape(m, filters)
+        else:
+            prod = _scratch_buffer("prod", m * filters).reshape(m, filters)
+        np.dot(strip.reshape(m, depth), matrix, out=prod)
+        prod += bias
+        if pool > 1:
+            rows = out[r0 // pool : r1 // pool]
+            _pool_into(prod.reshape(r1 - r0, out_w, filters), pool, rows)
+    return out
+
+
+def _pool_into(x: np.ndarray, pool: int, out: np.ndarray) -> None:
+    """Max-pool ``x`` into ``out``, window = stride = ``pool``; ``out``'s
+    height and width say how many windows to take."""
+    # Max is exact, so folding the pool**2 strided views in any order
+    # gives the same bits as a windowed max reduction.
+    h2, w2 = out.shape[:2]
+    views = [
+        x[a : h2 * pool : pool, b : w2 * pool : pool] for a in range(pool) for b in range(pool)
+    ]
+    np.maximum(views[0], views[1], out=out)
+    for view in views[2:]:
+        np.maximum(out, view, out=out)
 
 
 def maxpool2(x: np.ndarray, pool: int = 2) -> np.ndarray:
@@ -475,18 +570,11 @@ def maxpool2(x: np.ndarray, pool: int = 2) -> np.ndarray:
         raise ShapeError(f"maxpool input must be 3-D, got shape {x.shape}")
     if pool < 2:
         raise ValueError(f"pool size must be >= 2, got {pool}")
-    h, w, _ = x.shape
+    h, w, c = x.shape
     if h < pool or w < pool:
         raise ShapeError(f"maxpool: input {h}x{w} smaller than pool window {pool}")
-    # Max is exact, so folding the pool**2 strided views in any order
-    # gives the same bits as a windowed max reduction.
-    h2, w2 = h // pool, w // pool
-    views = [
-        x[a : h2 * pool : pool, b : w2 * pool : pool] for a in range(pool) for b in range(pool)
-    ]
-    out = np.maximum(views[0], views[1])
-    for view in views[2:]:
-        np.maximum(out, view, out=out)
+    out = np.empty((h // pool, w // pool, c))
+    _pool_into(x, pool, out)
     return out
 
 
@@ -587,9 +675,7 @@ def _forward_layer(
     kind = layer.kind
     if kind == "conv2d":
         params = weights[layer.name]
-        out = conv2d(x, params["kernel"], params["bias"], layer.stride, layer.padding)
-        if pool > 1:
-            out = maxpool2(out, pool)
+        out = conv2d(x, params["kernel"], params["bias"], layer.stride, layer.padding, pool)
         return _apply_activation(out, layer.activation)
     if kind == "maxpool2":
         return maxpool2(x, layer.pool)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 
 import numpy as np
 
@@ -89,7 +90,9 @@ def _axis_taps(
     ``i`` spans ``[i * out_n, (i + 1) * out_n)``, so every coverage is an
     integer and the denominator is ``in_n``. Otherwise the axis is bilinear
     on half-pixel centres: ``src = ((2j + 1) * in_n - out_n) / (2 * out_n)``,
-    clamped to ``[0, in_n - 1]``, with denominator ``2 * out_n``.
+    clamped to ``[0, in_n - 1]``, with denominator ``2 * out_n``. The
+    weights and the denominator are then divided by their gcd, which is
+    ``gcd(in_n, out_n)`` or a multiple of it; every ratio stays the same.
 
     Cached per geometry; the arrays are read-only so worker threads can
     share them.
@@ -115,6 +118,9 @@ def _axis_taps(
     index = np.minimum(index[:, :taps], in_n - 1).T
     index = (index[:, :, None] * channels + np.arange(channels)).reshape(taps, -1)
     weight = np.repeat(weight[:, :taps].T, channels, axis=1)
+    common = math.gcd(denominator, int(np.gcd.reduce(weight, axis=None)))
+    weight //= common
+    denominator //= common
     index.setflags(write=False)
     weight.setflags(write=False)
     return index, weight, denominator
@@ -131,9 +137,10 @@ def resize_aa(frame: Frame, out_w: int, out_h: int) -> Frame:
     integer in ``[0, 255 * D]`` and the result ``floor(N / D + 1/2)``
     equals ``(N + D // 2) // D``, computed in integers. Every partial sum,
     and ``N + D // 2``, is below ``256 * D``: the sums are accumulated in
-    int32 when ``256 * D <= 2**31`` (a 3840x2160 -> 300x300 downscale
-    still is) and in int64 otherwise, which holds them while every axis of
-    the frame and the target is under 2**26 pixels. The per-axis taps are
+    int32 when ``256 * D <= 2**31`` (a 4096x2304 -> 300x300 downscale
+    still is, with ``D`` reduced by the gcds to 196,608) and in int64
+    otherwise, which holds them while every axis of the frame and the
+    target is under 2**26 pixels. The per-axis taps are
     built once per geometry and cached. Same-size requests return the input
     byte-identically.
     """

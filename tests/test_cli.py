@@ -217,6 +217,39 @@ class TestRun:
             )
         assert outputs[0] == outputs[1]
 
+    def test_workers_identical_bytes_with_cnn_stages(self, tmp_path):
+        # Stock CNN stages at 160x120, where every conv but the last two runs
+        # in several strips through each scoring thread's own scratch.
+        from verisemble import default_model_spec, random_weights, save_weights
+
+        for name, channels in (("rgb", 3), ("luma", 1)):
+            spec = default_model_spec(channels=channels, height=120, width=160)
+            save_weights(tmp_path / f"{name}.weights", spec, random_weights(spec, channels))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "config_version": 1,
+            "input": {"width": 160, "height": 120},
+            "threshold": 0.5,
+            "stages": [
+                {"channels": "RGB", "model": {"type": "cnn", "weights": "rgb.weights"}},
+                {"channels": "L", "model": {"type": "cnn", "weights": "luma.weights"}},
+            ],
+        }))
+        frames = write_random_sequence(tmp_path / "frames", 10, 160, 120)
+        (tmp_path / "gt.csv").write_text("start_s,end_s\n0.2,0.5\n")
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"out{workers}"
+            assert main([
+                "run", "--config", str(config), "--frames", str(frames),
+                "--gt", str(tmp_path / "gt.csv"), "--out", str(out), "--workers", workers,
+            ]) == 0
+            outputs.append([
+                (out / name).read_bytes()
+                for name in ("detections.csv", "predictions.csv", "report.json")
+            ])
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("geometry", ["golden", "downscaled", "empty"])
     def test_lazy_run_equals_eager_pipeline(self, tmp_path, geometry, workers):

@@ -94,6 +94,21 @@ class TestDecodePpm:
         with pytest.raises(FormatError):
             decode_ppm(b"")
 
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_header_number_past_int_digit_limit_rejected(self, field):
+        # int() refuses more than 4,300 digits with a ValueError; the header
+        # reader caps the digits first.
+        numbers = [b"2", b"1", b"255"]
+        numbers[field] = b"9" * 5000
+        with pytest.raises(FormatError, match="more than 20 digits"):
+            decode_ppm(b"P6\n" + b" ".join(numbers) + b"\n" + bytes(6))
+
+    def test_zero_padded_header_numbers_read_as_decimal(self):
+        data = b"P6\n" + b"0" * 5000 + b"2 0001\n000255\n" + bytes(range(6))
+        frame = decode_ppm(data)
+        assert (frame.width, frame.height) == (2, 1)
+        assert frame.pixels.reshape(-1).tolist() == list(range(6))
+
     def test_pixels_view_the_input_bytes(self):
         data = encode_ppm(random_frame(seed=3, width=5, height=4))
         base = decode_ppm(data).pixels

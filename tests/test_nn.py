@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from verisemble import (
     random_weights,
     save_weights,
 )
-from verisemble import cli, nn
+from verisemble import cli, nn, pipeline
 from verisemble.nn import (
     WEIGHTS_MAGIC,
     WEIGHTS_VERSION,
@@ -750,9 +751,12 @@ class TestForwardMatchesFrozen:
         assert got.tobytes() == want.tobytes()
 
     def test_seeded_relu_conv_pool_blocks(self):
-        # Reordering the GEMM's rows (say, into pool-window order) or
-        # dropping the rows a pool discards changes OpenBLAS's result in
-        # the last bit for about 2% of such blocks, so sweep many of them.
+        # A product computed by other BLAS code than the whole one may round
+        # differently: numpy sends a 1-row or 1-column product to gemv, and
+        # OpenBLAS has a small-matrix kernel for products of up to about
+        # 10**6 multiply-adds, which changed the last bit of ~45% of random
+        # GEMMs split into strips that small. These blocks are small enough
+        # to run as one strip; sweep many of them.
         rng = np.random.default_rng(2006)
         for _ in range(300):
             kernel = ((3, 3), (2, 3))[rng.integers(2)]
@@ -780,6 +784,133 @@ class TestForwardMatchesFrozen:
         weights = random_weights(spec, seed=channels)
         x = np.random.default_rng(channels).random((300, 300, channels))
         assert_forward_matches_frozen(spec, weights, x)
+
+
+@pytest.fixture(params=[1, 2], ids=["blas1", "blas2"])
+def blas_threads(request):
+    """Runs the test with numpy's OpenBLAS held at 1, then 2 threads."""
+    api = pipeline._blas_thread_api()
+    if api is None:
+        pytest.skip("no OpenBLAS thread control in this numpy")
+    get, put = api
+    saved = get()
+    put(request.param)
+    yield request.param
+    put(saved)
+
+
+def test_conv_strips_match_the_whole_product(blas_threads):
+    """Mid-size conv blocks, each run in several strips, are bit-identical
+    to the whole-frame product (then max-pooled) at 1 and 2 BLAS threads."""
+    rng = np.random.default_rng(2131)
+    engaged = 0
+    while engaged < 60:
+        h, w = (int(v) for v in rng.integers(24, 121, 2))
+        channels, filters = int(rng.integers(1, 25)), int(rng.integers(1, 49))
+        kh, kw = (int(v) for v in rng.integers(1, 6, 2))
+        stride, pool = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        padding = ("same", "valid")[rng.integers(2)]
+        out_h, out_w = _conv_out((h, w), (kh, kw), stride, padding)
+        depth = kh * kw * channels
+        if min(out_h, out_w) < pool or len(nn._strip_bounds(out_h, out_w, depth, filters, pool)) < 3:
+            continue
+        engaged += 1
+        x = rng.standard_normal((h, w, channels))
+        kernel = rng.standard_normal((kh, kw, channels, filters)).astype(np.float32)
+        bias = rng.standard_normal(filters).astype(np.float32)
+        want = oracles.conv2d_frozen(x, kernel, bias, stride, padding)
+        if pool > 1:
+            want = oracles._maxpool_frozen(want, pool)
+        got = conv2d(x, kernel, bias, stride, padding, pool)
+        case = (h, w, channels, filters, kh, kw, stride, pool, padding)
+        assert got.shape == want.shape, case
+        assert got.tobytes() == want.tobytes(), case
+
+
+class TestStrips:
+    def test_stock_convs_run_in_strips_of_whole_pool_windows(self):
+        spec = default_model_spec()
+        shapes = zip(spec.layers, spec.layer_input_shapes(), spec.output_shapes())
+        for layer, in_shape, out_shape in shapes:
+            if layer.kind != "conv2d":
+                continue
+            channels, (out_h, out_w, filters) = in_shape[2], out_shape
+            bounds = nn._strip_bounds(out_h, out_w, 9 * channels, filters, 2)
+            assert len(bounds) > 2 and bounds[0] == 0 and bounds[-1] == out_h, layer.name
+            for r0, r1 in zip(bounds, bounds[1:]):
+                assert r0 % 2 == 0 and r1 - r0 >= 2, layer.name
+                assert (r1 - r0) * out_w * 9 * channels * filters >= nn._MIN_STRIP_MACS
+
+    def test_strips_hold_at_least_the_minimum_work(self):
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            out_h, out_w = (int(v) for v in rng.integers(1, 400, 2))
+            depth, filters = int(rng.integers(1, 2000)), int(rng.integers(1, 200))
+            pool = int(rng.integers(1, 4))
+            bounds = nn._strip_bounds(out_h, out_w, depth, filters, pool)
+            assert bounds[0] == 0 and bounds[-1] == out_h
+            if len(bounds) == 2:
+                continue
+            assert filters > 1
+            for r0, r1 in zip(bounds, bounds[1:]):
+                assert r0 % pool == 0 and (r1 - r0) * out_w >= 2
+                assert (r1 - r0) * out_w * depth * filters >= nn._MIN_STRIP_MACS
+
+    def test_one_filter_and_small_convs_run_whole(self):
+        assert nn._strip_bounds(300, 300, 27, 1, 2) == [0, 300]
+        assert nn._strip_bounds(24, 24, 27, 8, 2) == [0, 24]
+        assert nn._strip_bounds(1, 5000, 1000, 64, 1) == [0, 1]
+
+    def test_scratch_is_reused_across_calls(self):
+        x = np.random.default_rng(3).standard_normal((96, 96, 8))
+        kernel = np.ones((3, 3, 8, 16), np.float32)
+        bias = np.zeros(16, np.float32)
+        first = conv2d(x, kernel, bias, pool=2)
+        cols, prod = nn._scratch.cols, nn._scratch.prod
+        again = conv2d(x, kernel, bias, pool=2)
+        assert nn._scratch.cols is cols and nn._scratch.prod is prod
+        assert again.tobytes() == first.tobytes()
+
+    def test_threads_keep_their_own_scratch(self):
+        # More threads than cores and a short switch interval, so threads
+        # interleave strips of different geometries; a shared buffer would
+        # hand one thread's im2col rows to another's product.
+        rng = np.random.default_rng(5)
+        cases = []
+        for k in range(8):
+            x = rng.standard_normal((64 + 8 * k, 72, 4 + k))
+            kernel = rng.standard_normal((3, 3, 4 + k, 8 + 4 * k)).astype(np.float32)
+            bias = rng.standard_normal(8 + 4 * k).astype(np.float32)
+            cases.append((x, kernel, bias, 1 + k % 2))
+        want = [conv2d(x, kernel, bias, pool=pool).tobytes() for x, kernel, bias, pool in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                got = list(pool.map(
+                    lambda case: conv2d(case[0], case[1], case[2], pool=case[3]).tobytes(),
+                    cases * 3,
+                    timeout=60,
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want * 3
+
+    def test_pooled_conv_equals_maxpool_of_conv(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((13, 11, 3))
+        kernel = rng.standard_normal((3, 3, 3, 4))
+        bias = rng.standard_normal(4)
+        for pool in (2, 3):
+            got = conv2d(x, kernel, bias, 2, "valid", pool)
+            want = maxpool2(conv2d(x, kernel, bias, 2, "valid"), pool)
+            assert got.tobytes() == want.tobytes()
+
+    def test_pool_larger_than_output_rejected(self):
+        with pytest.raises(ShapeError, match="pool window"):
+            conv2d(np.zeros((4, 4, 1)), np.ones((3, 3, 1, 1)), np.zeros(1), 2, "valid", 2)
+        with pytest.raises(ValueError, match="pool"):
+            conv2d(np.zeros((4, 4, 1)), np.ones((3, 3, 1, 1)), np.zeros(1), pool=0)
 
 
 # Scores the stock RGB and luma stages on seeded 300x300 frames through

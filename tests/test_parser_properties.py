@@ -1,9 +1,9 @@
 """Property tests of the exit-code contract over the text inputs.
 
-Every pipeline config object, ``manifest.json`` object, weight-container spec
-and ground-truth or detections CSV text either parses, or makes ``cli.main``
-exit 2 with exactly one ``error:`` line; it never exits 1 (an internal error
-with a traceback).
+Every pipeline config object, ``manifest.json`` object, weight-container spec,
+PPM frame file and ground-truth or detections CSV text either parses, or makes
+``cli.main`` exit 2 with exactly one ``error:`` line; it never exits 1 (an
+internal error with a traceback).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verisemble import encode_ppm
+from verisemble import FormatError, decode_ppm, encode_ppm
 from verisemble.cli import main
 
 from conftest import GOLDEN_COLORS, solid_frame, write_mean_config
@@ -295,6 +295,75 @@ def test_deeply_nested_json_exits_2(run_workspace, document):
             "stages": [{"channels": "RGB", "model": {"type": "cnn", "weights": str(weights)}}],
         }))
     assert run_exit_code(root, frames, config, manifest) == 2
+
+
+# -- PPM frame files ----------------------------------------------------------
+
+# Header numbers: small sizes, the one maxval, zero padding, and numbers past
+# int()'s 4,300-digit limit, signs, fractions and non-ASCII digits.
+HEADER_NUMBERS = st.one_of(
+    st.integers(0, 6).map(str),
+    st.just("255"),
+    st.builds("{}{}".format, st.sampled_from(["0", "0" * 5000]), st.integers(1, 4)),
+    st.sampled_from([
+        "9" * 5000, "1" + "0" * 19, "1" + "0" * 20, "65535", "-1", "+2", "2.0", "0x2", "\u0662",
+    ]),
+).map(str.encode)
+HEADER_SEPARATORS = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\x0b", b" # note\n", b"#", b""])
+
+
+@st.composite
+def ppm_files(draw) -> bytes:
+    """A PPM header built from drawn magic, numbers and separators, then a
+    payload of the length the header promises, or a few bytes off."""
+    magic = draw(st.sampled_from([b"P6", b"P6", b"P3", b"P5", b"p6", b""]))
+    numbers = [draw(HEADER_NUMBERS) for _ in range(2)]
+    numbers.append(draw(st.one_of(st.just(b"255"), HEADER_NUMBERS)))
+    header = magic
+    for number in numbers:
+        header += draw(HEADER_SEPARATORS) + number
+    header += draw(st.sampled_from([b"\n", b" ", b"#\n", b""]))
+    try:
+        promised = int(numbers[0]) * int(numbers[1]) * 3
+    except ValueError:
+        promised = 12
+    length = max(draw(st.sampled_from([0, 0, 0, -1, 1, -3])) + min(promised, 1200), 0)
+    return header + draw(st.binary(min_size=length, max_size=length))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=ppm_files())
+def test_decode_ppm_returns_a_frame_or_raises_format_error(data):
+    try:
+        frame = decode_ppm(data)
+    except FormatError:
+        return
+    assert frame.pixels.size == frame.width * frame.height * 3
+    assert data.endswith(frame.pixels.tobytes())
+
+
+@pytest.fixture(scope="module")
+def ppm_workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ppm_property")
+    frames = root / "frames"
+    frames.mkdir()
+    (frames / "manifest.json").write_text(
+        json.dumps({"frame_count": 3, "fps": 25, "pattern": "frame_%d.ppm"})
+    )
+    config = write_mean_config(root / "config.json", input={"width": 4, "height": 4})
+    return root, frames, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=ppm_files(), position=st.integers(0, 2))
+def test_run_exit_code_contract_over_ppm_files(ppm_workspace, data, position):
+    """The drawn file is frame 0, whose header fixes the sequence's shape,
+    or a later frame, which is decoded on a scoring thread."""
+    root, frames, config = ppm_workspace
+    for i in range(3):
+        frame = encode_ppm(solid_frame(GOLDEN_COLORS[4], index=i, size=2))
+        (frames / f"frame_{i}.ppm").write_bytes(data if i == position else frame)
+    run_exit_code(root, frames, config)
 
 
 # -- ground-truth and detections CSV -----------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -99,10 +100,23 @@ class TestResize:
             want = resize_integer(frame.pixels, out_w, out_h)
             assert np.array_equal(got, want), f"{in_w}x{in_h} -> {out_w}x{out_h}"
 
-    # Either side of the int32 bound, 256 * D_y * D_x <= 2**31, with
-    # D = width * height for these downscales: at 3840x2160 the sums fit in
-    # int32 but 2 * sum + D would not; at 4096x2304 they run in int64.
-    @pytest.mark.parametrize("width, height", [(3840, 2160), (4096, 2304)])
+    # Either side of the int32 bound, 256 * D_y * D_x <= 2**31, where each
+    # axis's D is its source size divided by gcd(size, 300) for these
+    # downscales. At 3840x2160 (D = 2,304) and 4096x2304 (D = 196,608) the
+    # sums run in int32; 4096x2304 ran in int64 before the gcd reduction.
+    # 4099x2311 is coprime to 300 on both axes (D = 9,472,789), so its sums
+    # run in int64.
+    BOUND_GEOMETRIES = [(3840, 2160), (4096, 2304), (4099, 2311)]
+
+    @pytest.mark.parametrize(
+        "width, height, int32", [(3840, 2160, True), (4096, 2304, True), (4099, 2311, False)]
+    )
+    def test_denominator_side_of_int32_bound(self, width, height, int32):
+        d_y = preprocess._axis_taps(height, 300)[2]
+        d_x = preprocess._axis_taps(width, 300, 3)[2]
+        assert (256 * d_y * d_x <= 2**31) == int32
+
+    @pytest.mark.parametrize("width, height", BOUND_GEOMETRIES)
     @pytest.mark.parametrize("value", [0, 1, 254, 255])
     def test_constant_frame_either_side_of_int32_bound(self, width, height, value):
         frame = Frame(index=0, pixels=np.full((height, width, 3), value, np.uint8))
@@ -110,11 +124,22 @@ class TestResize:
         assert out.pixels.shape == (300, 300, 3)
         assert np.all(out.pixels == value)
 
-    @pytest.mark.parametrize("width, height", [(3840, 2160), (4096, 2304)])
+    @pytest.mark.parametrize("width, height", BOUND_GEOMETRIES)
     def test_random_frame_either_side_of_int32_bound(self, width, height):
         frame = random_frame(seed=width, width=width, height=height)
         got = resize_aa(frame, 300, 300).pixels
         assert np.array_equal(got, resize_integer(frame.pixels, 300, 300))
+
+    def test_reduced_taps_keep_every_ratio(self):
+        # Dividing weights and denominator by their gcd leaves every
+        # weight / denominator ratio, so the exact result, as it was.
+        for in_n, out_n, channels in [(4096, 300, 3), (2304, 300, 1), (90, 300, 2), (17, 5, 1)]:
+            _, weight, denominator = preprocess._axis_taps(in_n, out_n, channels)
+            full = in_n if out_n < in_n else 2 * out_n
+            common = full // denominator
+            assert full % denominator == 0 and common % math.gcd(in_n, out_n) == 0
+            assert np.all(weight.sum(axis=0) == denominator)
+            assert math.gcd(denominator, int(np.gcd.reduce(weight, axis=None))) == 1
 
     def test_taps_cached_per_geometry(self):
         frame = random_frame(seed=5, width=37, height=23)
