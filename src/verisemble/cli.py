@@ -253,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     workers = {
         "type": int,
         "default": _usable_cpus(),
-        "help": "frame-scoring threads; they share the cores with BLAS "
+        "help": "frame-scoring threads; each frame spreads its work over "
+        "max(1, BLAS threads // workers) cores "
         "(default: the CPUs this process may use, here %(default)s)",
     }
     parser = argparse.ArgumentParser(
@@ -309,6 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(message: str) -> str:
+    """``message`` with every character that is not printable, line breaks
+    included, escaped as a repr escapes it. A message may quote input bytes,
+    such as a record name read from a weight container, and must still be
+    one ``error:`` line."""
+    return "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in message)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.verbose:
@@ -318,7 +327,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (VerisembleError, OSError, ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(str(exc))}", file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()

@@ -34,16 +34,27 @@ conv that cannot make two such strips runs as one strip, which is exactly
 the whole-frame product. So does a one-filter conv: numpy computes its
 product with gemv, whose rounding depends on where a row sits in the
 product.
+
+A thread that has been lent helper threads (``_lend_helpers``; the pipeline
+lends each frame thread its share of the cores) spreads its strips over
+them with ``_spread``. Whichever thread takes a strip runs all of it (copy,
+GEMM, bias, pool) through its own scratch. The strip bounds do not depend
+on the thread count and strips write disjoint rows of the output, so the
+bytes are those of the plain loop. On a thread that has no helpers,
+``conv2d`` and ``forward`` run on the calling thread alone.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import struct
 import threading
+from concurrent import futures
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -436,6 +447,51 @@ _MIN_STRIP_MACS = 1 << 20
 # Each thread's scratch buffers, reused across strips, layers and frames.
 _scratch = threading.local()
 
+# The helper threads lent to this thread, as (executor, how many tasks one
+# call may give it); unset on a thread that has none.
+_lent = threading.local()
+
+
+def _lend_helpers(helpers: Executor, count: int) -> None:
+    """Let ``_spread`` on this thread give up to ``count`` tasks to ``helpers``."""
+    _lent.helpers = (helpers, count) if count > 0 else None
+
+
+def _spread(fn: Callable, items: Sequence) -> None:
+    """Call ``fn`` on every item, on this thread and the helpers lent to it.
+
+    The threads take items from one shared queue until it is empty, so a
+    helper that starts late, or not at all, only takes fewer of them. Once
+    this thread finds the queue empty it cancels the helper tasks that have
+    not started and waits for those that have; an error from any thread is
+    raised here. With no helpers lent this is a plain loop.
+    """
+    helpers = getattr(_lent, "helpers", None)
+    if helpers is None or len(items) < 2:
+        for item in items:
+            fn(item)
+        return
+    executor, count = helpers
+    queue = collections.deque(items)
+
+    def drain() -> None:
+        while True:
+            try:
+                item = queue.popleft()
+            except IndexError:
+                return
+            fn(item)
+
+    tasks = [executor.submit(drain) for _ in range(min(count, len(items) - 1))]
+    try:
+        drain()
+    finally:
+        queue.clear()  # after an error here, helpers take nothing more
+        started = [task for task in tasks if not task.cancel()]
+        futures.wait(started)
+    for task in started:
+        task.result()
+
 
 def _scratch_buffer(slot: str, size: int) -> np.ndarray:
     """``size`` float64s of this thread's buffer ``slot``, grown on demand."""
@@ -533,7 +589,10 @@ def conv2d(
     matrix = kernel.reshape(depth, filters)
     out = np.empty((out_h // pool, out_w // pool, filters))
     bounds = _strip_bounds(out_h, out_w, depth, filters, pool)
-    for r0, r1 in zip(bounds, bounds[1:]):
+
+    # Strips write disjoint rows of ``out``, each through its thread's scratch.
+    def run_strip(rows: tuple[int, int]) -> None:
+        r0, r1 = rows
         m = (r1 - r0) * out_w
         strip = _scratch_buffer("cols", m * depth).reshape(r1 - r0, out_w, kh, kw, in_ch)
         strip[...] = cols[r0:r1]
@@ -544,8 +603,9 @@ def conv2d(
         np.dot(strip.reshape(m, depth), matrix, out=prod)
         prod += bias
         if pool > 1:
-            rows = out[r0 // pool : r1 // pool]
-            _pool_into(prod.reshape(r1 - r0, out_w, filters), pool, rows)
+            _pool_into(prod.reshape(r1 - r0, out_w, filters), pool, out[r0 // pool : r1 // pool])
+
+    _spread(run_strip, list(zip(bounds, bounds[1:])))
     return out
 
 
@@ -818,7 +878,10 @@ class _RecordReader:
             for dim in dims:
                 count *= dim
             payload = self.take(4 * count, f"data of {name}")
-            arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
+            try:
+                arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
+            except ValueError as exc:  # more dims than numpy holds, or a size past its index type
+                raise FormatError(f"record {name!r}: no array has dims {dims}") from exc
             yield name, arr
 
 

@@ -13,11 +13,17 @@ negative whatever the verifier would say. Per-stage label streams are
 fused by the verification chain and the surviving positives collapse
 into timestamped events.
 
-While a pool of ``workers`` threads scores frames, numpy's OpenBLAS runs
-at ``max(1, n // workers)`` threads instead of its ``n``, so frame threads
-own the cores. The count is process-wide: other threads calling BLAS
-meanwhile see it too. Outputs do not change, because a forward pass gives
-the same bits at any BLAS thread count.
+While a pool of ``workers`` threads scores frames, each frame gets
+``max(1, n // workers)`` cores, ``n`` being numpy's OpenBLAS thread count
+on entry, and OpenBLAS is held at one thread. A frame thread with more
+than one core spreads its conv strips and resize bands over helper threads
+of this call (``nn._spread``), so its cores run whole strips and bands, not
+only the GEMM inside them. The helpers are joined when the call returns or
+raises; with one core per frame, or no OpenBLAS found, there are none. The
+BLAS count is process-wide: other threads calling BLAS meanwhile see it
+too. Outputs do not change: strip bounds do not depend on the thread
+count, strips and bands write disjoint rows, the resize is integer
+arithmetic, and a GEMM gives the same bits at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .ensemble import FusionConfig, PredictionSeries, chain_fuse, pack_mode
 from .errors import LoadError, ValidationError
 from .evaluate import DetectionEvent, events_from_series
 from .frameio import Frame
-from .nn import ModelSpec, WeightStore, classify, forward, load_weights
+from .nn import ModelSpec, WeightStore, _lend_helpers, classify, forward, load_weights
 from .preprocess import extract_features, resize_aa
 
 __all__ = [
@@ -200,26 +206,27 @@ _blas_pools = 0
 
 
 @contextmanager
-def _blas_threads_split(workers: int) -> Iterator[None]:
-    """Hold BLAS at no more than ``max(1, n // workers)`` threads inside the
-    block, ``n`` being the saved count. A block that starts while others
-    run may lower the count further but never raises it; the last block to
-    finish restores ``n``."""
+def _frame_cores(workers: int) -> Iterator[int]:
+    """Hold BLAS at one thread inside the block and yield the cores each of
+    ``workers`` frame threads may use: ``max(1, n // workers)``, ``n`` being
+    the saved count. The last overlapping block to finish restores ``n``.
+    Where no OpenBLAS is found, BLAS is left alone and each frame gets one
+    core."""
     global _blas_saved, _blas_pools
     api = _blas_thread_api()
     if api is None:
-        yield
+        yield 1
         return
     get, put = api
     with _blas_lock:
         if _blas_pools == 0:
             _blas_saved = get()
         _blas_pools += 1
-        target = max(1, _blas_saved // workers)
-        if target < get():
-            put(target)
+        cores = max(1, _blas_saved // workers)
+        if get() != 1:
+            put(1)
     try:
-        yield
+        yield cores
     finally:
         with _blas_lock:
             _blas_pools -= 1
@@ -243,11 +250,12 @@ def run_pipeline(
     values are identical for every worker count because each frame is
     scored independently and results are collected in input order.
 
-    While the pool runs, numpy's BLAS thread count ``n`` is lowered to
-    ``max(1, n // workers)``, or lower while other calls overlap, and the
-    last overlapping call to finish restores ``n``, also when scoring
-    raises. The count is process-wide: other threads calling BLAS at that
-    time see the lower count.
+    While the pool runs, numpy's BLAS thread count ``n`` is held at one,
+    and the last overlapping call to finish restores ``n``, also when
+    scoring raises. The count is process-wide: other threads calling BLAS
+    at that time see it. Each scoring thread may spread its conv strips and
+    resize bands over ``max(1, n // workers) - 1`` helper threads of this
+    call, which are joined before it returns or raises.
     """
     n = len(frames)
     if not (fps > 0):
@@ -268,7 +276,15 @@ def run_pipeline(
             labels=tuple(classify(s, config.threshold) for s in scores), scores=scores
         )
 
-    with _blas_threads_split(workers), ThreadPoolExecutor(max_workers=workers) as pool:
+    # Each frame thread may give its conv strips and resize bands to
+    # ``cores - 1`` helper threads of this call. Helper threads start only
+    # when first given work, and are joined, after the frame threads, when
+    # the block exits.
+    with _frame_cores(workers) as cores, ThreadPoolExecutor(
+        max(1, workers * (cores - 1)), thread_name_prefix="verisemble-helper"
+    ) as helpers, ThreadPoolExecutor(
+        workers, initializer=_lend_helpers, initargs=(helpers, cores - 1)
+    ) as pool:
         prepared = list(pool.map(first_pass, range(n)))
         resized = [frame for frame, _ in prepared]
         stage_series = [series([score for _, score in prepared])]

@@ -6,6 +6,10 @@ and falls back to bilinear interpolation on upscale. Feature extraction
 selects channel subsets, or a derived luma channel, scaled into [0, 1].
 
 All functions are pure and safe to run data-parallel across frames.
+``resize_aa`` computes in bands of output rows; on a frame thread lent
+helper threads by the pipeline it spreads the bands over them with
+``nn._spread``. Each band writes its own output rows with integer
+arithmetic, so the bytes do not depend on which thread ran it.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .frameio import Frame
+from .nn import _spread
 
 __all__ = [
     "BT601_LUMA",
@@ -65,6 +70,13 @@ class ChannelSubset(enum.Enum):
                 return member
         valid = ", ".join(m.value for m in cls)
         raise ValidationError(f"unknown channel subset {text!r}; expected one of {valid}")
+
+
+# About the bytes of one band's resize temporaries: the gathered source rows,
+# their sums and the gathered columns of those sums. At 1280x720 -> 300x300
+# each of them then stays under glibc's default 128 KiB mmap threshold, so
+# bands reuse heap memory rather than map and fault in fresh pages.
+_BAND_BYTES = 1 << 18
 
 
 def _round_half_up_u8(values: np.ndarray) -> np.ndarray:
@@ -141,8 +153,10 @@ def resize_aa(frame: Frame, out_w: int, out_h: int) -> Frame:
     still is, with ``D`` reduced by the gcds to 196,608) and in int64
     otherwise, which holds them while every axis of the frame and the
     target is under 2**26 pixels. The per-axis taps are
-    built once per geometry and cached. Same-size requests return the input
-    byte-identically.
+    built once per geometry and cached. The sums run in bands of output
+    rows with about ``_BAND_BYTES`` of temporaries, each written straight
+    into its rows of the output; on a thread lent helpers the bands are
+    spread over them. Same-size requests return the input byte-identically.
     """
     if out_w < 1 or out_h < 1:
         raise ValueError(f"resize target must be at least 1x1, got {out_w}x{out_h}")
@@ -154,19 +168,30 @@ def resize_aa(frame: Frame, out_w: int, out_h: int) -> Frame:
     x_index, x_weight, d_x = _axis_taps(width, out_w, channels)
     denominator = d_y * d_x
     dtype = np.int32 if 256 * denominator <= 2**31 else np.int64
-    # Gather every tap's source rows at once and sum them over the tap axis
-    # k, then the same for the columns. Each gathered copy is a temporary,
-    # freed as soon as its sum is taken.
+    y_weight, x_weight = y_weight.astype(dtype), x_weight.astype(dtype)
     rows = frame.pixels.reshape(height, width * channels)
-    sums = np.einsum(
-        "kjx,kj->jx", np.take(rows, y_index, axis=0), y_weight.astype(dtype), dtype=dtype
-    )
-    sums = np.einsum(
-        "ykj,kj->yj", np.take(sums, x_index, axis=1), x_weight.astype(dtype), dtype=dtype
-    )
-    sums += denominator // 2
-    sums //= denominator
-    pixels = sums.astype(np.uint8).reshape(out_h, out_w, channels)
+    out = np.empty((out_h, out_w * channels), np.uint8)
+    # Per output row: its gathered source rows, their sum, and that sum's
+    # gathered columns, the largest of the band's temporaries.
+    row_bytes = len(y_index) * width * channels + (
+        width * channels + len(x_index) * out_w * channels
+    ) * np.dtype(dtype).itemsize
+    band = max(1, _BAND_BYTES // row_bytes)
+
+    # Each band gathers every tap's source rows and sums them over the tap
+    # axis k, then the same for the columns, and rounds into its own rows.
+    def run_band(j0: int) -> None:
+        j = slice(j0, min(j0 + band, out_h))
+        sums = np.einsum(
+            "kjx,kj->jx", np.take(rows, y_index[:, j], axis=0), y_weight[:, j], dtype=dtype
+        )
+        sums = np.einsum("ykj,kj->yj", np.take(sums, x_index, axis=1), x_weight, dtype=dtype)
+        sums += denominator // 2
+        sums //= denominator
+        out[j] = sums
+
+    _spread(run_band, range(0, out_h, band))
+    pixels = out.reshape(out_h, out_w, channels)
     return Frame(index=frame.index, pixels=pixels)
 
 

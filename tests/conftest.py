@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from verisemble import Frame, encode_ppm
+from verisemble import Frame, encode_ppm, nn, pipeline
 
 # CI keeps no example database between runs, so it runs derandomized and a
 # failure prints the blob that replays it (`@reproduce_failure`). Select the
@@ -79,3 +80,24 @@ def golden_sequence(tmp_path: Path) -> Path:
 @pytest.fixture
 def mean_config(tmp_path: Path) -> Path:
     return write_mean_config(tmp_path / "config.json")
+
+
+@pytest.fixture(params=[0, 1, 3], ids=["helpers0", "helpers1", "helpers3"])
+def lent_helpers(request):
+    """A function that runs ``fn(*args)`` on a thread lent 0, 1, then 3
+    helper threads, as a frame thread of ``run_pipeline`` is, with numpy's
+    OpenBLAS held at one thread in-process where its count can be set."""
+    count = request.param
+    api = pipeline._blas_thread_api()
+    saved = api[0]() if api else None
+    if api:
+        api[1](1)
+    try:
+        with ThreadPoolExecutor(max(1, count), thread_name_prefix="test-helper") as helpers:
+            with ThreadPoolExecutor(
+                1, initializer=nn._lend_helpers, initargs=(helpers, count)
+            ) as caller:
+                yield lambda fn, *args: caller.submit(fn, *args).result(timeout=600)
+    finally:
+        if api:
+            api[1](saved)

@@ -219,7 +219,11 @@ class TestRun:
 
     def test_workers_identical_bytes_with_cnn_stages(self, tmp_path):
         # Stock CNN stages at 160x120, where every conv but the last two runs
-        # in several strips through each scoring thread's own scratch.
+        # in several strips through each scoring thread's own scratch, over
+        # 320x240 frames that resize in several bands. At --workers 1 and 2
+        # a frame thread on a host of 2 or more cores spreads its strips
+        # and bands over helper threads; at --workers 4 on up to 7 cores it
+        # has none.
         from verisemble import default_model_spec, random_weights, save_weights
 
         for name, channels in (("rgb", 3), ("luma", 1)):
@@ -235,10 +239,10 @@ class TestRun:
                 {"channels": "L", "model": {"type": "cnn", "weights": "luma.weights"}},
             ],
         }))
-        frames = write_random_sequence(tmp_path / "frames", 10, 160, 120)
+        frames = write_random_sequence(tmp_path / "frames", 10, 320, 240)
         (tmp_path / "gt.csv").write_text("start_s,end_s\n0.2,0.5\n")
         outputs = []
-        for workers in ("1", "2"):
+        for workers in ("1", "2", "4"):
             out = tmp_path / f"out{workers}"
             assert main([
                 "run", "--config", str(config), "--frames", str(frames),
@@ -248,7 +252,7 @@ class TestRun:
                 (out / name).read_bytes()
                 for name in ("detections.csv", "predictions.csv", "report.json")
             ])
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("geometry", ["golden", "downscaled", "empty"])

@@ -12,6 +12,8 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from verisemble import (
     FormatError,
+    Frame,
     LayerSpec,
     LoadError,
     ModelSpec,
@@ -32,6 +35,7 @@ from verisemble import (
     forward,
     load_weights,
     random_weights,
+    resize_aa,
     save_weights,
 )
 from verisemble import cli, nn, pipeline
@@ -799,12 +803,12 @@ def blas_threads(request):
     put(saved)
 
 
-def test_conv_strips_match_the_whole_product(blas_threads):
-    """Mid-size conv blocks, each run in several strips, are bit-identical
-    to the whole-frame product (then max-pooled) at 1 and 2 BLAS threads."""
+def strip_cases(count: int):
+    """``count`` seeded mid-size conv blocks that each run in several strips:
+    ``(case, x, kernel, bias, stride, padding, pool)``."""
     rng = np.random.default_rng(2131)
     engaged = 0
-    while engaged < 60:
+    while engaged < count:
         h, w = (int(v) for v in rng.integers(24, 121, 2))
         channels, filters = int(rng.integers(1, 25)), int(rng.integers(1, 49))
         kh, kw = (int(v) for v in rng.integers(1, 6, 2))
@@ -818,13 +822,34 @@ def test_conv_strips_match_the_whole_product(blas_threads):
         x = rng.standard_normal((h, w, channels))
         kernel = rng.standard_normal((kh, kw, channels, filters)).astype(np.float32)
         bias = rng.standard_normal(filters).astype(np.float32)
-        want = oracles.conv2d_frozen(x, kernel, bias, stride, padding)
-        if pool > 1:
-            want = oracles._maxpool_frozen(want, pool)
-        got = conv2d(x, kernel, bias, stride, padding, pool)
         case = (h, w, channels, filters, kh, kw, stride, pool, padding)
+        yield case, x, kernel, bias, stride, padding, pool
+
+
+def frozen_conv(x, kernel, bias, stride, padding, pool) -> np.ndarray:
+    want = oracles.conv2d_frozen(x, kernel, bias, stride, padding)
+    return oracles._maxpool_frozen(want, pool) if pool > 1 else want
+
+
+def test_conv_strips_match_the_whole_product(blas_threads):
+    """Mid-size conv blocks, each run in several strips, are bit-identical
+    to the whole-frame product (then max-pooled) at 1 and 2 BLAS threads."""
+    for case, *args in strip_cases(60):
+        want = frozen_conv(*args)
+        got = conv2d(*args)
         assert got.shape == want.shape, case
         assert got.tobytes() == want.tobytes(), case
+
+
+def test_conv_strips_spread_over_helpers_match_the_whole_product(lent_helpers):
+    """The same blocks, their strips spread over 0, 1 and 3 helper threads
+    at one BLAS thread, equal the frozen product and the calling thread's
+    own result byte for byte."""
+    for case, *args in strip_cases(60):
+        want = frozen_conv(*args)
+        got = lent_helpers(conv2d, *args)
+        assert got.shape == want.shape, case
+        assert got.tobytes() == want.tobytes() == conv2d(*args).tobytes(), case
 
 
 class TestStrips:
@@ -911,6 +936,63 @@ class TestStrips:
             conv2d(np.zeros((4, 4, 1)), np.ones((3, 3, 1, 1)), np.zeros(1), 2, "valid", 2)
         with pytest.raises(ValueError, match="pool"):
             conv2d(np.zeros((4, 4, 1)), np.ones((3, 3, 1, 1)), np.zeros(1), pool=0)
+
+
+class TestSpread:
+    @staticmethod
+    def on_lent_thread(helpers, count, fn, *args):
+        """``fn(*args)`` on a new thread lent ``count`` tasks of ``helpers``."""
+        with ThreadPoolExecutor(1, initializer=nn._lend_helpers, initargs=(helpers, count)) as caller:
+            return caller.submit(fn, *args).result(timeout=600)
+
+    def test_without_helpers_is_a_loop_on_the_calling_thread(self):
+        seen = []
+        nn._spread(lambda item: seen.append((item, threading.get_ident())), range(5))
+        assert seen == [(i, threading.get_ident()) for i in range(5)]
+
+    def test_every_item_runs_once_across_helpers(self):
+        seen, lock = [], threading.Lock()
+
+        def record(item):
+            time.sleep(0.001)
+            with lock:
+                seen.append((item, threading.current_thread().name))
+
+        with ThreadPoolExecutor(3, thread_name_prefix="spread-helper") as helpers:
+            self.on_lent_thread(helpers, 3, nn._spread, record, list(range(200)))
+        assert sorted(item for item, _ in seen) == list(range(200))
+        assert any(name.startswith("spread-helper") for _, name in seen)
+
+    def test_a_helper_error_is_raised_to_the_caller(self):
+        def fail_on_helper(item):
+            if threading.current_thread().name.startswith("spread-helper"):
+                raise RuntimeError("helper failed")
+            time.sleep(0.001)
+
+        with ThreadPoolExecutor(1, thread_name_prefix="spread-helper") as helpers:
+            with pytest.raises(RuntimeError, match="helper failed"):
+                self.on_lent_thread(helpers, 1, nn._spread, fail_on_helper, list(range(200)))
+
+    def test_stalled_helper_leaves_the_work_to_the_caller(self):
+        # The only helper thread is blocked, so no strip or band is given to
+        # it; the caller runs them all, cancels the queued helper tasks and
+        # returns without waiting for the blocked thread.
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((300, 300, 3))
+        kernel = rng.standard_normal((3, 3, 3, 16)).astype(np.float32)
+        bias = rng.standard_normal(16).astype(np.float32)
+        frame = Frame(index=0, pixels=rng.integers(0, 256, (720, 1280, 3), dtype=np.uint8))
+        release = threading.Event()
+        with ThreadPoolExecutor(1) as helpers:
+            blocked = helpers.submit(release.wait, 600)
+            try:
+                conv = self.on_lent_thread(helpers, 3, conv2d, x, kernel, bias, 1, "same", 2)
+                small = self.on_lent_thread(helpers, 3, resize_aa, frame, 300, 300)
+                assert not blocked.done()
+            finally:
+                release.set()
+        assert conv.tobytes() == conv2d(x, kernel, bias, 1, "same", 2).tobytes()
+        assert small.pixels.tobytes() == resize_aa(frame, 300, 300).pixels.tobytes()
 
 
 # Scores the stock RGB and luma stages on seeded 300x300 frames through

@@ -1,22 +1,35 @@
 """Property tests of the exit-code contract over the text inputs.
 
-Every pipeline config object, ``manifest.json`` object, weight-container spec,
-PPM frame file and ground-truth or detections CSV text either parses, or makes
-``cli.main`` exit 2 with exactly one ``error:`` line; it never exits 1 (an
-internal error with a traceback).
+Every pipeline config object, ``manifest.json`` object, weight-container spec
+and record bytes, PPM frame file and ground-truth or detections CSV text
+either parses, or makes ``cli.main`` exit 2 with exactly one ``error:`` line;
+it never exits 1 (an internal error with a traceback).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
+import math
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verisemble import FormatError, decode_ppm, encode_ppm
+from verisemble import (
+    FormatError,
+    LayerSpec,
+    ModelSpec,
+    decode_ppm,
+    encode_ppm,
+    load_weights,
+    random_weights,
+    save_weights,
+)
 from verisemble.cli import main
 
 from conftest import GOLDEN_COLORS, solid_frame, write_mean_config
@@ -364,6 +377,141 @@ def test_run_exit_code_contract_over_ppm_files(ppm_workspace, data, position):
         frame = encode_ppm(solid_frame(GOLDEN_COLORS[4], index=i, size=2))
         (frames / f"frame_{i}.ppm").write_bytes(data if i == position else frame)
     run_exit_code(root, frames, config)
+
+
+# -- weight-container records ------------------------------------------------
+
+
+def record_spec() -> ModelSpec:
+    """A small model that holds every kind of weight record: conv, batchnorm
+    and dense arrays of rank 4, 2 and 1."""
+    return ModelSpec(
+        input_shape=(8, 8, 3),
+        layers=(
+            LayerSpec.conv("c1", 4, (3, 3), activation="relu"),
+            LayerSpec.maxpool("p1"),
+            LayerSpec.batchnorm("bn1"),
+            LayerSpec.flatten(),
+            LayerSpec.dense("d1", 4, activation="relu"),
+            LayerSpec.dense("out", 1, activation="sigmoid"),
+        ),
+    )
+
+
+@functools.cache
+def record_container() -> tuple[bytes, tuple[tuple[int, int, int], ...]]:
+    """The saved bytes of :func:`record_spec` with seeded weights, and each
+    record's ``(name length offset, rank offset, rank)``."""
+    spec = record_spec()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.weights"
+        save_weights(path, spec, random_weights(spec, seed=6))
+        data = path.read_bytes()
+    (spec_len,) = struct.unpack("<I", data[8:12])
+    pos, fields = 12 + spec_len, []
+    while pos < len(data):
+        (name_len,) = struct.unpack("<H", data[pos : pos + 2])
+        rank_at = pos + 2 + name_len
+        rank = data[rank_at]
+        dims = struct.unpack(f"<{rank}I", data[rank_at + 1 : rank_at + 1 + 4 * rank])
+        fields.append((pos, rank_at, rank))
+        pos = rank_at + 1 + 4 * rank + 4 * math.prod(dims)
+    return data, tuple(fields)
+
+
+@st.composite
+def corrupted_containers(draw) -> bytes:
+    """The record container truncated, with bits flipped, or with a
+    record's name length, rank or dims, or the spec length, overwritten."""
+    data, fields = record_container()
+    out = bytearray(data)
+    kind = draw(st.sampled_from(["truncate", "flip", "name_len", "rank", "dims", "spec_len"]))
+    if kind == "truncate":
+        return bytes(out[: draw(st.integers(0, len(out) - 1))])
+    if kind == "flip":
+        # Half the flips land in the record headers, where they change a
+        # length, a name or a rank rather than a float.
+        headers = [at for name_at, rank_at, rank in fields
+                   for at in range(name_at, rank_at + 1 + 4 * rank)]
+        for _ in range(draw(st.integers(1, 8))):
+            at = draw(st.one_of(st.sampled_from(headers), st.integers(0, len(out) - 1)))
+            out[at] ^= 1 << draw(st.integers(0, 7))
+        return bytes(out)
+    name_at, rank_at, rank = draw(st.sampled_from(fields))
+    if kind == "name_len":
+        out[name_at : name_at + 2] = struct.pack("<H", draw(st.integers(0, 2**16 - 1)))
+    elif kind == "rank":
+        out[rank_at] = draw(st.integers(0, 255))
+    elif kind == "dims":
+        dims = draw(st.lists(st.sampled_from([0, 1, 2, 3, 4, 64, 2**31, 2**32 - 1]),
+                             min_size=rank, max_size=rank))
+        out[rank_at + 1 : rank_at + 1 + 4 * rank] = struct.pack(f"<{rank}I", *dims)
+    else:
+        out[8:12] = struct.pack("<I", draw(st.integers(0, 2**32 - 1)))
+    return bytes(out)
+
+
+# A rank numpy cannot hold, or dims whose product overflows its index type,
+# when another dim is 0 so that the payload length is 0: each made
+# `load_weights` raise numpy's ValueError from the reshape.
+RESHAPE_ESCAPES = {
+    "rank-65": (65, [0] * 65),
+    "rank-255": (255, [1] * 254 + [0]),
+    "size-past-intp": (3, [2**32 - 1, 2**32 - 1, 0]),
+}
+
+
+class TestContainerRecordBytes:
+    @settings(max_examples=500, deadline=None)
+    @given(data=corrupted_containers())
+    def test_load_returns_weights_or_raises_format_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "corrupt.weights"
+        path.write_bytes(data)
+        try:
+            load_weights(path)
+        except FormatError:
+            pass
+
+    @pytest.mark.parametrize("rank, dims", RESHAPE_ESCAPES.values(), ids=RESHAPE_ESCAPES.keys())
+    def test_dims_numpy_cannot_shape_raise_format_error(self, tmp_path, rank, dims):
+        data, fields = record_container()
+        name_at, rank_at, _ = fields[0]
+        record = data[name_at:rank_at] + struct.pack(f"<B{rank}I", rank, *dims)
+        path = tmp_path / "bad_dims.weights"
+        path.write_bytes(data + record)
+        with pytest.raises(FormatError, match="c1/kernel"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("name", ["c1/\nkernel", "c1/\rkernel", "c1/\u2028kernel"])
+    def test_record_name_with_a_line_break_is_one_error_line(self, record_workspace, name):
+        # Truncated after its name, the record is named in the error. Each
+        # of these names split the message into two lines.
+        root, frames, config = record_workspace
+        data, _ = record_container()
+        raw = name.encode()
+        (root / "model.weights").write_bytes(data + struct.pack("<H", len(raw)) + raw)
+        assert run_exit_code(root, frames, config) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=corrupted_containers())
+    def test_run_exit_code_contract(self, record_workspace, data):
+        root, frames, config = record_workspace
+        (root / "model.weights").write_bytes(data)
+        run_exit_code(root, frames, config)
+
+
+@pytest.fixture(scope="module")
+def record_workspace(run_workspace):
+    """:func:`run_workspace`'s 8x8 frames, with a config whose one CNN stage
+    reads ``model.weights`` beside it."""
+    root, frames, _ = run_workspace
+    config = root / "cnn_config.json"
+    config.write_text(json.dumps({
+        "config_version": 1,
+        "input": {"width": 8, "height": 8},
+        "stages": [{"channels": "RGB", "model": {"type": "cnn", "weights": "model.weights"}}],
+    }))
+    return root, frames, config
 
 
 # -- ground-truth and detections CSV -----------------------------------------

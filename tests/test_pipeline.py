@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import tempfile
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -36,7 +37,7 @@ from verisemble import (
     run_pipeline,
     save_weights,
 )
-from verisemble import cli, pipeline
+from verisemble import cli, nn, pipeline
 
 from conftest import (
     BLACK,
@@ -518,11 +519,13 @@ def run_golden_with(models, workers: int):
 
 class TestBlasThreadsWhileScoring:
     def test_pool_scores_at_split_count_then_restores_it(self):
+        # Frame threads take their share of the cores through helper
+        # threads, so BLAS runs at one thread while the pool scores.
         previous = blas_api()[0]()
         models = (BlasReadingModel(), BlasReadingModel())
         run_golden_with(models, workers=2)
         assert [len(model.seen) for model in models] == [9, 5]
-        assert set(models[0].seen + models[1].seen) == {max(1, previous // 2)}
+        assert set(models[0].seen + models[1].seen) == {1}
         assert blas_api()[0]() == previous
 
     @pytest.mark.parametrize("failing_stage, fail_at", [(0, 4), (1, 3)])
@@ -532,12 +535,12 @@ class TestBlasThreadsWhileScoring:
         models[failing_stage] = BlasReadingModel(fail_at=fail_at)
         with pytest.raises(RuntimeError, match="stage model failed"):
             run_golden_with(tuple(models), workers=2)
-        assert models[failing_stage].seen[0] == max(1, previous // 2)
+        assert models[failing_stage].seen[0] == 1
         assert blas_api()[0]() == previous
 
     @pytest.mark.parametrize(
         "start, workers, sets",
-        [(4, 1, []), (4, 2, [2, 4]), (4, 3, [1, 4]), (2, 8, [1, 2]), (1, 2, [])],
+        [(4, 1, [1, 4]), (4, 2, [1, 4]), (4, 3, [1, 4]), (2, 8, [1, 2]), (1, 2, [])],
     )
     def test_split_and_restore_calls(self, monkeypatch, start, workers, sets):
         blas = FakeBlas(start)
@@ -548,14 +551,132 @@ class TestBlasThreadsWhileScoring:
     def test_overlapping_splits_restore_the_count_saved_first(self, monkeypatch):
         blas = FakeBlas(4)
         monkeypatch.setattr(pipeline, "_blas_thread_api", lambda: (blas.get, blas.set))
-        first, second = pipeline._blas_threads_split(2), pipeline._blas_threads_split(4)
-        first.__enter__()
-        second.__enter__()
+        first, second = pipeline._frame_cores(2), pipeline._frame_cores(4)
+        assert first.__enter__() == 2
+        assert second.__enter__() == 1
         first.__exit__(None, None, None)
         assert blas.threads == 1
         second.__exit__(None, None, None)
         assert blas.threads == 4
-        assert blas.sets == [2, 1, 4]
+        assert blas.sets == [1, 4]
+
+    @pytest.mark.parametrize(
+        "start, workers, cores", [(4, 1, 4), (4, 2, 2), (4, 3, 1), (2, 8, 1), (1, 1, 1)]
+    )
+    def test_frame_threads_are_lent_their_share_of_the_cores(
+        self, monkeypatch, start, workers, cores
+    ):
+        blas = FakeBlas(start)
+        monkeypatch.setattr(pipeline, "_blas_thread_api", lambda: (blas.get, blas.set))
+        models = (LentHelpersModel(), LentHelpersModel())
+        run_golden_with(models, workers=workers)
+        assert set(models[0].lent + models[1].lent) == {cores - 1}
+
+
+class LentHelpersModel:
+    """Mean-intensity stage that records how many helper tasks its calling
+    thread may give to helper threads."""
+
+    def __init__(self) -> None:
+        self.lent: list[int] = []
+
+    def score(self, features: np.ndarray) -> float:
+        helpers = getattr(nn._lent, "helpers", None)
+        self.lent.append(0 if helpers is None else helpers[1])
+        return MeanIntensityModel().score(features)
+
+
+def helper_threads() -> set[str]:
+    return {t.name for t in threading.enumerate() if t.name.startswith("verisemble-helper")}
+
+
+class ConvModel:
+    """Stage whose score runs a conv of several strips on its features, and
+    that records the helper threads alive at each call and raises at call
+    number ``fail_at``."""
+
+    def __init__(self, fail_at: int | None = None) -> None:
+        rng = np.random.default_rng(23)
+        self.kernel = rng.standard_normal((3, 3, 3, 16)).astype(np.float32)
+        self.bias = rng.standard_normal(16).astype(np.float32)
+        self.fail_at = fail_at
+        self.helpers_seen: set[str] = set()
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def score(self, features: np.ndarray) -> float:
+        x = np.repeat(features[..., :1], 3, axis=2)
+        out = nn.conv2d(x, self.kernel, self.bias, pool=2)
+        with self._lock:
+            self.calls += 1
+            self.helpers_seen |= helper_threads()
+            if self.calls == self.fail_at:
+                raise RuntimeError("stage model failed")
+        return float(1.0 / (1.0 + np.exp(-out.mean())))
+
+
+def conv_pipeline() -> PipelineConfig:
+    # A 160x160 conv runs in 5 strips; 320x120 frames resize in 6 bands.
+    return mean_pipeline(input_width=160, input_height=160)
+
+
+def conv_frames() -> list:
+    return [random_frame(seed=40 + i, width=320, height=120) for i in range(6)]
+
+
+def run_conv_pipeline(models, workers: int):
+    with mock.patch.object(pipeline, "build_stage_models", return_value=models):
+        return run_pipeline(conv_pipeline(), conv_frames(), fps=5.0, workers=workers)
+
+
+class TestHelperThreads:
+    """Frame threads lent helpers, with BLAS faked at 4 threads so that a
+    frame gets ``4 // workers`` cores on any host."""
+
+    @pytest.fixture(autouse=True)
+    def four_blas_threads(self, monkeypatch):
+        blas = FakeBlas(4)
+        monkeypatch.setattr(pipeline, "_blas_thread_api", lambda: (blas.get, blas.set))
+
+    def test_no_helper_thread_remains_after_return(self):
+        models = (ConvModel(), ConvModel())
+        run_conv_pipeline(models, workers=1)
+        assert models[0].helpers_seen  # the frame threads did start helpers
+        assert helper_threads() == set()
+
+    @pytest.mark.parametrize("failing_stage, fail_at", [(0, 2), (1, 1)])
+    def test_no_helper_thread_remains_after_raise(self, failing_stage, fail_at):
+        models = [ConvModel(), ConvModel()]
+        models[failing_stage] = ConvModel(fail_at=fail_at)
+        with pytest.raises(RuntimeError, match="stage model failed"):
+            run_conv_pipeline(tuple(models), workers=1)
+        assert models[0].helpers_seen
+        assert helper_threads() == set()
+
+    def test_results_equal_across_worker_counts(self):
+        results = [run_conv_pipeline((ConvModel(), ConvModel()), workers) for workers in (1, 2, 4)]
+        assert results[0] == results[1] == results[2]
+
+    def test_overlapping_calls_keep_their_own_helpers(self):
+        # Two calls at a time, each with its own helpers; one finishing
+        # (and joining its helpers) while the other runs must not stop it.
+        want = run_conv_pipeline((ConvModel(), ConvModel()), workers=1)
+        start = threading.Barrier(2)
+
+        def call(workers):
+            start.wait(timeout=60)
+            return run_pipeline(conv_pipeline(), conv_frames(), fps=5.0, workers=workers)
+
+        def fresh_models(config):
+            return ConvModel(), ConvModel()
+
+        # One patch around both calls: mock.patch is not thread-safe.
+        with mock.patch.object(pipeline, "build_stage_models", side_effect=fresh_models):
+            for _ in range(3):
+                with ThreadPoolExecutor(max_workers=2) as callers:
+                    calls = [callers.submit(call, 1), callers.submit(call, 2)]
+                    assert [f.result(timeout=600) for f in calls] == [want, want]
+        assert helper_threads() == set()
 
 
 @pytest.fixture

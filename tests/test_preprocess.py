@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -41,6 +42,19 @@ class TestChannelSubset:
     def test_parse_unknown(self):
         with pytest.raises(ValidationError):
             ChannelSubset.parse("RGBA")
+
+
+@functools.cache
+def band_cases() -> list[tuple[Frame, int, int, np.ndarray]]:
+    """Seeded resize cases, ``(frame, out_w, out_h, integer reference)``."""
+    rng = random.Random(1551)
+    geometries = [(1280, 720, 300, 300), (4099, 2311, 300, 300)]
+    geometries += [tuple(rng.randint(1, 400) for _ in range(4)) for _ in range(30)]
+    cases = []
+    for case, (in_w, in_h, out_w, out_h) in enumerate(geometries):
+        frame = random_frame(seed=900 + case, width=in_w, height=in_h, channels=1 + 2 * (case % 2))
+        cases.append((frame, out_w, out_h, resize_integer(frame.pixels, out_w, out_h)))
+    return cases
 
 
 class TestResize:
@@ -129,6 +143,20 @@ class TestResize:
         frame = random_frame(seed=width, width=width, height=height)
         got = resize_aa(frame, 300, 300).pixels
         assert np.array_equal(got, resize_integer(frame.pixels, 300, 300))
+
+    @pytest.mark.parametrize("band_bytes", [preprocess._BAND_BYTES, 1], ids=["stock", "1row"])
+    def test_bands_spread_over_helpers_match_reference(self, lent_helpers, band_bytes, monkeypatch):
+        # Seeded up-, down- and mixed-axis geometries, in the stock bands and
+        # in bands of one output row, on a thread lent 0, 1 or 3 helpers:
+        # byte-identical to the calling thread's own result and the integer
+        # reference. 4099x2311 runs in int64.
+        monkeypatch.setattr(preprocess, "_BAND_BYTES", band_bytes)
+        for case, (frame, out_w, out_h, want) in enumerate(band_cases()):
+            got = lent_helpers(resize_aa, frame, out_w, out_h).pixels
+            label = f"case {case}: {frame.width}x{frame.height} -> {out_w}x{out_h}"
+            assert got.shape == want.shape, label
+            assert got.tobytes() == want.tobytes(), label
+            assert resize_aa(frame, out_w, out_h).pixels.tobytes() == want.tobytes(), label
 
     def test_reduced_taps_keep_every_ratio(self):
         # Dividing weights and denominator by their gcd leaves every
