@@ -10,10 +10,11 @@ threads.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +46,8 @@ _PPM_WHITESPACE = b" \t\n\r\x0b\x0c"
 # More significant digits than a PPM header number can have for any payload
 # that fits in memory; ``int()`` refuses more than 4,300 digits by default.
 _PPM_MAX_DIGITS = 20
+# Bytes first read for a frame file's header, which comments can lengthen.
+_PPM_PREFIX = 64
 
 # The widest field a frame file pattern may pad to: NAME_MAX, the longest
 # file name on common file systems, so no wider field can name a file.
@@ -176,7 +179,7 @@ class GroundTruth:
 class _ByteScanner:
     """Cursor over PPM header bytes, skipping whitespace and # comments."""
 
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data: bytes | bytearray) -> None:
         self.data = data
         self.pos = 0
 
@@ -186,8 +189,8 @@ class _ByteScanner:
         while self.pos < len(self.data):
             byte = self.data[self.pos : self.pos + 1]
             if byte in (b"#",):
-                while self.pos < len(self.data) and self.data[self.pos] not in b"\n":
-                    self.pos += 1
+                end = self.data.find(b"\n", self.pos)
+                self.pos = len(self.data) if end < 0 else end
             elif byte and byte in _PPM_WHITESPACE:
                 self.pos += 1
             else:
@@ -201,7 +204,7 @@ class _ByteScanner:
             if byte in _PPM_WHITESPACE or byte == b"#":
                 break
             self.pos += 1
-        return self.data[start : self.pos]
+        return bytes(self.data[start : self.pos])
 
     def read_int(self, what: str) -> int:
         if self.skip_separators() == 0:
@@ -215,23 +218,67 @@ class _ByteScanner:
         return int(digits)
 
 
-def _ppm_header(data: bytes) -> tuple[int, int, int]:
-    """Width, height and payload offset of a binary PPM; the payload is not read."""
+class _HeaderCut(FormatError):
+    """The bytes given end inside the PPM header, so more bytes may parse."""
+
+
+def _ppm_header(data: bytes | bytearray) -> tuple[int, int, int]:
+    """Width, height and payload offset of a binary PPM; the payload is not read.
+
+    Raises :class:`_HeaderCut` where the header runs to the end of ``data``.
+    """
     scanner = _ByteScanner(data)
-    if data[:2] != b"P6":
-        raise FormatError(f"frames must be binary PPM (P6): magic {data[:2]!r} is not b'P6'")
-    scanner.pos = 2
-    width = scanner.read_int("width")
-    height = scanner.read_int("height")
-    maxval = scanner.read_int("maxval")
-    if width < 1 or height < 1:
-        raise FormatError(f"PPM header: bad dimensions {width}x{height}")
-    if maxval != 255:
-        raise FormatError(f"PPM maxval must be 255, got {maxval}")
-    # Exactly one whitespace byte separates the header from the payload.
-    if scanner.pos >= len(data) or data[scanner.pos] not in _PPM_WHITESPACE:
-        raise FormatError("PPM header: missing whitespace before payload")
+    try:
+        scanner.pos = min(2, len(data))
+        if data[:2] != b"P6":
+            raise FormatError(
+                f"frames must be binary PPM (P6): magic {bytes(data[:2])!r} is not b'P6'"
+            )
+        width = scanner.read_int("width")
+        height = scanner.read_int("height")
+        maxval = scanner.read_int("maxval")
+        if width < 1 or height < 1:
+            raise FormatError(f"PPM header: bad dimensions {width}x{height}")
+        if maxval != 255:
+            raise FormatError(f"PPM maxval must be 255, got {maxval}")
+        # Exactly one whitespace byte separates the header from the payload.
+        if scanner.pos >= len(data) or data[scanner.pos] not in _PPM_WHITESPACE:
+            raise FormatError("PPM header: missing whitespace before payload")
+    except FormatError as exc:
+        if scanner.pos >= len(data):
+            raise _HeaderCut(str(exc)) from None
+        raise
     return width, height, scanner.pos + 1
+
+
+def _read_ppm_header(file: BinaryIO) -> tuple[int, int, int]:
+    """:func:`_ppm_header` of the file open as ``file``, parsed from a
+    prefix that doubles in place, up to the file's size, until the header
+    ends.
+
+    A header's own length still costs memory: a long comment is held
+    whole, once, while it is parsed.
+    """
+    size = os.fstat(file.fileno()).st_size
+    prefix = bytearray()
+    while True:
+        start = len(prefix)
+        prefix.extend(bytes(min(max(start, _PPM_PREFIX), size - start)))
+        with memoryview(prefix) as view:
+            end = start + file.readinto(view[start:])
+        del prefix[end:]
+        try:
+            return _ppm_header(prefix)
+        except _HeaderCut:
+            if end == start or end >= size:
+                raise
+
+
+def _check_payload(expected: int, got: int) -> None:
+    if got < expected:
+        raise FormatError(f"PPM payload truncated: expected {expected} bytes, got {got}")
+    if got > expected:
+        raise FormatError(f"PPM payload has {got - expected} trailing bytes")
 
 
 def decode_ppm(data: bytes, index: int = 0) -> Frame:
@@ -245,11 +292,7 @@ def decode_ppm(data: bytes, index: int = 0) -> Frame:
     data = bytes(data)  # no copy for bytes; a mutable buffer must not alias the frame
     width, height, offset = _ppm_header(data)
     expected = width * height * 3
-    got = len(data) - offset
-    if got < expected:
-        raise FormatError(f"PPM payload truncated: expected {expected} bytes, got {got}")
-    if got > expected:
-        raise FormatError(f"PPM payload has {got - expected} trailing bytes")
+    _check_payload(expected, len(data) - offset)
     pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=offset)
     return Frame(index=index, pixels=pixels.reshape(height, width, 3))
 
@@ -292,8 +335,12 @@ def _frame_error(index: int, path: Path, exc: FormatError) -> FormatError:
 class FrameSequence(Sequence[Frame]):
     """The frames of a directory in index order, each decoded when indexed.
 
-    Nothing is cached: a caller holds a decoded frame only as long as it
-    keeps it. Every frame must have ``shape``, read from frame 0's header;
+    Nothing is cached: each indexing reads the file again, and a caller
+    holds a decoded frame only as long as it keeps it. The header is parsed
+    from a prefix that grows until the header ends, so a read holds the
+    header once; the file size is then checked against the payload it
+    promises before the payload is read into the frame's own array. Every
+    frame must have ``shape``, read from frame 0's header;
     indexing a frame that has another shape raises :class:`FormatError`
     naming its index. Made by :func:`open_sequence`.
     """
@@ -314,7 +361,16 @@ class FrameSequence(Sequence[Frame]):
             raise IndexError(f"frame index {index} out of range for {len(self)} frames")
         path = self.manifest.frame_path(self.directory, index)
         try:
-            frame = decode_ppm(path.read_bytes(), index=index)
+            # The header and the file size bound what is read: the payload
+            # goes straight into the frame's own array.
+            with open(path, "rb") as file:
+                width, height, offset = _read_ppm_header(file)
+                expected = width * height * 3
+                _check_payload(expected, os.fstat(file.fileno()).st_size - offset)
+                pixels = np.empty((height, width, 3), np.uint8)
+                file.seek(offset)
+                _check_payload(expected, file.readinto(pixels))
+            frame = Frame(index=index, pixels=pixels)
         except FormatError as exc:
             raise _frame_error(index, path, exc) from exc
         if frame.pixels.shape != self.shape:
@@ -344,7 +400,8 @@ def open_sequence(
     if manifest.frame_count:
         first = manifest.frame_path(directory, 0)
         try:
-            width, height, _ = _ppm_header(first.read_bytes())
+            with open(first, "rb") as file:
+                width, height, _ = _read_ppm_header(file)
         except FormatError as exc:
             raise _frame_error(0, first, exc) from exc
         shape = (height, width, 3)

@@ -14,10 +14,12 @@ its JSON form and the container's record order all read it; each field's
 type and range is one rule in ``_FIELD_RULES``.
 
 Each conv runs in strips of output rows, each a whole number of pool
-windows with about ``_STRIP_BYTES`` of im2col: a strip's im2col rows are
-copied into a per-thread scratch buffer, one GEMM writes the strip's product
-into a second one, and the bias is added and the strip max-pooled straight
-into its rows of the output. The whole-frame im2col is never built, and each
+windows with about ``_STRIP_BYTES`` of im2col: a strip copies the input rows
+it reads between zero borders into a per-thread scratch buffer, its im2col
+rows are copied from a view of that into a second one, one GEMM writes the
+strip's product into a third, and the bias is added and the strip
+max-pooled straight into its rows of the output. Neither a zero-padded copy
+of the whole input nor the whole-frame im2col is ever built, and each
 strip's operands stay in a core's L2 cache while they are used. A relu conv
 directly followed by a max-pool runs as one step: it pools the conv output,
 then applies ReLU to the pooled ``1/pool**2`` of the data, and the batchnorm
@@ -564,27 +566,18 @@ def conv2d(
         out_w = -(-w // stride)
         pad_h = max((out_h - 1) * stride + kh - h, 0)
         pad_w = max((out_w - 1) * stride + kw - w, 0)
-        if pad_h or pad_w:
-            padded = np.zeros((h + pad_h, w + pad_w, in_ch))
-            padded[pad_h // 2 : pad_h // 2 + h, pad_w // 2 : pad_w // 2 + w] = x
-            x = padded
     elif padding == "valid":
         if h < kh or w < kw:
             raise ShapeError(f"conv2d: input {h}x{w} smaller than kernel {kh}x{kw}")
         out_h = (h - kh) // stride + 1
         out_w = (w - kw) // stride + 1
+        pad_h = pad_w = 0
     else:
         raise ValueError(f"conv2d padding must be 'same' or 'valid', got {padding!r}")
     if out_h < pool or out_w < pool:
         raise ShapeError(f"conv2d: output {out_h}x{out_w} smaller than pool window {pool}")
 
-    sy, sx, sc = x.strides
-    cols = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(out_h, out_w, kh, kw, in_ch),
-        strides=(stride * sy, stride * sx, sy, sx, sc),
-        writeable=False,
-    )
+    top, left, wide = pad_h // 2, pad_w // 2, w + pad_w
     depth = kh * kw * in_ch
     matrix = kernel.reshape(depth, filters)
     out = np.empty((out_h // pool, out_w // pool, filters))
@@ -594,8 +587,21 @@ def conv2d(
     def run_strip(rows: tuple[int, int]) -> None:
         r0, r1 = rows
         m = (r1 - r0) * out_w
-        strip = _scratch_buffer("cols", m * depth).reshape(r1 - r0, out_w, kh, kw, in_ch)
-        strip[...] = cols[r0:r1]
+        # The strip reads padded rows [p0, p1): input rows [i0, i1) between
+        # zero borders, every border cell written, as the buffer may be stale.
+        p0, p1 = r0 * stride, (r1 - 1) * stride + kh
+        i0, i1 = max(p0 - top, 0), min(p1 - top, h)
+        pad = _scratch_buffer("pad", (p1 - p0) * wide * in_ch).reshape(p1 - p0, wide, in_ch)
+        pad[: i0 + top - p0] = 0.0
+        pad[i1 + top - p0 :] = 0.0
+        pad[:, :left] = 0.0
+        pad[:, left + w :] = 0.0
+        pad[i0 + top - p0 : i1 + top - p0, left : left + w] = x[i0:i1]
+        sy, sx, sc = pad.strides
+        strides = (stride * sy, stride * sx, sy, sx, sc)
+        cols = np.ndarray((r1 - r0, out_w, kh, kw, in_ch), np.float64, pad, 0, strides)
+        strip = _scratch_buffer("cols", m * depth).reshape(cols.shape)
+        strip[...] = cols
         if pool == 1:
             prod = out[r0:r1].reshape(m, filters)
         else:

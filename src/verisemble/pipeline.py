@@ -1,17 +1,18 @@
 """End-to-end pipeline: frames in, fused detection events out.
 
-The pipeline runs one pass per stage. Pass 0 takes each frame from the
-sequence, resizes it once to the model input size and scores the first
-stage, the proposer, on every frame. Only the resized frames are kept: a
-lazy sequence such as :class:`~verisemble.frameio.FrameSequence` decodes
-each frame on the scoring threads, and the full-size frame is dropped once
-it is resized. Each later stage is a verifier that can only veto, so it
-scores only the frames its decision can depend on: the window of
-``FusionConfig.verifier_radius`` frames around each proposal that has
-survived the fold so far. A frame outside every such window stays
-negative whatever the verifier would say. Per-stage label streams are
-fused by the verification chain and the surviving positives collapse
-into timestamped events.
+Stage 0, the proposer, scores every frame. Each later stage is a verifier
+that can only veto, so it scores only the frames its decision can depend
+on: the window of ``FusionConfig.verifier_radius`` frames around each
+proposal that has survived the fold so far. A frame outside every such
+window stays negative whatever the verifier would say. The fold is local,
+so the stages run over the sequence together rather than in passes: each
+frame is read and resized once, on a scoring thread, and its resized copy
+is kept only until every verifier has decided whether it needs the frame
+and has scored it if so. At most ``2 * workers`` tasks are submitted
+beyond the one whose score is being collected, so memory does not grow
+with the sequence length; per frame, only each stage's score and label
+are kept. Per-stage label streams are fused by the verification
+chain and the surviving positives collapse into timestamped events.
 
 While a pool of ``workers`` threads scores frames, each frame gets
 ``max(1, n // workers)`` cores, ``n`` being numpy's OpenBLAS thread count
@@ -28,12 +29,13 @@ arithmetic, and a GEMM gives the same bits at any BLAS thread count.
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import logging
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,8 +43,8 @@ from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .config import CnnModelConfig, MeanIntensityModelConfig, PipelineConfig, StageConfig
-from .ensemble import FusionConfig, PredictionSeries, chain_fuse, pack_mode
+from .config import CnnModelConfig, MeanIntensityModelConfig, PipelineConfig
+from .ensemble import FusionConfig, PredictionSeries, chain_fuse
 from .errors import LoadError, ValidationError
 from .evaluate import DetectionEvent, events_from_series
 from .frameio import Frame
@@ -147,24 +149,128 @@ class PipelineResult:
         return tuple(i not in unknown for i in range(n))
 
 
-def _stage_score(
-    resized: Frame, stage: StageConfig, model: StageModel, config: PipelineConfig
-) -> float:
-    return model.score(extract_features(resized, stage.channels, config.luma_coefficients))
-
-
-def _proposals(series: Sequence[PredictionSeries], fusion: FusionConfig) -> PredictionSeries:
-    """The fold of the stages scored so far: what the next verifier must check."""
-    if len(series) > 1:
-        return chain_fuse(series, fusion)
-    return pack_mode(series[0], fusion.pack_size) if fusion.packing_enabled else series[0]
-
-
 def _windows(centres: Iterable[int], radius: int, n: int) -> tuple[int, ...]:
     """Ascending union of ``[i - radius, i + radius]`` over ``centres``, clipped to ``[0, n)``."""
     return tuple(
         sorted({j for i in centres for j in range(max(0, i - radius), min(n, i + radius + 1))})
     )
+
+
+def _score_stages(
+    pool: ThreadPoolExecutor,
+    frames: Sequence[Frame],
+    config: PipelineConfig,
+    models: Sequence[StageModel],
+    ahead: int,
+) -> tuple[list[list[bool]], list[list[float]], list[list[int]]]:
+    """Per stage, the labels and scores of all frames (False and 0.0 where
+    it did not score) and the ascending frames it scored.
+
+    Stage 0 scores every frame, read and resized once on a scoring thread.
+    Stage ``k > 0`` scores frame ``j`` if the fold of the stages before it
+    is positive anywhere in ``[j - r, j + r]``. The fold is local: at frame
+    ``i`` it reads stage 0 on the pack that holds ``i`` and each verifier
+    on ``[i - r, i + r]``. So whether a verifier needs frame ``j`` is
+    decided once the stages before it are known a bounded distance past
+    ``j``, and the resized frame is kept only until every verifier has
+    decided it and scored it if needed. Tasks go to ``pool`` in the order
+    they become ready, verifiers first, with at most ``ahead`` submitted
+    beyond the one being collected; results are collected in that order.
+    """
+    n, count = len(frames), len(models)
+    r = config.fusion.verifier_radius
+    pack = config.fusion.pack_size if config.fusion.packing_enabled else 1
+    # A frame a stage did not score keeps score 0.0, below every valid
+    # threshold, and label False.
+    scores = [[0.0] * n for _ in models]
+    labels = [[False] * n for _ in models]
+    scored: list[list[int]] = [[] for _ in models]
+    got = [0] * count  # results collected, per stage
+    # proposed[k][i], the fold of the stages before k at frame i, is known
+    # for i < folded[k]; whether stage k scores frame j, for j < decided[k].
+    proposed = [[False] * n for _ in models]
+    folded = [0] * count
+    decided = [0] * count
+    # A frame a verifier may need is copied into an array allocated here, on
+    # the collecting thread, so that the frames kept across tasks do not pin
+    # the scoring threads' heaps between their short-lived arrays.
+    shape = (config.input_height, config.input_width, 3)
+    kept: dict[int, Frame] = {}
+    released = 0
+    ready: collections.deque[tuple[int, int]] = collections.deque()
+
+    def score(resized: Frame, k: int) -> float:
+        features = extract_features(resized, config.stages[k].channels, config.luma_coefficients)
+        return models[k].score(features)
+
+    def first(i: int, keep: np.ndarray | None) -> tuple[Frame | None, float]:
+        resized = resize_aa(frames[i], config.input_width, config.input_height)
+        result = score(resized, 0)
+        if keep is None:
+            return None, result
+        keep[...] = resized.pixels
+        return Frame(resized.index, keep), result
+
+    def known(k: int) -> int:
+        """Frames below this one have their stage-``k`` label."""
+        if k == 0:
+            return got[0]
+        return scored[k][got[k]] if got[k] < len(scored[k]) else decided[k]
+
+    def advance() -> None:
+        nonlocal released
+        for k in range(1, count):
+            below = known(k - 1)
+            if k == 1:
+                end = n if below == n else below - below % pack
+            else:
+                end = min(folded[k - 1], n if below == n else below - r)
+            for i in range(folded[k], end):
+                if k == 1:
+                    members = labels[0][i - i % pack : i - i % pack + pack]
+                    proposed[k][i] = sum(members) * 2 > len(members)
+                else:
+                    proposed[k][i] = proposed[k - 1][i] and any(
+                        labels[k - 1][max(0, i - r) : i + r + 1]
+                    )
+            folded[k] = max(folded[k], end)
+            end = n if folded[k] == n else folded[k] - r
+            for j in range(decided[k], end):
+                if any(proposed[k][max(0, j - r) : j + r + 1]):
+                    scored[k].append(j)
+                    ready.append((k, j))
+            decided[k] = max(decided[k], end)
+        low = min((known(k) for k in range(1, count)), default=n)
+        while released < min(low, got[0]):
+            kept.pop(released)
+            released += 1
+
+    pending: collections.deque[tuple[int, int, Future]] = collections.deque()
+    submitted = 0
+    try:
+        while True:
+            while len(pending) <= ahead and (ready or submitted < n):
+                if ready:
+                    k, j = ready.popleft()
+                    pending.append((k, j, pool.submit(score, kept[j], k)))
+                else:
+                    keep = np.empty(shape, np.uint8) if count > 1 else None
+                    pending.append((0, submitted, pool.submit(first, submitted, keep)))
+                    submitted += 1
+            if not pending:
+                break
+            k, i, future = pending.popleft()
+            if k == 0:
+                kept[i], scores[0][i] = future.result()
+            else:
+                scores[k][i] = future.result()
+            labels[k][i] = classify(scores[k][i], config.threshold)
+            got[k] += 1
+            advance()
+    finally:
+        for *_, future in pending:
+            future.cancel()
+    return labels, scores, scored
 
 
 # (get, set) thread-count symbols of numpy wheels' scipy-openblas, then of a plain OpenBLAS.
@@ -244,11 +350,12 @@ def run_pipeline(
 
     Stage 0 scores every frame; each later stage scores only the windows
     around the proposals that survive the stages before it (see the
-    module docstring). ``frames[i]`` is read once, on a scoring thread, and
-    only its resized copy is kept, so a lazy sequence is decoded there.
-    ``workers`` threads score the frames of each pass; output order and
-    values are identical for every worker count because each frame is
-    scored independently and results are collected in input order.
+    module docstring). ``frames[i]`` is read once, on a scoring thread, so
+    a lazy sequence is decoded there. ``workers`` threads score the frames,
+    with at most ``2 * workers`` tasks submitted beyond the one being
+    collected; output order and values are identical for every worker
+    count because each frame is scored independently and results are
+    collected in submission order.
 
     While the pool runs, numpy's BLAS thread count ``n`` is held at one,
     and the last overlapping call to finish restores ``n``, also when
@@ -267,15 +374,6 @@ def run_pipeline(
     models = build_stage_models(config)
     logger.info("scoring %d frames with %d stages (%d workers)", n, len(models), workers)
 
-    def first_pass(i: int) -> tuple[Frame, float]:
-        resized = resize_aa(frames[i], config.input_width, config.input_height)
-        return resized, _stage_score(resized, config.stages[0], models[0], config)
-
-    def series(scores: Sequence[float]) -> PredictionSeries:
-        return PredictionSeries(
-            labels=tuple(classify(s, config.threshold) for s in scores), scores=scores
-        )
-
     # Each frame thread may give its conv strips and resize bands to
     # ``cores - 1`` helper threads of this call. Helper threads start only
     # when first given work, and are joined, after the frame threads, when
@@ -285,26 +383,11 @@ def run_pipeline(
     ) as helpers, ThreadPoolExecutor(
         workers, initializer=_lend_helpers, initargs=(helpers, cores - 1)
     ) as pool:
-        prepared = list(pool.map(first_pass, range(n)))
-        resized = [frame for frame, _ in prepared]
-        stage_series = [series([score for _, score in prepared])]
-        scored = [tuple(range(n))]
-        logger.info("stage 0: scored %d of %d frames", n, n)
-        for k in range(1, len(models)):
-            proposals = _proposals(stage_series, config.fusion).positive_indices()
-            needed = _windows(proposals, config.fusion.verifier_radius, n)
-            stage, model = config.stages[k], models[k]
-            # Unscored frames keep score 0.0, which is below every valid
-            # threshold, so they read as negative.
-            scores = [0.0] * n
-            for i, score in zip(
-                needed,
-                pool.map(lambda i: _stage_score(resized[i], stage, model, config), needed),
-            ):
-                scores[i] = score
-            stage_series.append(series(scores))
-            scored.append(needed)
-            logger.info("stage %d: scored %d of %d frames", k, len(needed), n)
+        labels, scores, needed = _score_stages(pool, frames, config, models, 2 * workers)
+    stage_series = [PredictionSeries(labels=l, scores=s) for l, s in zip(labels, scores)]
+    scored = [tuple(range(n)), *map(tuple, needed[1:])]
+    for k, done in enumerate(scored):
+        logger.info("stage %d: scored %d of %d frames", k, len(done), n)
 
     fused = chain_fuse(stage_series, config.fusion)
     events = events_from_series(fused, fps)

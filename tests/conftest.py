@@ -33,6 +33,12 @@ GOLDEN_COLORS = [BLACK] * 3 + [MAGENTA] * 3 + [GREEN] + [BLACK] * 2
 GOLDEN_FPS = 25.0
 
 
+# Marks a test whose child process reads its own /proc/self/status.
+needs_proc_status = pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="reads /proc/self/status"
+)
+
+
 def solid_frame(rgb: tuple[int, int, int], index: int = 0, size: int = 16) -> Frame:
     pixels = np.zeros((size, size, 3), dtype=np.uint8)
     pixels[:, :] = rgb

@@ -33,6 +33,7 @@ from conftest import (
     GREEN,
     MAGENTA,
     WHITE,
+    needs_proc_status,
     random_frame,
     solid_frame,
     write_mean_config,
@@ -90,10 +91,6 @@ limit = size * 1024 + (1 << 30)
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 sys.exit(main(sys.argv[1:]))
 """
-
-needs_proc_status = pytest.mark.skipif(
-    not Path("/proc/self/status").exists(), reason="reads /proc/self/status"
-)
 
 
 def golden_workspace(tmp_path: Path) -> tuple[Path, Path, Path]:
@@ -301,10 +298,49 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("error: frame 5 "), err
 
     @needs_proc_status
+    @pytest.mark.parametrize(
+        "header, held, message",
+        [
+            (None, 0, "PPM payload has "),
+            (b"P6\n#", 1, "PPM header: bad width b''"),
+        ],
+        ids=["long-payload", "long-comment"],
+    )
+    def test_oversized_frame_file_exits_2(self, tmp_path, header, held, message):
+        """Frame 5 grown to a 48 MB sparse file: `run` exits 2 naming it.
+        A long payload is refused by the file size before it is read, so the
+        peak resident set stays within a few MB of a run over the intact
+        frames; a comment that runs to the end of the file is held ``held``
+        times, once, while the header is parsed."""
+        config, frames, out = golden_workspace(tmp_path)
+        size = 48 << 20
+        runs = []
+        for grow in (False, True):
+            if grow:
+                with open(frames / "frame_0005.ppm", "r+b") as file:
+                    if header is not None:
+                        file.truncate(0)
+                        file.write(header)
+                    file.truncate(size)
+            proc = subprocess.run(
+                [sys.executable, "-c", PEAK_RSS_SCRIPT, "run", "--config", str(config),
+                 "--frames", str(frames), "--out", str(out), "--workers", "2"],
+                capture_output=True, text=True, timeout=120,
+            )
+            code, peak_kb = proc.stdout.split()
+            runs.append((code, int(peak_kb) * 1024, proc.stderr.splitlines()))
+        (code, peak, err), (bad_code, bad_peak, bad_err) = runs
+        assert (code, err) == ("0", [])
+        assert bad_code == "2"
+        assert len(bad_err) == 1, bad_err
+        assert bad_err[0].startswith(f"error: frame 5 (frame_0005.ppm): {message}"), bad_err
+        assert bad_peak - peak < held * size + (4 << 20), (peak, bad_peak)
+
+    @needs_proc_status
     def test_peak_memory_does_not_hold_decoded_frames(self, tmp_path):
         """80 more 320x240 frames are 18 MB decoded; into a 32x32 model,
-        `run` keeps only the 3 KB resized frames, so its peak grows by far
-        less than the decoded bytes."""
+        `run` keeps none of them and only a few 3 KB resized copies at a
+        time, so its peak grows by far less than the decoded bytes."""
         config = write_mean_config(tmp_path / "config.json", input={"width": 32, "height": 32})
         peaks = []
         for count in (20, 100):

@@ -24,6 +24,7 @@ from verisemble import (
     open_sequence,
     write_detections,
 )
+from verisemble import frameio
 
 from conftest import BLACK, WHITE, random_frame, solid_frame, write_sequence
 
@@ -268,6 +269,30 @@ class TestOpenSequence:
             FormatError, match=r"frame 2 has shape \(8, 8, 3\), expected \(16, 16, 3\) like frame 0"
         ):
             frames[2]
+
+    @pytest.mark.parametrize("prefix", [1, 2, 5, 64])
+    def test_header_longer_than_the_first_read(self, tmp_path, monkeypatch, prefix):
+        """Comments lengthen a header past the bytes first read; it still
+        parses, at open and when indexed, wherever a read stops."""
+        monkeypatch.setattr(frameio, "_PPM_PREFIX", prefix)
+        directory = write_sequence(tmp_path / "seq", [WHITE, BLACK])
+        pixels = random_frame(seed=9, width=16, height=16).pixels.tobytes()
+        data = b"P6\n# " + b"c" * 300 + b"\n16 # w\n16\n#\n255\n" + pixels
+        (directory / "frame_0000.ppm").write_bytes(data)
+        frames = open_sequence(directory)
+        assert frames.shape == (16, 16, 3)
+        assert frames[0] == decode_ppm(data)
+        assert frames[1] == solid_frame(BLACK, index=1)
+
+    @pytest.mark.parametrize("change, message", [(-1, "truncated"), (7, "has 7 trailing bytes")])
+    def test_payload_size_checked_against_the_file(self, tmp_path, change, message):
+        directory = write_sequence(tmp_path / "seq", [WHITE, BLACK])
+        path = directory / "frame_0001.ppm"
+        with open(path, "r+b") as file:
+            file.truncate(path.stat().st_size + change)
+        frames = open_sequence(directory)
+        with pytest.raises(FormatError, match=rf"frame 1 \(frame_0001.ppm\): PPM payload {message}"):
+            frames[1]
 
     def test_bad_first_header_fails_at_open(self, tmp_path):
         directory = write_sequence(tmp_path / "seq", [BLACK, WHITE])

@@ -852,6 +852,87 @@ def test_conv_strips_spread_over_helpers_match_the_whole_product(lent_helpers):
         assert got.tobytes() == want.tobytes() == conv2d(*args).tobytes(), case
 
 
+def padded_strip_cases(seed: int, kernels, strides, padding: str, strips: int):
+    """Seeded conv blocks over inputs of 24-96 rows and columns, each
+    ``(x, kernel, bias, stride, padding, pool)`` and running in at least
+    ``strips`` strips. With "same" padding, every case pads each axis by an
+    odd number of rows or columns whenever its kernel is even."""
+    rng = np.random.default_rng(seed)
+    while True:
+        h, w = (int(v) for v in rng.integers(24, 97, 2))
+        channels, filters = int(rng.integers(2, 9)), int(rng.integers(8, 33))
+        kh, kw = kernels[rng.integers(len(kernels))]
+        stride, pool = strides[rng.integers(len(strides))], int(rng.integers(1, 4))
+        out_h, out_w = _conv_out((h, w), (kh, kw), stride, padding)
+        if min(out_h, out_w) < pool:
+            continue
+        if padding == "same":
+            pad_h = (out_h - 1) * stride + kh - h
+            pad_w = (out_w - 1) * stride + kw - w
+            if (kh % 2 == 0 and pad_h % 2 == 0) or (kw % 2 == 0 and pad_w % 2 == 0):
+                continue
+        bounds = nn._strip_bounds(out_h, out_w, kh * kw * channels, filters, pool)
+        if len(bounds) - 1 < strips:
+            continue
+        x = rng.standard_normal((h, w, channels))
+        kernel = rng.standard_normal((kh, kw, channels, filters)).astype(np.float32)
+        bias = rng.standard_normal(filters).astype(np.float32)
+        yield x, kernel, bias, stride, padding, pool
+
+
+def assert_conv_matches_frozen(x, kernel, bias, stride, padding, pool):
+    want = frozen_conv(x, kernel, bias, stride, padding, pool)
+    got = conv2d(x, kernel, bias, stride, padding, pool)
+    case = (x.shape, kernel.shape, stride, padding, pool)
+    assert got.shape == want.shape, case
+    assert got.tobytes() == want.tobytes(), case
+
+
+class TestStripPadding:
+    """Each strip copies its input rows between zero borders in its own
+    scratch; the result equals the frozen whole-frame zero pad's."""
+
+    def test_one_strip_touches_both_borders(self):
+        # A conv too small to split reads the top and the bottom padding.
+        rng = np.random.default_rng(41)
+        for kh, kw in ((3, 3), (5, 5), (5, 2), (4, 4)):
+            for h, w in ((1, 1), (2, 7), (5, 4), (9, 9)):
+                for stride in (1, 2):
+                    x = rng.standard_normal((h, w, 3))
+                    kernel = rng.standard_normal((kh, kw, 3, 4)).astype(np.float32)
+                    bias = rng.standard_normal(4).astype(np.float32)
+                    assert_conv_matches_frozen(x, kernel, bias, stride, "same", 1)
+
+    def test_first_and_last_strips_touch_the_borders(self):
+        kernels = ((3, 3), (5, 5), (5, 3))
+        cases = padded_strip_cases(4101, kernels, (1, 2), "same", strips=3)
+        for _ in range(20):
+            assert_conv_matches_frozen(*next(cases))
+
+    def test_asymmetric_same_padding(self):
+        kernels = ((2, 2), (4, 4), (2, 4))
+        cases = padded_strip_cases(4102, kernels, (2,), "same", strips=2)
+        for _ in range(20):
+            assert_conv_matches_frozen(*next(cases))
+
+    def test_valid_convs(self):
+        kernels = ((1, 1), (3, 3), (2, 5), (4, 4))
+        cases = padded_strip_cases(4103, kernels, (1, 2), "valid", strips=2)
+        for _ in range(20):
+            assert_conv_matches_frozen(*next(cases))
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_stale_pad_scratch_never_reaches_a_border(self, padding):
+        kernels = ((3, 3), (2, 2), (5, 3))
+        cases = padded_strip_cases(4104, kernels, (1, 2), padding, strips=2)
+        # As an earlier, wider layer leaves it: larger than any strip here needs.
+        pad = nn._scratch_buffer("pad", 1 << 20)
+        for _ in range(10):
+            pad[:] = np.nan
+            assert_conv_matches_frozen(*next(cases))
+            assert nn._scratch.pad.size == pad.size  # reused, not regrown
+
+
 class TestStrips:
     def test_stock_convs_run_in_strips_of_whole_pool_windows(self):
         spec = default_model_spec()

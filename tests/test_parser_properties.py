@@ -16,6 +16,7 @@ import math
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,9 +28,11 @@ from verisemble import (
     decode_ppm,
     encode_ppm,
     load_weights,
+    open_sequence,
     random_weights,
     save_weights,
 )
+from verisemble import frameio
 from verisemble.cli import main
 
 from conftest import GOLDEN_COLORS, solid_frame, write_mean_config
@@ -377,6 +380,30 @@ def test_run_exit_code_contract_over_ppm_files(ppm_workspace, data, position):
         frame = encode_ppm(solid_frame(GOLDEN_COLORS[4], index=i, size=2))
         (frames / f"frame_{i}.ppm").write_bytes(data if i == position else frame)
     run_exit_code(root, frames, config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=ppm_files(), prefix=st.integers(1, 80))
+def test_frame_file_reads_as_decode_ppm(ppm_workspace, data, prefix):
+    """Read from a file, whatever the size of the first read, a PPM gives
+    the frame that ``decode_ppm`` gives, or fails with the same message."""
+    root, _, _ = ppm_workspace
+    frames = root / "one_frame"
+    frames.mkdir(exist_ok=True)
+    (frames / "manifest.json").write_text(
+        json.dumps({"frame_count": 1, "fps": 25, "pattern": "frame_%d.ppm"})
+    )
+    (frames / "frame_0.ppm").write_bytes(data)
+    try:
+        want = decode_ppm(data)
+    except FormatError as exc:
+        want = f"frame 0 (frame_0.ppm): {exc}"
+    try:
+        with mock.patch.object(frameio, "_PPM_PREFIX", prefix):
+            got = open_sequence(frames)[0]
+    except FormatError as exc:
+        got = str(exc)
+    assert got == want
 
 
 # -- weight-container records ------------------------------------------------

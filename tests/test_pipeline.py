@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import logging
+import subprocess
+import sys
 import tempfile
 import threading
+import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -17,6 +21,7 @@ from verisemble import (
     ChannelSubset,
     CnnModel,
     CnnModelConfig,
+    Frame,
     FusionConfig,
     LayerSpec,
     LoadError,
@@ -45,6 +50,7 @@ from conftest import (
     GOLDEN_FPS,
     GREEN,
     MAGENTA,
+    needs_proc_status,
     random_frame,
     solid_frame,
     write_mean_config,
@@ -469,6 +475,145 @@ def test_lazy_run_equals_eager_oracle(case):
             assert cells[-2] == want[-2]
             assert cells[-1] == (want[-1] if i in known else "")
     assert results[0] == results[1]
+
+
+# -- Each frame read once, and only a bounded window of them held -----------
+
+
+class RecordingFrames:
+    """Solid 4x4 frames made on access that count every read of each index
+    and the most frames alive at once.
+
+    The first read of a frame in ``hold`` sleeps before it returns, so that
+    frame's score, and any after it, cannot be collected meanwhile; on waking
+    it records the highest index read so far.
+    """
+
+    def __init__(self, colors, hold=()) -> None:
+        self.colors = colors
+        self.hold = set(hold)
+        self.reads = [0] * len(colors)
+        self.alive = self.most_alive = 0
+        self.highest_while_held: dict[int, int] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self.colors)
+
+    def _gone(self) -> None:
+        with self._lock:
+            self.alive -= 1
+
+    def track(self, frame) -> None:
+        """Count ``frame`` as alive until it is collected."""
+        weakref.finalize(frame, self._gone)
+        with self._lock:
+            self.alive += 1
+            self.most_alive = max(self.most_alive, self.alive)
+
+    def __getitem__(self, i: int):
+        frame = solid_frame(self.colors[i], index=i, size=4)
+        self.track(frame)
+        with self._lock:
+            self.reads[i] += 1
+            first = self.reads[i] == 1
+        if first and i in self.hold:
+            time.sleep(0.2)
+            with self._lock:
+                self.highest_while_held[i] = max(j for j, n in enumerate(self.reads) if n)
+        return frame
+
+
+class TestBoundedWindow:
+    COLORS = GOLDEN_COLORS * 5
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_reads_run_at_most_twice_the_workers_ahead(self, workers):
+        """While frame ``g``'s score is not collected, no frame past
+        ``g + 2 * workers`` is read."""
+        frames = RecordingFrames(self.COLORS, hold=(0, 20))
+        run_pipeline(mean_pipeline(), frames, fps=GOLDEN_FPS, workers=workers)
+        assert frames.highest_while_held.keys() == {0, 20}
+        for held, highest in frames.highest_while_held.items():
+            assert highest <= held + 2 * workers, (held, highest)
+
+    def test_each_frame_is_read_once(self):
+        """``frames[i]`` is read once, also where a verifier scores it, and
+        the results are the same at 1, 2 and 4 workers."""
+        results = []
+        for workers in (1, 2, 4):
+            frames = RecordingFrames(self.COLORS)
+            result = run_pipeline(mean_pipeline(), frames, fps=GOLDEN_FPS, workers=workers)
+            assert 0 < len(result.scored[1]) < len(frames)
+            assert frames.reads == [1] * len(frames)
+            results.append(result)
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_frames_held_do_not_grow_with_the_frame_count(self, workers):
+        """Over 360 frames, of which the verifier scores 200, the frames
+        read and the copies kept for the verifier that are alive at once
+        stay within a bound set by the workers and the fusion windows: a
+        verifier task is collected before ``2 * workers`` more tasks are
+        submitted, and the fold decides a frame a pack and a radius past
+        it."""
+        frames = RecordingFrames(GOLDEN_COLORS * 40)
+
+        class KeptFrame(Frame):
+            def __post_init__(self) -> None:
+                super().__post_init__()
+                frames.track(self)
+
+        config = mean_pipeline(input_width=4, input_height=4)
+        with mock.patch.object(pipeline, "Frame", KeptFrame):
+            result = run_pipeline(config, frames, fps=GOLDEN_FPS, workers=workers)
+        assert len(result.scored[1]) == 200
+        assert frames.most_alive <= 4 * workers + 6, frames.most_alive
+        assert frames.alive == 0
+
+    @needs_proc_status
+    def test_peak_memory_does_not_grow_with_the_frame_count(self):
+        """400 frames of 200x200 at the model size are 48 MB; `run_pipeline`
+        holds a few of them at a time, so its peak at 400 frames is within
+        a few MB of its peak at 40."""
+        peaks = []
+        for count in (40, 400):
+            proc = subprocess.run(
+                [sys.executable, "-c", MANY_FRAMES_SCRIPT, str(count)],
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            peaks.append(int(proc.stdout) * 1024)
+        assert peaks[1] - peaks[0] < 4 << 20, peaks
+
+
+# Runs `run_pipeline` with two workers over argv[1] 200x200 frames, made on
+# access, through two weightless stages at that model size, and prints the
+# process's peak resident set (VmHWM) in KiB.
+MANY_FRAMES_SCRIPT = """
+import sys
+import numpy as np
+from verisemble import (
+    ChannelSubset, Frame, MeanIntensityModelConfig, PipelineConfig, StageConfig, run_pipeline,
+)
+
+class Frames:
+    def __len__(self):
+        return int(sys.argv[1])
+
+    def __getitem__(self, i):
+        return Frame(index=i, pixels=np.full((200, 200, 3), (0, 255, 255)[i % 3], np.uint8))
+
+stages = tuple(
+    StageConfig(channels=c, model=MeanIntensityModelConfig())
+    for c in (ChannelSubset.RGB, ChannelSubset.LUMA)
+)
+config = PipelineConfig(stages=stages, input_width=200, input_height=200)
+result = run_pipeline(config, Frames(), fps=25.0, workers=2)
+assert len(result.scored[1]) > len(result.scored[0]) // 2
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")))
+"""
 
 
 # -- BLAS threads while the scoring pool runs --------------------------------
