@@ -14,22 +14,27 @@ its JSON form and the container's record order all read it; each field's
 type and range is one rule in ``_FIELD_RULES``.
 
 Each conv runs in strips of output rows, each a whole number of pool
-windows with about ``_STRIP_BYTES`` of im2col: a strip copies the input rows
-it reads between zero borders into a per-thread scratch buffer, its im2col
-rows are copied from a view of that into a second one, one GEMM writes the
-strip's product into a third, and the bias is added and the strip
+windows with about ``_STRIP_BYTES`` of im2col and product rows: a strip
+copies the input rows it reads between zero borders into a per-thread
+scratch buffer, its im2col rows are copied from a view of that into a second
+one, one GEMM writes the strip's product into a third, and the strip is
 max-pooled straight into its rows of the output. Neither a zero-padded copy
 of the whole input nor the whole-frame im2col is ever built, and each
-strip's operands stay in a core's L2 cache while they are used. A relu conv
-directly followed by a max-pool runs as one step: it pools the conv output,
-then applies ReLU to the pooled ``1/pool**2`` of the data, and the batchnorm
-after it sees only that. ReLU is exact and monotone non-decreasing, so it
-commutes with max and the result is bit-identical to applying the layers one
-by one.
+strip's operands stay in a core's L2 cache while they are used.
+
+A relu or linear conv, the max-pool directly after it and the batchnorm
+after that run as one step: each strip adds the bias, applies ReLU and the
+batchnorm in place on its own pooled rows, so the step makes no copy of its
+output. Adding the bias after the pool is exact, since rounding
+is monotone; ReLU is exact and monotone non-decreasing, so it commutes with
+max; the result is bit-identical to applying the layers one by one. A dense
+layer casts its float32 kernel to float64 ``_DENSE_BLOCK`` columns at a time
+into its thread's im2col scratch, so a forward pass allocates its layer
+outputs, each conv's float64 kernel and each thread's bounded scratch.
 
 Strips are bit-identical to the whole product under one rule: every strip's
 GEMM has at least 2 rows and at least ``_MIN_STRIP_MACS`` multiply-adds, and
-a short last strip is folded into the one before it. Below that OpenBLAS
+the pool windows are spread evenly over the strips. Below that OpenBLAS
 rounds some products differently: numpy sends a 1-row product to gemv, and
 OpenBLAS takes its small-matrix kernel below about 10**6 multiply-adds. A
 conv that cannot make two such strips runs as one strip, which is exactly
@@ -40,10 +45,13 @@ product.
 A thread that has been lent helper threads (``_lend_helpers``; the pipeline
 lends each frame thread its share of the cores) spreads its strips over
 them with ``_spread``. Whichever thread takes a strip runs all of it (copy,
-GEMM, bias, pool) through its own scratch. The strip bounds do not depend
-on the thread count and strips write disjoint rows of the output, so the
-bytes are those of the plain loop. On a thread that has no helpers,
-``conv2d`` and ``forward`` run on the calling thread alone.
+GEMM, pool, bias, ReLU, batchnorm) through its own scratch. The strip bounds
+do not depend on the thread count and strips write disjoint rows of the
+output, so the bytes are those of the plain loop. On a thread that has no
+helpers, ``conv2d`` and ``forward`` run on the calling thread alone.
+
+``load_weights`` reads a container once; its arrays are read-only views of
+those bytes.
 """
 
 from __future__ import annotations
@@ -439,12 +447,16 @@ def _apply_activation(x: np.ndarray, activation: str | None) -> np.ndarray:
     raise ValidationError(f"unknown activation {activation!r}")
 
 
-# About half of one core's 2 MiB L2: a strip's im2col rows, which leaves
-# room for the kernel matrix and the strip's product.
+# About half of one core's 2 MiB L2: a strip's im2col rows and its product
+# rows, which leaves room for the kernel matrix.
 _STRIP_BYTES = 1 << 20
 # The fewest multiply-adds a strip's GEMM may have, so that OpenBLAS computes
 # it with the same kernel as the whole product (see the module docstring).
 _MIN_STRIP_MACS = 1 << 20
+# A dense kernel whose unit count is a multiple of this is cast to float64
+# and multiplied this many columns at a time; OpenBLAS's gemv gives each
+# output the bits of the whole product at such widths, not at ragged ones.
+_DENSE_BLOCK = 16
 
 # Each thread's scratch buffers, reused across strips, layers and frames.
 _scratch = threading.local()
@@ -508,22 +520,21 @@ def _strip_bounds(out_h: int, out_w: int, depth: int, filters: int, pool: int) -
     """Conv-row bounds of the strips of an ``out_h`` x ``out_w`` conv whose
     GEMM has inner dimension ``depth``.
 
-    Each strip is ``pool * t`` rows: ``t`` pool windows with about
-    ``_STRIP_BYTES`` of im2col, raised until the strip's GEMM has 2 rows and
+    Each strip is a whole number of pool windows, spread evenly: as few
+    strips as keep each strip's im2col and product rows within
+    ``_STRIP_BYTES``, but no more than leave every strip's GEMM 2 rows and
     ``_MIN_STRIP_MACS`` multiply-adds. The last strip also takes the rows
-    left over; a conv with fewer than two strips is one strip, and so is a
-    one-filter conv, whose product numpy computes with gemv.
+    that the pool drops; a conv with fewer than two strips is one strip, and
+    so is a one-filter conv, whose product numpy computes with gemv.
     """
     window = pool * out_w  # GEMM rows per pool window
-    t = max(
-        _STRIP_BYTES // (window * depth * 8),
-        -(-_MIN_STRIP_MACS // (window * depth * filters)),
-        -(-2 // window),
-    )
-    strips = out_h // (pool * t)
+    windows = out_h // pool
+    most = max(_STRIP_BYTES // (window * (depth + filters) * 8), 1)
+    least = max(-(-_MIN_STRIP_MACS // (window * depth * filters)), -(-2 // window))
+    strips = min(-(-windows // most), windows // least)
     if strips < 2 or filters == 1:
         return [0, out_h]
-    return [i * pool * t for i in range(strips)] + [out_h]
+    return [pool * (i * windows // strips) for i in range(strips)] + [out_h]
 
 
 def conv2d(
@@ -533,13 +544,18 @@ def conv2d(
     stride: int = 1,
     padding: str = "same",
     pool: int = 1,
+    relu: bool = False,
+    batchnorm: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """2-D cross-correlation over a channel-last tensor, then with
-    ``pool > 1`` a max-pool with window = stride = ``pool``.
+    ``pool > 1`` a max-pool with window = stride = ``pool``, then with
+    ``relu`` a ReLU, then with ``batchnorm = (gamma, beta, mean, var)`` an
+    inference batchnorm.
 
     ``kernel`` is ``(kh, kw, in_channels, filters)``; "same" zero-pads so
-    that stride-1 output keeps the input height and width. The pooled output
-    is bit-identical to ``maxpool2(conv2d(...), pool)``.
+    that stride-1 output keeps the input height and width. The output is
+    bit-identical to ``batchnorm_infer(relu(maxpool2(conv2d(...), pool)),
+    *batchnorm)``, each step taken only when asked for.
     """
     x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
@@ -576,6 +592,8 @@ def conv2d(
         raise ValueError(f"conv2d padding must be 'same' or 'valid', got {padding!r}")
     if out_h < pool or out_w < pool:
         raise ShapeError(f"conv2d: output {out_h}x{out_w} smaller than pool window {pool}")
+    if batchnorm is not None:
+        mean, scale, beta = _batchnorm_terms(filters, *batchnorm)
 
     top, left, wide = pad_h // 2, pad_w // 2, w + pad_w
     depth = kh * kw * in_ch
@@ -584,6 +602,9 @@ def conv2d(
     bounds = _strip_bounds(out_h, out_w, depth, filters, pool)
 
     # Strips write disjoint rows of ``out``, each through its thread's scratch.
+    # A strip pools its product, then adds the bias and applies ReLU and the
+    # batchnorm to its own output rows. Bias after the pool is exact: rounding
+    # is monotone, so max(a + b, c + b) == max(a, c) + b bit for bit.
     def run_strip(rows: tuple[int, int]) -> None:
         r0, r1 = rows
         m = (r1 - r0) * out_w
@@ -607,9 +628,16 @@ def conv2d(
         else:
             prod = _scratch_buffer("prod", m * filters).reshape(m, filters)
         np.dot(strip.reshape(m, depth), matrix, out=prod)
-        prod += bias
+        done = out[r0 // pool : r1 // pool]
         if pool > 1:
-            _pool_into(prod.reshape(r1 - r0, out_w, filters), pool, out[r0 // pool : r1 // pool])
+            _pool_into(prod.reshape(r1 - r0, out_w, filters), pool, done)
+        done += bias
+        if relu:
+            np.maximum(done, 0.0, out=done)
+        if batchnorm is not None:
+            done -= mean
+            done *= scale
+            done += beta
 
     _spread(run_strip, list(zip(bounds, bounds[1:])))
     return out
@@ -654,7 +682,23 @@ def batchnorm_infer(
 ) -> np.ndarray:
     """Inference-time batch normalization with per-channel statistics."""
     x = np.asarray(x, dtype=np.float64)
-    channels = x.shape[-1]
+    mean, scale, beta = _batchnorm_terms(x.shape[-1], gamma, beta, mean, var, eps)
+    out = x - mean
+    out *= scale
+    out += beta
+    return out
+
+
+def _batchnorm_terms(
+    channels: int,
+    gamma: np.ndarray,
+    beta: np.ndarray,
+    mean: np.ndarray,
+    var: np.ndarray,
+    eps: float = 1e-3,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked float64 ``(mean, scale, beta)`` of a batchnorm over
+    ``channels`` channels, which computes ``(x - mean) * scale + beta``."""
     params = {}
     for name, arr in (("gamma", gamma), ("beta", beta), ("mean", mean), ("var", var)):
         arr = np.asarray(arr, dtype=np.float64)
@@ -666,10 +710,7 @@ def batchnorm_infer(
     if np.any(params["var"] < 0):
         raise ValidationError("batchnorm variance must be non-negative")
     scale = params["gamma"] / np.sqrt(params["var"] + eps)
-    out = x - params["mean"]
-    out *= scale
-    out += params["beta"]
-    return out
+    return params["mean"], scale, params["beta"]
 
 
 def dense(
@@ -678,9 +719,15 @@ def dense(
     bias: np.ndarray,
     activation: str | None = None,
 ) -> np.ndarray:
-    """Fully connected layer: ``act(x @ W + b)`` with ``W`` of shape (in, out)."""
+    """Fully connected layer: ``act(x @ W + b)`` with ``W`` of shape (in, out).
+
+    ``W`` is cast to float64 in ``_DENSE_BLOCK``-column blocks through this
+    thread's im2col scratch when its column count is a multiple of that,
+    else as one block, so a float32 kernel is never copied whole; the result
+    is the whole float64 product's, bit for bit.
+    """
     x = np.asarray(x, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = np.asarray(weights)
     bias = np.asarray(bias, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError(f"dense input must be a flat vector, got shape {x.shape}")
@@ -692,7 +739,16 @@ def dense(
         raise ShapeError(
             f"dense bias must have shape ({weights.shape[1]},), got {bias.shape}"
         )
-    return _apply_activation(x @ weights + bias, activation)
+    depth, units = weights.shape
+    width = _DENSE_BLOCK if units % _DENSE_BLOCK == 0 else units
+    out = np.empty(units)
+    # The im2col slot: this thread runs no conv strip while it runs a dense.
+    block = _scratch_buffer("cols", depth * width).reshape(depth, width)
+    for j in range(0, units, width):
+        np.copyto(block, weights[:, j : j + width])
+        np.matmul(x, block, out=out[j : j + width])
+    out += bias
+    return _apply_activation(out, activation)
 
 
 def flatten(x: np.ndarray) -> np.ndarray:
@@ -713,36 +769,49 @@ def forward(spec: ModelSpec, weights: WeightStore, x: np.ndarray) -> float:
     i = 0
     while i < len(layers):
         layer = layers[i]
-        pool = 1
-        if (
-            layer.kind == "conv2d"
-            and layer.activation == "relu"
-            and i + 1 < len(layers)
-            and layers[i + 1].kind == "maxpool2"
-        ):
-            pool = layers[i + 1].pool
+        pool = norm = None
+        if layer.kind == "conv2d" and layer.activation != "sigmoid":
+            pool = _layer_of_kind(layers, i + 1, "maxpool2")
+            norm = _layer_of_kind(layers, i + 1 + (pool is not None), "batchnorm")
         try:
-            x = _forward_layer(layer, weights, x, pool)
+            x = _forward_layer(layer, weights, x, pool, norm)
         except (ShapeError, ValidationError, KeyError) as exc:
             raise ShapeError(f"layer {layer.name}: {exc}") from exc
-        i += 1 if pool == 1 else 2
+        i += 1 + (pool is not None) + (norm is not None)
     return float(x[0])
 
 
+def _layer_of_kind(layers: Sequence[LayerSpec], i: int, kind: str) -> LayerSpec | None:
+    """``layers[i]`` if there is one and it is a ``kind`` layer, else None."""
+    return layers[i] if i < len(layers) and layers[i].kind == kind else None
+
+
 def _forward_layer(
-    layer: LayerSpec, weights: WeightStore, x: np.ndarray, pool: int = 1
+    layer: LayerSpec,
+    weights: WeightStore,
+    x: np.ndarray,
+    pool: LayerSpec | None = None,
+    norm: LayerSpec | None = None,
 ) -> np.ndarray:
-    """Run one layer; with ``pool > 1``, a relu conv and the max-pool after it.
+    """Run one step: a layer, or a relu or linear conv together with the
+    max-pool ``pool`` and the batchnorm ``norm`` that directly follow it.
 
     ReLU is monotone non-decreasing and exact, so it commutes with max:
-    pooling first gives the same output and applies ReLU to ``1/pool**2``
-    of the data.
+    pooling first gives the same output, and ReLU and the batchnorm run on
+    each strip's pooled rows inside the conv.
     """
     kind = layer.kind
     if kind == "conv2d":
         params = weights[layer.name]
-        out = conv2d(x, params["kernel"], params["bias"], layer.stride, layer.padding, pool)
-        return _apply_activation(out, layer.activation)
+        bn = None if norm is None else weights[norm.name]
+        relu = layer.activation == "relu"
+        out = conv2d(
+            x, params["kernel"], params["bias"], layer.stride, layer.padding,
+            1 if pool is None else pool.pool,
+            relu=relu,
+            batchnorm=None if bn is None else (bn["gamma"], bn["beta"], bn["mean"], bn["var"]),
+        )
+        return out if relu else _apply_activation(out, layer.activation)
     if kind == "maxpool2":
         return maxpool2(x, layer.pool)
     if kind == "batchnorm":
@@ -859,11 +928,14 @@ def save_weights(path: str | Path, spec: ModelSpec, weights: WeightStore) -> Non
 
 
 class _RecordReader:
+    """Reads a container from ``pos`` on; every chunk it returns is a
+    ``memoryview`` of ``data``, so the arrays share the container's buffer."""
+
     def __init__(self, data: bytes, pos: int) -> None:
-        self.data = data
+        self.data = memoryview(data)
         self.pos = pos
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.pos + n > len(self.data):
             raise FormatError(f"weight container truncated while reading {what}")
         chunk = self.data[self.pos : self.pos + n]
@@ -875,9 +947,9 @@ class _RecordReader:
             (name_len,) = struct.unpack("<H", self.take(2, "record name length"))
             raw = self.take(name_len, "record name")
             try:
-                name = raw.decode()
+                name = str(raw, "utf-8")
             except UnicodeDecodeError as exc:
-                raise FormatError(f"record name {raw!r} is not valid UTF-8") from exc
+                raise FormatError(f"record name {bytes(raw)!r} is not valid UTF-8") from exc
             (rank,) = struct.unpack("<B", self.take(1, f"rank of {name}"))
             dims = struct.unpack(f"<{rank}I", self.take(4 * rank, f"dims of {name}"))
             count = 1
@@ -910,7 +982,7 @@ def load_weights(path: str | Path) -> tuple[ModelSpec, dict[str, dict[str, np.nd
     if version != WEIGHTS_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     (spec_len,) = struct.unpack("<I", reader.take(4, "spec length"))
-    spec_json = reader.take(spec_len, "spec JSON")
+    spec_json = bytes(reader.take(spec_len, "spec JSON"))
     spec = ModelSpec.from_json_obj(_parse_json(spec_json, f"{path}: spec"))
 
     store: dict[str, dict[str, np.ndarray]] = {}

@@ -14,6 +14,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -1019,6 +1020,76 @@ class TestStrips:
             conv2d(np.zeros((4, 4, 1)), np.ones((3, 3, 1, 1)), np.zeros(1), pool=0)
 
 
+def assert_strips_fit_the_budget(out_h, out_w, depth, filters, pool):
+    """Strips of whole pool windows whose sizes differ by at most one
+    window; a strip's im2col and product rows exceed ``_STRIP_BYTES`` only
+    when it is one window or one more strip would leave some strip below
+    the minimum work."""
+    bounds = nn._strip_bounds(out_h, out_w, depth, filters, pool)
+    if len(bounds) == 2:
+        return
+    windows = [(r1 - r0) // pool for r0, r1 in zip(bounds, bounds[1:])]
+    case = (out_h, out_w, depth, filters, pool)
+    assert sum(windows) == out_h // pool and max(windows) - min(windows) <= 1, case
+    if max(windows) * pool * out_w * (depth + filters) * 8 > nn._STRIP_BYTES and max(windows) > 1:
+        fewest = (out_h // pool // (len(windows) + 1)) * pool * out_w
+        assert fewest < 2 or fewest * depth * filters < nn._MIN_STRIP_MACS, case
+
+
+class TestStripBudget:
+    """Strips stay within the scratch budget and are spread evenly."""
+
+    def test_random_geometries(self):
+        rng = np.random.default_rng(19)
+        for _ in range(3000):
+            out_h, out_w = (int(v) for v in rng.integers(1, 400, 2))
+            depth, filters = int(rng.integers(1, 2000)), int(rng.integers(1, 200))
+            assert_strips_fit_the_budget(out_h, out_w, depth, filters, int(rng.integers(1, 4)))
+
+    @pytest.mark.parametrize("channels", [3, 1])
+    def test_stock_convs(self, channels):
+        spec = default_model_spec(channels=channels)
+        shapes = zip(spec.layers, spec.layer_input_shapes(), spec.output_shapes())
+        for layer, in_shape, out_shape in shapes:
+            if layer.kind == "conv2d":
+                out_h, out_w, filters = out_shape
+                assert_strips_fit_the_budget(out_h, out_w, 9 * in_shape[2], filters, 2)
+        # conv5's 18x18 output: 9 pool windows in more strips than the 3
+        # that split 2:1 over a frame thread and one helper.
+        assert len(nn._strip_bounds(18, 18, 9 * 128, 128, 2)) - 1 > 3
+
+
+# The most a stock forward pass at 300x300 may allocate beyond its input.
+# conv1's and conv2's outputs are alive together (2.75 + 1.37 MiB for 16
+# and 32 channels), and a thread's scratch holds a strip's padded rows,
+# im2col and product; its im2col buffer later holds one 16-column float64
+# block of the dense1 kernel (1.27 MiB). A per-layer ReLU or batchnorm copy
+# of conv1's output, or a float64 copy of the whole dense1 kernel
+# (5.06 MiB), breaks the bound.
+FORWARD_PEAK_MIB = 7.5
+
+
+@pytest.mark.parametrize("channels", [3, 1])
+def test_stock_forward_allocates_outputs_and_bounded_scratch(channels):
+    """A stock forward pass on a fresh thread, its scratch grown from
+    nothing, peaks below ``FORWARD_PEAK_MIB`` of traced allocations."""
+    spec = default_model_spec(channels=channels)
+    weights = random_weights(spec, seed=channels)
+    x = np.random.default_rng(channels).random((300, 300, channels))
+
+    def traced_peak() -> float:
+        tracemalloc.start()
+        try:
+            forward(spec, weights, x)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    with ThreadPoolExecutor(1) as fresh:
+        peak = fresh.submit(traced_peak).result(timeout=120)
+    assert peak < FORWARD_PEAK_MIB
+
+
 class TestSpread:
     @staticmethod
     def on_lent_thread(helpers, count, fn, *args):
@@ -1110,6 +1181,74 @@ def test_stock_scores_bit_identical_across_blas_thread_counts():
     single = stock_scores_with_blas_threads(1)
     assert len(single) == 6
     assert stock_scores_with_blas_threads(2) == single
+
+
+def dense_cases(count: int):
+    """``count`` seeded dense products ``(x, kernel, bias)`` over inputs of
+    up to 40k values, the first the stock dense1's 10368, with unit counts
+    that are multiples of ``nn._DENSE_BLOCK`` and ragged ones."""
+    rng = np.random.default_rng(1818)
+    for i in range(count):
+        n = 10368 if i == 0 else int(rng.integers(1, 40_001))
+        units = int(rng.choice([16, 32, 48, 64, 1, 5, 17, 40, 63]))
+        x = rng.standard_normal(n)
+        kernel = rng.standard_normal((n, units)).astype(np.float32)
+        yield x, kernel, rng.standard_normal(units).astype(np.float32)
+
+
+def dense_block_width(n: int, units: int) -> int:
+    """How many kernel columns ``dense`` casts at a time, read from the
+    scratch it leaves on a fresh thread."""
+    def run() -> int:
+        dense(np.zeros(n), np.zeros((n, units), np.float32), np.zeros(units, np.float32))
+        return nn._scratch.cols.size // n
+
+    with ThreadPoolExecutor(1) as fresh:
+        return fresh.submit(run).result(timeout=60)
+
+
+def test_dense_column_blocks_match_the_whole_product(blas_threads):
+    """``dense`` casts its float32 kernel 16 columns at a time when the unit
+    count allows, else whole, and equals the whole float64 product plus
+    bias bit for bit at 1 and 2 BLAS threads."""
+    for x, kernel, bias in dense_cases(150):
+        n, units = kernel.shape
+        want = x @ kernel.astype(np.float64) + bias.astype(np.float64)
+        got = dense(x, kernel, bias)
+        assert got.tobytes() == want.tobytes(), (n, units)
+        assert dense(x, kernel, bias, "relu").tobytes() == relu(want).tobytes(), (n, units)
+    for n, units in ((10368, 64), (10368, 16), (40_000, 48), (10368, 63), (16, 1), (7, 17)):
+        assert dense_block_width(n, units) == (16 if units % 16 == 0 else units), (n, units)
+
+
+def test_threads_keep_their_own_dense_blocks():
+    # More threads than cores and a short switch interval, so threads
+    # interleave dense blocks of different kernels, and conv strips, through
+    # their im2col scratch; a shared buffer would mix their kernels.
+    rng = np.random.default_rng(23)
+    cases = []
+    for k in range(6):
+        n, units = 4000 + 3000 * k, 16 * (1 + k % 3)
+        x = rng.standard_normal((40 + 4 * k, 48, 3))
+        kernel = rng.standard_normal((3, 3, 3, 8 + 4 * k)).astype(np.float32)
+        conv = (x, kernel, np.zeros(8 + 4 * k, np.float32))
+        cases.append((conv, rng.standard_normal(n), rng.standard_normal((n, units)).astype(np.float32)))
+
+    def run(case) -> tuple[bytes, ...]:
+        (x, kernel, bias), vector, weights = case
+        zero_bias = np.zeros(weights.shape[1], np.float32)
+        got = [dense(vector, weights, zero_bias).tobytes() for _ in range(4)]
+        return (*got, conv2d(x, kernel, bias, pool=2).tobytes())
+
+    want = [run(case) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(run, cases * 10, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 10
 
 
 class TestClassify:
@@ -1479,6 +1618,47 @@ class TestWeightContainer:
 
 
 # -- the container's spec JSON against malformed values ----------------------
+
+
+def buffer_owner(arr: np.ndarray) -> object:
+    """The object whose memory ``arr`` views, past any ndarray and
+    memoryview in between."""
+    base = arr
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.obj if isinstance(base, memoryview) else base
+
+
+class TestWeightBuffer:
+    """A loaded container's arrays are views of the one bytes object read
+    from the file, not copies of it."""
+
+    def test_arrays_share_the_container_bytes(self, tmp_path):
+        spec = default_model_spec()
+        weights = random_weights(spec, seed=5)
+        path = tmp_path / "stock.weights"
+        save_weights(path, spec, weights)
+        _, loaded = load_weights(path)
+        owners = {id(buffer_owner(arr)) for params in loaded.values() for arr in params.values()}
+        assert len(owners) == 1
+        owner = buffer_owner(loaded["conv1"]["kernel"])
+        assert isinstance(owner, bytes) and owner == path.read_bytes()
+        for layer, params in weights.items():
+            for name, arr in params.items():
+                got = loaded[layer][name]
+                assert not got.flags.writeable
+                assert got.dtype == np.float32 and got.tobytes() == arr.tobytes()
+
+    def test_unshapeable_record_raises_format_error(self, tmp_path):
+        spec_json = nn._spec_json_bytes(head_spec())
+        blob = b"TSTM" + struct.pack("<I", 1) + struct.pack("<I", len(spec_json)) + spec_json
+        rank = 70  # past numpy's most dimensions
+        blob += struct.pack("<H", 10) + b"out/kernel" + struct.pack("<B", rank)
+        blob += struct.pack(f"<{rank}I", *[1] * rank) + struct.pack("<f", 0.0)
+        path = tmp_path / "unshapeable.weights"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="no array has dims"):
+            load_weights(path)
 
 
 def split_container(path: Path) -> tuple[dict, bytes]:
