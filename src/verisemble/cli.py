@@ -14,6 +14,7 @@ Exit codes are a stable contract: 0 success, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -204,19 +205,12 @@ def _load_labels(path: str | Path) -> tuple[bool, ...]:
 
 def _simulate_fusion_config(args: argparse.Namespace) -> FusionConfig:
     base = load_config(args.config).fusion if args.config else FusionConfig()
-    pack_size = args.pack_size if args.pack_size is not None else base.pack_size
-    window = (
-        args.neighbor_window if args.neighbor_window is not None else base.neighbor_window
-    )
-    if args.packing == "on":
-        packing = True
-    elif args.packing == "off":
-        packing = False
-    else:
-        packing = base.packing_enabled
-    return FusionConfig(
-        pack_size=pack_size, neighbor_window=window, packing_enabled=packing
-    )
+    flags = {
+        "pack_size": args.pack_size,
+        "neighbor_window": args.neighbor_window,
+        "packing_enabled": None if args.packing is None else args.packing == "on",
+    }
+    return dataclasses.replace(base, **{k: v for k, v in flags.items() if v is not None})
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

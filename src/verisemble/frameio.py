@@ -339,7 +339,7 @@ class FrameSequence(Sequence[Frame]):
     holds a decoded frame only as long as it keeps it. The header is parsed
     from a prefix that grows until the header ends, so a read holds the
     header once; the file size is then checked against the payload it
-    promises before the payload is read into the frame's own array. Every
+    promises before the file is read and decoded by :func:`decode_ppm`. Every
     frame must have ``shape``, read from frame 0's header;
     indexing a frame that has another shape raises :class:`FormatError`
     naming its index. Made by :func:`open_sequence`.
@@ -361,16 +361,13 @@ class FrameSequence(Sequence[Frame]):
             raise IndexError(f"frame index {index} out of range for {len(self)} frames")
         path = self.manifest.frame_path(self.directory, index)
         try:
-            # The header and the file size bound what is read: the payload
-            # goes straight into the frame's own array.
+            # The header and the file size bound what is read.
             with open(path, "rb") as file:
                 width, height, offset = _read_ppm_header(file)
                 expected = width * height * 3
                 _check_payload(expected, os.fstat(file.fileno()).st_size - offset)
-                pixels = np.empty((height, width, 3), np.uint8)
-                file.seek(offset)
-                _check_payload(expected, file.readinto(pixels))
-            frame = Frame(index=index, pixels=pixels)
+                file.seek(0)
+                frame = decode_ppm(file.read(offset + expected), index)
         except FormatError as exc:
             raise _frame_error(index, path, exc) from exc
         if frame.pixels.shape != self.shape:

@@ -5,7 +5,9 @@ that can only veto, so it scores only the frames its decision can depend
 on: the window of ``FusionConfig.verifier_radius`` frames around each
 proposal that has survived the fold so far. A frame outside every such
 window stays negative whatever the verifier would say. The fold is local,
-so the stages run over the sequence together rather than in passes: each
+so the stages run over the sequence together rather than in passes, and
+whether a verifier needs a frame is asked of :func:`chain_fuse`, the one
+fusion fold, over a slice of the sequence around that frame: each
 frame is read and resized once, on a scoring thread, and its resized copy
 is kept only until every verifier has decided whether it needs the frame
 and has scored it if so. At most ``2 * workers`` tasks are submitted
@@ -172,7 +174,8 @@ def _score_stages(
     ``i`` it reads stage 0 on the pack that holds ``i`` and each verifier
     on ``[i - r, i + r]``. So whether a verifier needs frame ``j`` is
     decided once the stages before it are known a bounded distance past
-    ``j``, and the resized frame is kept only until every verifier has
+    ``j``, by :func:`chain_fuse` over a slice of the sequence around ``j``,
+    and the resized frame is kept only until every verifier has
     decided it and scored it if needed. Tasks go to ``pool`` in the order
     they become ready, verifiers first, with at most ``ahead`` submitted
     beyond the one being collected; results are collected in that order.
@@ -186,11 +189,7 @@ def _score_stages(
     labels = [[False] * n for _ in models]
     scored: list[list[int]] = [[] for _ in models]
     got = [0] * count  # results collected, per stage
-    # proposed[k][i], the fold of the stages before k at frame i, is known
-    # for i < folded[k]; whether stage k scores frame j, for j < decided[k].
-    proposed = [[False] * n for _ in models]
-    folded = [0] * count
-    decided = [0] * count
+    decided = [0] * count  # whether stage k scores frame j is known for j < decided[k]
     # A frame a verifier may need is copied into an array allocated here, on
     # the collecting thread, so that the frames kept across tasks do not pin
     # the scoring threads' heaps between their short-lived arrays.
@@ -220,23 +219,25 @@ def _score_stages(
     def advance() -> None:
         nonlocal released
         for k in range(1, count):
-            below = known(k - 1)
-            if k == 1:
-                end = n if below == n else below - below % pack
-            else:
-                end = min(folded[k - 1], n if below == n else below - r)
-            for i in range(folded[k], end):
-                if k == 1:
-                    members = labels[0][i - i % pack : i - i % pack + pack]
-                    proposed[k][i] = sum(members) * 2 > len(members)
-                else:
-                    proposed[k][i] = proposed[k - 1][i] and any(
-                        labels[k - 1][max(0, i - r) : i + r + 1]
-                    )
-            folded[k] = max(folded[k], end)
-            end = n if folded[k] == n else folded[k] - r
+            # Verifier k decides frame j once stage 0 is known on the packs
+            # of [j - r, j + r] and each earlier verifier on [j - 2r, j + 2r].
+            below = known(0)
+            end = n if below == n else below - below % pack - r
+            for m in range(1, k):
+                below = known(m)
+                end = min(end, n if below == n else below - 2 * r)
             for j in range(decided[k], end):
-                if any(proposed[k][max(0, j - r) : j + r + 1]):
+                # Folded with a last verifier that fires only at j, the
+                # stages before k keep a positive iff their fold is positive
+                # within r of j. The pack-aligned slice holds all it reads.
+                lo = max(0, j - 2 * r)
+                lo -= lo % pack
+                hi = min(n, j + 2 * r + pack)
+                probe = [False] * (hi - lo)
+                probe[j - lo] = True
+                stages = [PredictionSeries(labels[m][lo:hi], scores[m][lo:hi]) for m in range(k)]
+                stages.append(PredictionSeries(probe, [0.0] * (hi - lo)))
+                if chain_fuse(stages, config.fusion).positive_count():
                     scored[k].append(j)
                     ready.append((k, j))
             decided[k] = max(decided[k], end)

@@ -14,6 +14,7 @@ import pytest
 
 from verisemble import (
     ChannelSubset,
+    FusionConfig,
     MeanIntensityModel,
     encode_ppm,
     extract_features,
@@ -861,29 +862,68 @@ class TestSimulate:
         assert out["before"]["fpr"] == 1.0
         assert out["after"]["fpr"] == 0.0
 
-    def test_fusion_overrides_accepted(self, tmp_path, capsys):
-        labels = self.labels_file(tmp_path, [0, 1] * 10)
-        assert main([
-            "simulate", "--labels", str(labels),
-            "--primary-tpr", "0.9", "--primary-fpr", "0.1",
-            "--verifier-tpr", "0.9", "--verifier-fpr", "0.1",
-            "--pack-size", "5", "--neighbor-window", "5", "--packing", "on",
-        ]) == 0
+    @staticmethod
+    def fusion_used(tmp_path, capsys, *flags) -> FusionConfig:
+        """The fusion config that ``simulate`` with ``flags`` folds with."""
+        labels = TestSimulate.labels_file(tmp_path, [0, 1] * 10)
+        with mock.patch.object(cli, "chain_fuse", wraps=cli.chain_fuse) as fuse:
+            assert main([
+                "simulate", "--labels", str(labels),
+                "--primary-tpr", "0.9", "--primary-fpr", "0.1",
+                "--verifier-tpr", "0.9", "--verifier-fpr", "0.1",
+                *flags,
+            ]) == 0
         capsys.readouterr()
+        (_, fusion), _ = fuse.call_args
+        return fusion
+
+    def test_fusion_overrides_accepted(self, tmp_path, capsys):
+        fusion = self.fusion_used(
+            tmp_path, capsys, "--pack-size", "5", "--neighbor-window", "5", "--packing", "on"
+        )
+        assert fusion == FusionConfig(pack_size=5, neighbor_window=5, packing_enabled=True)
 
     def test_config_fusion_block_used(self, tmp_path, capsys):
         config = write_mean_config(
             tmp_path / "config.json",
             fusion={"pack_size": 5, "neighbor_window": 5, "packing_enabled": True},
         )
-        labels = self.labels_file(tmp_path, [0, 1] * 10)
-        assert main([
-            "simulate", "--labels", str(labels),
-            "--primary-tpr", "1.0", "--primary-fpr", "0.0",
-            "--verifier-tpr", "1.0", "--verifier-fpr", "0.0",
-            "--config", str(config),
-        ]) == 0
-        capsys.readouterr()
+        fusion = self.fusion_used(tmp_path, capsys, "--config", str(config))
+        assert fusion == FusionConfig(pack_size=5, neighbor_window=5, packing_enabled=True)
+
+    @pytest.mark.parametrize(
+        "packing, flags, changed",
+        [
+            (True, [], {}),
+            (True, ["--pack-size", "3"], {"pack_size": 3}),
+            (True, ["--neighbor-window", "1"], {"neighbor_window": 1}),
+            (True, ["--packing", "off"], {"packing_enabled": False}),
+            (True, ["--packing", "on"], {}),
+            (False, ["--packing", "on"], {"packing_enabled": True}),
+            (False, ["--pack-size", "9"], {"pack_size": 9}),
+            (
+                True,
+                ["--pack-size", "9", "--neighbor-window", "3", "--packing", "off"],
+                {"pack_size": 9, "neighbor_window": 3, "packing_enabled": False},
+            ),
+        ],
+    )
+    def test_each_flag_replaces_only_its_field(self, tmp_path, capsys, packing, flags, changed):
+        block = {"pack_size": 5, "neighbor_window": 7, "packing_enabled": packing}
+        config = write_mean_config(tmp_path / "config.json", fusion=block)
+        fusion = self.fusion_used(tmp_path, capsys, "--config", str(config), *flags)
+        assert fusion == FusionConfig(**{**block, **changed})
+
+    @pytest.mark.parametrize(
+        "flags, changed",
+        [
+            ([], {}),
+            (["--packing", "off"], {"packing_enabled": False}),
+            (["--pack-size", "7"], {"pack_size": 7}),
+        ],
+    )
+    def test_flags_replace_the_default_without_config(self, tmp_path, capsys, flags, changed):
+        assert self.fusion_used(tmp_path, capsys, *flags) == FusionConfig(**changed)
 
     def test_bad_rate_exit_2(self, tmp_path, capsys):
         labels = self.labels_file(tmp_path, [0, 1])

@@ -237,6 +237,24 @@ class TestOpenSequence:
         with pytest.raises(IndexError):
             frames[5]
 
+    def test_indexing_decodes_through_decode_ppm(self, tmp_path, monkeypatch):
+        """Indexing calls the module-global ``decode_ppm`` once, with the
+        file's bytes, so wrapping that name sees every frame read."""
+        directory = write_sequence(tmp_path / "seq", [BLACK, WHITE, BLACK])
+        data = b"P6\n# a comment\n16 16\n255\n" + bytes([255]) * (16 * 16 * 3)
+        (directory / "frame_0001.ppm").write_bytes(data)
+        calls = []
+        decode = frameio.decode_ppm
+
+        def recording(data, index=0):
+            calls.append((data, index))
+            return decode(data, index)
+
+        monkeypatch.setattr(frameio, "decode_ppm", recording)
+        frame = open_sequence(directory)[1]
+        assert calls == [(data, 1)]
+        assert frame == solid_frame(WHITE, index=1)
+
     def test_each_access_reads_the_file(self, tmp_path):
         directory = write_sequence(tmp_path / "seq", [BLACK, BLACK])
         frames = open_sequence(directory)

@@ -411,14 +411,16 @@ def predictions_cells(config: PipelineConfig, result) -> list[list[str]]:
 @st.composite
 def lazy_cases(draw):
     """1-3 single-channel stages (R, G, B) over solid frames, so each
-    stage's score stream is drawn independently, plus a fusion config."""
+    stage's score stream is drawn independently, plus a fusion config.
+    Packs and windows up to 7 over up to 40 frames draw fold slices
+    clipped at both ends and packs wider than the window."""
     stages = draw(st.integers(1, 3))
-    n = draw(st.integers(0, 20))
+    n = draw(st.integers(0, 40))
     pixel = st.integers(0, 255)
     colors = draw(st.lists(st.tuples(pixel, pixel, pixel), min_size=n, max_size=n))
     fusion = FusionConfig(
-        pack_size=draw(st.sampled_from((1, 3, 5))),
-        neighbor_window=draw(st.sampled_from((1, 3, 5))),
+        pack_size=draw(st.sampled_from((1, 3, 5, 7))),
+        neighbor_window=draw(st.sampled_from((1, 3, 5, 7))),
         packing_enabled=draw(st.booleans()),
     )
     return stages, colors, fusion
