@@ -244,13 +244,21 @@ def _usable_cpus() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    workers = {
-        "type": int,
-        "default": _usable_cpus(),
-        "help": "frame-scoring threads; each frame spreads its work over "
+    # The inputs and threads of `run` and `bench`, which score the same way.
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--config", required=True, help="pipeline config JSON")
+    scoring.add_argument("--frames", required=True, help="directory of frames + manifest")
+    scoring.add_argument(
+        "--manifest", default=None, help="manifest path (default: <frames>/manifest.json)"
+    )
+    scoring.add_argument(
+        "--workers",
+        type=int,
+        default=_usable_cpus(),
+        help="frame-scoring threads; each frame spreads its work over "
         "max(1, BLAS threads // workers) cores "
         "(default: the CPUs this process may use, here %(default)s)",
-    }
+    )
     parser = argparse.ArgumentParser(
         prog="verisemble",
         description="Verification-based two-stage frame classification ensemble.",
@@ -260,13 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run the pipeline over a frame directory")
-    run.add_argument("--config", required=True, help="pipeline config JSON")
-    run.add_argument("--frames", required=True, help="directory of frames + manifest")
-    run.add_argument("--manifest", default=None, help="manifest path (default: <frames>/manifest.json)")
+    run = sub.add_parser("run", parents=[scoring], help="run the pipeline over a frame directory")
     run.add_argument("--gt", default=None, help="ground-truth CSV; enables report.json")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--workers", **workers)
     run.add_argument("--tol", type=float, default=1.0, help="match tolerance in seconds")
     run.set_defaults(func=cmd_run)
 
@@ -276,13 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--tol", type=float, default=1.0, help="match tolerance in seconds")
     ev.set_defaults(func=cmd_eval)
 
-    bench = sub.add_parser("bench", help="time run's pipeline per frame; report model size")
-    bench.add_argument("--config", required=True, help="pipeline config JSON")
-    bench.add_argument("--frames", required=True, help="directory of frames + manifest")
-    bench.add_argument("--manifest", default=None, help="manifest path (default: <frames>/manifest.json)")
+    bench = sub.add_parser(
+        "bench", parents=[scoring], help="time run's pipeline per frame; report model size"
+    )
     bench.add_argument("--warmup", type=int, default=5, help="untimed pipeline runs first")
     bench.add_argument("--repeats", type=int, default=1, help="timed pipeline runs")
-    bench.add_argument("--workers", **workers)
     bench.set_defaults(func=cmd_bench)
 
     sim = sub.add_parser("simulate", help="fuse synthetic classifier outputs")

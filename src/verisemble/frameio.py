@@ -10,6 +10,7 @@ threads.
 
 from __future__ import annotations
 
+import io
 import os
 import re
 from dataclasses import dataclass
@@ -46,8 +47,8 @@ _PPM_WHITESPACE = b" \t\n\r\x0b\x0c"
 # More significant digits than a PPM header number can have for any payload
 # that fits in memory; ``int()`` refuses more than 4,300 digits by default.
 _PPM_MAX_DIGITS = 20
-# Bytes first read for a frame file's header, which comments can lengthen.
-_PPM_PREFIX = 64
+# Bytes read at a time while a header comment is skipped.
+_PPM_COMMENT_CHUNK = 1 << 16
 
 # The widest field a frame file pattern may pad to: NAME_MAX, the longest
 # file name on common file systems, so no wider field can name a file.
@@ -176,102 +177,45 @@ class GroundTruth:
         return len(self.intervals)
 
 
-class _ByteScanner:
-    """Cursor over PPM header bytes, skipping whitespace and # comments."""
-
-    def __init__(self, data: bytes | bytearray) -> None:
-        self.data = data
-        self.pos = 0
-
-    def skip_separators(self) -> int:
-        """Skip whitespace/comments; returns how many bytes were skipped."""
-        start = self.pos
-        while self.pos < len(self.data):
-            byte = self.data[self.pos : self.pos + 1]
-            if byte in (b"#",):
-                end = self.data.find(b"\n", self.pos)
-                self.pos = len(self.data) if end < 0 else end
-            elif byte and byte in _PPM_WHITESPACE:
-                self.pos += 1
-            else:
-                break
-        return self.pos - start
-
-    def read_token(self) -> bytes:
-        start = self.pos
-        while self.pos < len(self.data):
-            byte = self.data[self.pos : self.pos + 1]
-            if byte in _PPM_WHITESPACE or byte == b"#":
-                break
-            self.pos += 1
-        return bytes(self.data[start : self.pos])
-
-    def read_int(self, what: str) -> int:
-        if self.skip_separators() == 0:
+def _ppm_header(stream: BinaryIO) -> tuple[int, int]:
+    """Width and height of the binary PPM read from ``stream``, which is left
+    at the first payload byte: nothing past the header is read. A ``#``
+    comment is skipped in reads of at most ``_PPM_COMMENT_CHUNK`` bytes, so
+    its length costs no memory."""
+    magic = stream.read(2)
+    if magic != b"P6":
+        raise FormatError(f"frames must be binary PPM (P6): magic {magic!r} is not b'P6'")
+    byte = stream.read(1)
+    numbers = []
+    for what in ("width", "height", "maxval"):
+        separated = False
+        while byte == b"#" or (byte and byte in _PPM_WHITESPACE):
+            if byte == b"#":
+                while (line := stream.readline(_PPM_COMMENT_CHUNK)) and line[-1:] != b"\n":
+                    pass
+            byte = stream.read(1)
+            separated = True
+        if not separated:
             raise FormatError(f"PPM header: expected separator before {what}")
-        token = self.read_token()
+        token = bytearray()
+        while byte and byte != b"#" and byte not in _PPM_WHITESPACE:
+            token += byte
+            byte = stream.read(1)
         if not token.isdigit():
-            raise FormatError(f"PPM header: bad {what} {token!r}")
+            raise FormatError(f"PPM header: bad {what} {bytes(token)!r}")
         digits = token.lstrip(b"0") or b"0"
         if len(digits) > _PPM_MAX_DIGITS:
             raise FormatError(f"PPM header: {what} has more than {_PPM_MAX_DIGITS} digits")
-        return int(digits)
-
-
-class _HeaderCut(FormatError):
-    """The bytes given end inside the PPM header, so more bytes may parse."""
-
-
-def _ppm_header(data: bytes | bytearray) -> tuple[int, int, int]:
-    """Width, height and payload offset of a binary PPM; the payload is not read.
-
-    Raises :class:`_HeaderCut` where the header runs to the end of ``data``.
-    """
-    scanner = _ByteScanner(data)
-    try:
-        scanner.pos = min(2, len(data))
-        if data[:2] != b"P6":
-            raise FormatError(
-                f"frames must be binary PPM (P6): magic {bytes(data[:2])!r} is not b'P6'"
-            )
-        width = scanner.read_int("width")
-        height = scanner.read_int("height")
-        maxval = scanner.read_int("maxval")
-        if width < 1 or height < 1:
-            raise FormatError(f"PPM header: bad dimensions {width}x{height}")
-        if maxval != 255:
-            raise FormatError(f"PPM maxval must be 255, got {maxval}")
-        # Exactly one whitespace byte separates the header from the payload.
-        if scanner.pos >= len(data) or data[scanner.pos] not in _PPM_WHITESPACE:
-            raise FormatError("PPM header: missing whitespace before payload")
-    except FormatError as exc:
-        if scanner.pos >= len(data):
-            raise _HeaderCut(str(exc)) from None
-        raise
-    return width, height, scanner.pos + 1
-
-
-def _read_ppm_header(file: BinaryIO) -> tuple[int, int, int]:
-    """:func:`_ppm_header` of the file open as ``file``, parsed from a
-    prefix that doubles in place, up to the file's size, until the header
-    ends.
-
-    A header's own length still costs memory: a long comment is held
-    whole, once, while it is parsed.
-    """
-    size = os.fstat(file.fileno()).st_size
-    prefix = bytearray()
-    while True:
-        start = len(prefix)
-        prefix.extend(bytes(min(max(start, _PPM_PREFIX), size - start)))
-        with memoryview(prefix) as view:
-            end = start + file.readinto(view[start:])
-        del prefix[end:]
-        try:
-            return _ppm_header(prefix)
-        except _HeaderCut:
-            if end == start or end >= size:
-                raise
+        numbers.append(int(digits))
+    width, height, maxval = numbers
+    if width < 1 or height < 1:
+        raise FormatError(f"PPM header: bad dimensions {width}x{height}")
+    if maxval != 255:
+        raise FormatError(f"PPM maxval must be 255, got {maxval}")
+    # Exactly one whitespace byte, read above, separates the header from the payload.
+    if not byte or byte not in _PPM_WHITESPACE:
+        raise FormatError("PPM header: missing whitespace before payload")
+    return width, height
 
 
 def _check_payload(expected: int, got: int) -> None:
@@ -290,7 +234,9 @@ def decode_ppm(data: bytes, index: int = 0) -> Frame:
     payload.
     """
     data = bytes(data)  # no copy for bytes; a mutable buffer must not alias the frame
-    width, height, offset = _ppm_header(data)
+    stream = io.BytesIO(data)
+    width, height = _ppm_header(stream)
+    offset = stream.tell()
     expected = width * height * 3
     _check_payload(expected, len(data) - offset)
     pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=offset)
@@ -336,13 +282,12 @@ class FrameSequence(Sequence[Frame]):
     """The frames of a directory in index order, each decoded when indexed.
 
     Nothing is cached: each indexing reads the file again, and a caller
-    holds a decoded frame only as long as it keeps it. The header is parsed
-    from a prefix that grows until the header ends, so a read holds the
-    header once; the file size is then checked against the payload it
-    promises before the file is read and decoded by :func:`decode_ppm`. Every
-    frame must have ``shape``, read from frame 0's header;
-    indexing a frame that has another shape raises :class:`FormatError`
-    naming its index. Made by :func:`open_sequence`.
+    holds a decoded frame only as long as it keeps it. The header is read
+    from the file up to its payload; the file size is then checked against
+    the payload it promises before the file is read and decoded by
+    :func:`decode_ppm`. Every frame must have ``shape``, read from frame
+    0's header; indexing a frame that has another shape raises
+    :class:`FormatError` naming its index. Made by :func:`open_sequence`.
     """
 
     directory: Path
@@ -363,7 +308,8 @@ class FrameSequence(Sequence[Frame]):
         try:
             # The header and the file size bound what is read.
             with open(path, "rb") as file:
-                width, height, offset = _read_ppm_header(file)
+                width, height = _ppm_header(file)
+                offset = file.tell()
                 expected = width * height * 3
                 _check_payload(expected, os.fstat(file.fileno()).st_size - offset)
                 file.seek(0)
@@ -398,7 +344,7 @@ def open_sequence(
         first = manifest.frame_path(directory, 0)
         try:
             with open(first, "rb") as file:
-                width, height, _ = _read_ppm_header(file)
+                width, height = _ppm_header(file)
         except FormatError as exc:
             raise _frame_error(0, first, exc) from exc
         shape = (height, width, 3)

@@ -11,9 +11,10 @@ fusion fold, over a slice of the sequence around that frame: each
 frame is read and resized once, on a scoring thread, and its resized copy
 is kept only until every verifier has decided whether it needs the frame
 and has scored it if so. At most ``2 * workers`` tasks are submitted
-beyond the one whose score is being collected, so memory does not grow
-with the sequence length; per frame, only each stage's score and label
-are kept. Per-stage label streams are fused by the verification
+beyond the one whose score is being collected, so the frames in flight
+and the resized copies kept are bounded whatever the sequence length;
+per frame, each stage's score and label are kept, and these grow
+linearly with it. Per-stage label streams are fused by the verification
 chain and the surviving positives collapse into timestamped events.
 
 While a pool of ``workers`` threads scores frames, each frame gets
@@ -274,9 +275,12 @@ def _score_stages(
     return labels, scores, scored
 
 
-# (get, set) thread-count symbols of numpy wheels' scipy-openblas, then of a plain OpenBLAS.
+# (get, set) thread-count symbols of numpy wheels' scipy-openblas, then of a
+# plain OpenBLAS; ILP64 builds, such as numpy 1.2x wheels', add a ``64_`` suffix.
 _BLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 

@@ -12,6 +12,7 @@ an earlier numpy forward pass that the faster one must equal bit for bit.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -439,3 +440,27 @@ def match_counts_ref(event_times, intervals, tol: float):
         if hit:
             matched_intervals += 1
     return matched_events, matched_intervals
+
+
+# -- frame files -----------------------------------------------------------
+
+# The P6 header as one regular expression: each number follows whitespace
+# or comments, a comment runs from "#" to the end of its line, a number is
+# ASCII digits with at most 20 after its leading zeros, width and height
+# are at least 1, maxval is 255, and exactly one whitespace byte ends the
+# header.
+_PPM_SEPARATOR = rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*(?:\n|\Z))+"
+_PPM_DIMENSION = rb"0*([1-9][0-9]{0,19})"
+_PPM_HEADER = re.compile(
+    rb"P6" + _PPM_SEPARATOR + _PPM_DIMENSION + _PPM_SEPARATOR + _PPM_DIMENSION
+    + _PPM_SEPARATOR + rb"0*255[ \t\n\r\x0b\x0c]"
+)
+
+
+def ppm_header_ref(data: bytes):
+    """``(width, height, payload offset)`` of a valid PPM header at the start
+    of ``data``, else None; the payload is not looked at."""
+    match = _PPM_HEADER.match(data)
+    if match is None:
+        return None
+    return int(match.group(1)), int(match.group(2)), match.end()

@@ -288,11 +288,11 @@ class TestOpenSequence:
         ):
             frames[2]
 
-    @pytest.mark.parametrize("prefix", [1, 2, 5, 64])
-    def test_header_longer_than_the_first_read(self, tmp_path, monkeypatch, prefix):
-        """Comments lengthen a header past the bytes first read; it still
-        parses, at open and when indexed, wherever a read stops."""
-        monkeypatch.setattr(frameio, "_PPM_PREFIX", prefix)
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 64])
+    def test_header_longer_than_the_first_read(self, tmp_path, monkeypatch, chunk):
+        """A comment longer than one read of ``chunk`` bytes is skipped in
+        several; the header still parses, at open and when indexed."""
+        monkeypatch.setattr(frameio, "_PPM_COMMENT_CHUNK", chunk)
         directory = write_sequence(tmp_path / "seq", [WHITE, BLACK])
         pixels = random_frame(seed=9, width=16, height=16).pixels.tobytes()
         data = b"P6\n# " + b"c" * 300 + b"\n16 # w\n16\n#\n255\n" + pixels

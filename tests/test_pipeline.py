@@ -628,6 +628,20 @@ def blas_api():
     return api
 
 
+def test_a_mapped_openblas_is_controlled():
+    """Where numpy's OpenBLAS is mapped into the process, it exports one of
+    the thread-count pairs that ``_blas_thread_api`` knows, so a scoring
+    pool can hold it at one thread."""
+    try:
+        with open("/proc/self/maps") as maps:
+            mapped = any("openblas" in line.lower() for line in maps)
+    except OSError:
+        pytest.skip("no /proc/self/maps")
+    if not mapped:
+        pytest.skip("no OpenBLAS mapped into this process")
+    assert pipeline._blas_thread_api() is not None
+
+
 class BlasReadingModel:
     """Mean-intensity stage that records the BLAS thread count at every
     call, from any thread, and raises at call number ``fail_at``."""
