@@ -89,20 +89,18 @@ def _write_predictions_csv(path: Path, config: PipelineConfig, result: PipelineR
         columns.append(f"stage{k}_{stage.channels.value}_label")
         columns.append(f"stage{k}_{stage.channels.value}_score")
     columns += ["final_label", "final_score"]
-    lines = [",".join(columns)]
-    scored = [set(frames) for frames in result.scored]
+    n = len(result.fused)
     known = result.fused_score_known(config.fusion)
-    for i in range(len(result.fused)):
-        row = [str(i)]
-        for series, done in zip(result.stage_series, scored):
-            if i in done:
-                row += [str(int(series.labels[i])), repr(series.scores[i])]
-            else:
-                row += ["", ""]
-        row.append(str(int(result.fused.labels[i])))
-        row.append(repr(result.fused.scores[i]) if known[i] else "")
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    scored = [np.isin(np.arange(n), frames) for frames in result.scored]
+    with open(path, "w") as out:
+        out.write(",".join(columns) + "\n")
+        for i in range(n):
+            row = [str(i)]
+            for series, done in zip(result.stage_series, scored):
+                row += [str(int(series.labels[i])), repr(series.scores[i])] if done[i] else ["", ""]
+            row.append(str(int(result.fused.labels[i])))
+            row.append(repr(result.fused.scores[i]) if known[i] else "")
+            out.write(",".join(row) + "\n")
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -49,6 +49,9 @@ _PPM_WHITESPACE = b" \t\n\r\x0b\x0c"
 _PPM_MAX_DIGITS = 20
 # Bytes read at a time while a header comment is skipped.
 _PPM_COMMENT_CHUNK = 1 << 16
+# The most bytes of a bad header number quoted in its error; a token is read
+# no further past them once it holds a non-digit or too many digits.
+_PPM_QUOTE = 32
 
 # The widest field a frame file pattern may pad to: NAME_MAX, the longest
 # file name on common file systems, so no wider field can name a file.
@@ -197,16 +200,25 @@ def _ppm_header(stream: BinaryIO) -> tuple[int, int]:
             separated = True
         if not separated:
             raise FormatError(f"PPM header: expected separator before {what}")
-        token = bytearray()
+        # The bytes an error quotes and the digits past the leading zeros; neither grows.
+        head, digits, size, bad = bytearray(), bytearray(), 0, False
         while byte and byte != b"#" and byte not in _PPM_WHITESPACE:
-            token += byte
+            size += 1
+            if size > _PPM_QUOTE and (bad or len(digits) > _PPM_MAX_DIGITS):
+                break
+            if size <= _PPM_QUOTE:
+                head += byte
+            if not byte.isdigit():
+                bad = True
+            elif digits or byte != b"0":
+                digits += byte
             byte = stream.read(1)
-        if not token.isdigit():
-            raise FormatError(f"PPM header: bad {what} {bytes(token)!r}")
-        digits = token.lstrip(b"0") or b"0"
+        if bad or not size:
+            cut = "..." if size > _PPM_QUOTE else ""
+            raise FormatError(f"PPM header: bad {what} {bytes(head)!r}{cut}")
         if len(digits) > _PPM_MAX_DIGITS:
             raise FormatError(f"PPM header: {what} has more than {_PPM_MAX_DIGITS} digits")
-        numbers.append(int(digits))
+        numbers.append(int(digits or b"0"))
     width, height, maxval = numbers
     if width < 1 or height < 1:
         raise FormatError(f"PPM header: bad dimensions {width}x{height}")

@@ -13,8 +13,8 @@ is kept only until every verifier has decided whether it needs the frame
 and has scored it if so. At most ``2 * workers`` tasks are submitted
 beyond the one whose score is being collected, so the frames in flight
 and the resized copies kept are bounded whatever the sequence length;
-per frame, each stage's score and label are kept, and these grow
-linearly with it. Per-stage label streams are fused by the verification
+per frame, each stage's score is kept, and these grow linearly with it.
+The labels :func:`classify` gives the scores are fused by the verification
 chain and the surviving positives collapse into timestamped events.
 
 While a pool of ``workers`` threads scores frames, each frame gets
@@ -41,13 +41,14 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
 from .config import CnnModelConfig, MeanIntensityModelConfig, PipelineConfig
-from .ensemble import FusionConfig, PredictionSeries, chain_fuse
+from .ensemble import FusionConfig, PredictionSeries, _series, chain_fuse
 from .errors import LoadError, ValidationError
 from .evaluate import DetectionEvent, events_from_series
 from .frameio import Frame
@@ -125,14 +126,15 @@ def build_stage_models(config: PipelineConfig) -> tuple[StageModel, ...]:
 class PipelineResult:
     """Everything the pipeline produced for one sequence.
 
-    ``stage_series[k][i]`` is stage ``k``'s raw output for the ``i``-th
-    frame of the input order; ``fused`` is the chained decision stream
-    over the same positions. ``scored[k]`` lists, ascending, the frames
-    stage ``k`` scored: every frame for stage 0, the proposal windows
-    for each verifier. At a frame a stage did not score, its series holds
-    label False and score 0.0, so a fused score whose window takes in
-    such a frame may differ from the one that scoring every frame gives.
-    Fused labels, and the fused scores of fused positives, never differ.
+    ``stage_series[k][i]`` is stage ``k``'s score, checked to lie in [0, 1],
+    for the ``i``-th frame of the input order, labelled by :func:`classify`;
+    ``fused`` is the chained decision stream over the same positions.
+    ``scored[k]`` lists, ascending, the frames stage ``k`` scored: every
+    frame for stage 0, the proposal windows for each verifier. At a frame a
+    stage did not score, its series holds label False and score 0.0, so a
+    fused score whose window takes in such a frame may differ from the one
+    that scoring every frame gives. Fused labels, and the fused scores of
+    fused positives, never differ.
     """
 
     stage_series: tuple[PredictionSeries, ...]
@@ -144,19 +146,13 @@ class PipelineResult:
         """Per frame, whether every verifier scored the whole window around
         it under ``fusion``, so its fused score is the one that scoring
         every frame gives."""
-        n = len(self.fused)
-        unknown: set[int] = set()
+        n, r = len(self.fused), fusion.verifier_radius
+        missing = [len(self.scored) - 1] * n  # per frame, verifiers that did not score it
         for frames in self.scored[1:]:
-            unscored = set(range(n)).difference(frames)
-            unknown.update(_windows(unscored, fusion.verifier_radius, n))
-        return tuple(i not in unknown for i in range(n))
-
-
-def _windows(centres: Iterable[int], radius: int, n: int) -> tuple[int, ...]:
-    """Ascending union of ``[i - radius, i + radius]`` over ``centres``, clipped to ``[0, n)``."""
-    return tuple(
-        sorted({j for i in centres for j in range(max(0, i - radius), min(n, i + radius + 1))})
-    )
+            for j in frames:
+                missing[j] -= 1
+        before = (0, *accumulate(missing))
+        return tuple(before[max(0, i - r)] == before[min(n, i + r + 1)] for i in range(n))
 
 
 def _score_stages(
@@ -165,9 +161,11 @@ def _score_stages(
     config: PipelineConfig,
     models: Sequence[StageModel],
     ahead: int,
-) -> tuple[list[list[bool]], list[list[float]], list[list[int]]]:
-    """Per stage, the labels and scores of all frames (False and 0.0 where
-    it did not score) and the ascending frames it scored.
+) -> tuple[list[list[float]], list[list[int]]]:
+    """Per stage, the scores of all frames (0.0 where it did not score) and
+    the ascending frames it scored. Each score is checked once, as a float,
+    when it is collected: one outside [0, 1], NaN included, raises
+    :class:`ValidationError` naming the stage and the frame.
 
     Stage 0 scores every frame, read and resized once on a scoring thread.
     Stage ``k > 0`` scores frame ``j`` if the fold of the stages before it
@@ -185,9 +183,8 @@ def _score_stages(
     r = config.fusion.verifier_radius
     pack = config.fusion.pack_size if config.fusion.packing_enabled else 1
     # A frame a stage did not score keeps score 0.0, below every valid
-    # threshold, and label False.
+    # threshold, so its label is False.
     scores = [[0.0] * n for _ in models]
-    labels = [[False] * n for _ in models]
     scored: list[list[int]] = [[] for _ in models]
     got = [0] * count  # results collected, per stage
     decided = [0] * count  # whether stage k scores frame j is known for j < decided[k]
@@ -234,10 +231,9 @@ def _score_stages(
                 lo = max(0, j - 2 * r)
                 lo -= lo % pack
                 hi = min(n, j + 2 * r + pack)
-                probe = [False] * (hi - lo)
-                probe[j - lo] = True
-                stages = [PredictionSeries(labels[m][lo:hi], scores[m][lo:hi]) for m in range(k)]
-                stages.append(PredictionSeries(probe, [0.0] * (hi - lo)))
+                probe = tuple(i == j for i in range(lo, hi))
+                stages = [_stage_series(scores[m][lo:hi], config.threshold) for m in range(k)]
+                stages.append(_series(probe, (0.0,) * (hi - lo)))
                 if chain_fuse(stages, config.fusion).positive_count():
                     scored[k].append(j)
                     ready.append((k, j))
@@ -262,17 +258,23 @@ def _score_stages(
             if not pending:
                 break
             k, i, future = pending.popleft()
+            result = future.result()
             if k == 0:
-                kept[i], scores[0][i] = future.result()
-            else:
-                scores[k][i] = future.result()
-            labels[k][i] = classify(scores[k][i], config.threshold)
+                kept[i], result = result
+            scores[k][i] = value = float(result)
+            if not 0.0 <= value <= 1.0:
+                raise ValidationError(f"stage {k}: score at frame {i} outside [0, 1]: {value}")
             got[k] += 1
             advance()
     finally:
         for *_, future in pending:
             future.cancel()
-    return labels, scores, scored
+    return scores, scored
+
+
+def _stage_series(scores: Sequence[float], threshold: float) -> PredictionSeries:
+    """A stage's checked scores with the labels :func:`classify` gives them."""
+    return _series(tuple(classify(s, threshold) for s in scores), tuple(scores))
 
 
 # (get, set) thread-count symbols of numpy wheels' scipy-openblas, then of a
@@ -388,8 +390,8 @@ def run_pipeline(
     ) as helpers, ThreadPoolExecutor(
         workers, initializer=_lend_helpers, initargs=(helpers, cores - 1)
     ) as pool:
-        labels, scores, needed = _score_stages(pool, frames, config, models, 2 * workers)
-    stage_series = [PredictionSeries(labels=l, scores=s) for l, s in zip(labels, scores)]
+        scores, needed = _score_stages(pool, frames, config, models, 2 * workers)
+    stage_series = [_stage_series(s, config.threshold) for s in scores]
     scored = [tuple(range(n)), *map(tuple, needed[1:])]
     for k, done in enumerate(scored):
         logger.info("stage %d: scored %d of %d frames", k, len(done), n)

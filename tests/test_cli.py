@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +17,7 @@ from verisemble import (
     ChannelSubset,
     FusionConfig,
     MeanIntensityModel,
+    PredictionSeries,
     encode_ppm,
     extract_features,
     load_config,
@@ -144,6 +146,36 @@ class TestRun:
             f"7,0,{black_rgb!r},,,0,",
             f"8,0,{black_rgb!r},,,0,",
         ]
+
+    def test_predictions_csv_is_written_row_by_row(self, tmp_path):
+        """A three-stage 20,000-frame result is written as it is read: no
+        list of lines and no per-stage set of scored frames, so the
+        writer's traced peak stays under 2 MB."""
+        n = 20_000
+        stages = [{"channels": c, "model": {"type": "mean_intensity"}} for c in ("RGB", "RG", "L")]
+        config = load_config(write_mean_config(tmp_path / "config.json", stages=stages))
+        scores = tuple((i * 7919 % 1000) / 1000 for i in range(n))
+        series = PredictionSeries(labels=tuple(s >= 0.5 for s in scores), scores=scores)
+        scored = (
+            tuple(range(n)),
+            tuple(i for i in range(n) if i % 10 < 7),
+            tuple(i for i in range(n) if i % 7 < 5),
+        )
+        result = pipeline.PipelineResult(
+            stage_series=(series,) * 3, fused=series, events=(), scored=scored
+        )
+        path = tmp_path / "predictions.csv"
+        tracemalloc.start()
+        try:
+            cli._write_predictions_csv(path, config, result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
+        lines = path.read_text().splitlines()
+        assert len(lines) == n + 1
+        assert lines[3] == f"2,1,{scores[2]!r},1,{scores[2]!r},1,{scores[2]!r},1,{scores[2]!r}"
+        assert lines[6] == f"5,1,{scores[5]!r},1,{scores[5]!r},,,1,"
 
     def test_report_written_only_with_ground_truth(self, tmp_path):
         config, frames, out = golden_workspace(tmp_path)

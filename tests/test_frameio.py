@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -103,6 +104,24 @@ class TestDecodePpm:
         numbers[field] = b"9" * 5000
         with pytest.raises(FormatError, match="more than 20 digits"):
             decode_ppm(b"P6\n" + b" ".join(numbers) + b"\n" + bytes(6))
+
+    @pytest.mark.parametrize(
+        "width, message",
+        [
+            (b"12x", "bad width b'12x'"),
+            # A run of more than 20 digits that a non-digit ends within
+            # 32 bytes is a bad token, quoted whole.
+            (b"1" * 21 + b"x", f"bad width {b'1' * 21 + b'x'!r}"),
+            (b"x" * 32, f"bad width {b'x' * 32!r}"),
+            (b"x" * 33, f"bad width {b'x' * 32!r}..."),
+            (b"1" * 32 + b"x", "width has more than 20 digits"),
+            (b"0" * 40 + b"1" * 21, "width has more than 20 digits"),
+        ],
+    )
+    def test_bad_header_token_quotes_at_most_32_bytes(self, width, message):
+        with pytest.raises(FormatError) as caught:
+            decode_ppm(b"P6\n" + width + b" 1\n255\n" + bytes(3))
+        assert str(caught.value) == f"PPM header: {message}"
 
     def test_zero_padded_header_numbers_read_as_decimal(self):
         data = b"P6\n" + b"0" * 5000 + b"2 0001\n000255\n" + bytes(range(6))
@@ -317,6 +336,24 @@ class TestOpenSequence:
         (directory / "frame_0000.ppm").write_bytes(b"P6\n16 16\n65535\n")
         with pytest.raises(FormatError, match=r"frame 0 \(frame_0000.ppm\): PPM maxval"):
             open_sequence(directory)
+
+    def test_long_bad_header_token_is_refused_without_reading_it(self, tmp_path):
+        """A width token of 4 MiB of zero bytes is refused once 32 of them
+        are read, and the error quotes only those 32."""
+        directory = write_sequence(tmp_path / "seq", [BLACK])
+        with open(directory / "frame_0000.ppm", "r+b") as file:
+            file.truncate(0)
+            file.write(b"P6\n")
+            file.truncate(3 + (4 << 20))
+        start = time.perf_counter()
+        with pytest.raises(FormatError) as caught:
+            open_sequence(directory)
+        assert time.perf_counter() - start < 0.1
+        message = str(caught.value)
+        assert message == (
+            f"frame 0 (frame_0000.ppm): PPM header: bad width {bytes(32)!r}..."
+        )
+        assert len(message) < 200
 
 
 class TestGroundTruth:

@@ -479,6 +479,94 @@ def test_lazy_run_equals_eager_oracle(case):
     assert results[0] == results[1]
 
 
+@st.composite
+def scored_cases(draw):
+    """Random ascending scored tuples, not proposal windows, for 1-3 stages
+    over 0-40 frames, and a verifier radius of 0-4, also at or past ``n``."""
+    n = draw(st.integers(0, 40))
+    frames = st.sets(st.integers(0, n - 1), max_size=n) if n else st.just(set())
+    scored = tuple(tuple(sorted(draw(frames))) for _ in range(draw(st.integers(1, 3))))
+    return n, scored, draw(st.integers(0, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_cases())
+def test_fused_score_known_equals_the_window_oracle(case):
+    n, scored, radius = case
+    fusion = FusionConfig(neighbor_window=2 * radius + 1)
+    blank = PredictionSeries(labels=(False,) * n, scores=(0.0,) * n)
+    result = pipeline.PipelineResult(
+        stage_series=(blank,) * len(scored), fused=blank, events=(), scored=scored
+    )
+    known = final_known(scored, n, fusion)
+    assert result.fused_score_known(fusion) == tuple(i in known for i in range(n))
+
+
+# -- Each stage score checked once, where it is collected -------------------
+
+
+THREE_STAGES = (ChannelSubset.RGB, ChannelSubset.RG, ChannelSubset.LUMA)
+
+
+class BadAtLevel:
+    """Stage that scores 0.9, so every stage fires and each verifier scores
+    every frame, except ``bad`` on a solid frame of gray ``level``."""
+
+    def __init__(self, bad: float = 0.9, level: int = -1) -> None:
+        self.bad, self.level = bad, level
+
+    def score(self, features: np.ndarray) -> float:
+        return self.bad if round(float(features.mean()) * 255) == self.level else 0.9
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.25])
+@pytest.mark.parametrize("stage", [0, 1, 2])
+def test_bad_stage_score_is_refused_naming_stage_and_frame(tmp_path, capsys, stage, bad):
+    """A score outside [0, 1], NaN included, stops the run at the stage and
+    absolute frame that gave it; `run` exits 2 with one error line."""
+    grays = [(10 * i,) * 3 for i in range(20)]
+    models = tuple(BadAtLevel(bad, 120) if k == stage else BadAtLevel() for k in range(3))
+    message = f"stage {stage}: score at frame 12 outside [0, 1]: {bad}"
+    config = mean_pipeline(
+        stages=tuple(mean_stage(c) for c in THREE_STAGES), input_width=4, input_height=4
+    )
+    frames = [solid_frame(rgb, index=i, size=4) for i, rgb in enumerate(grays)]
+    for workers in (1, 2):
+        with mock.patch.object(pipeline, "build_stage_models", return_value=models):
+            with pytest.raises(ValidationError) as caught:
+                run_pipeline(config, frames, fps=10.0, workers=workers)
+        assert str(caught.value) == message
+
+    directory = write_sequence(tmp_path / "frames", grays, fps=10.0, size=4)
+    config_path = write_mean_config(
+        tmp_path / "config.json",
+        input={"width": 4, "height": 4},
+        stages=[{"channels": c.value, "model": {"type": "mean_intensity"}} for c in THREE_STAGES],
+    )
+    out = tmp_path / "out"
+    with mock.patch.object(pipeline, "build_stage_models", return_value=models):
+        code = cli.main([
+            "run", "--config", str(config_path), "--frames", str(directory),
+            "--out", str(out), "--workers", "2",
+        ])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_run_builds_no_validated_series():
+    """Scores are checked where they are collected, so a three-stage run,
+    its verifier probes included, calls no ``PredictionSeries.__post_init__``."""
+    config = mean_pipeline(stages=tuple(mean_stage(c) for c in THREE_STAGES))
+    check = PredictionSeries.__post_init__
+    with mock.patch.object(
+        PredictionSeries, "__post_init__", autospec=True, side_effect=check
+    ) as post_init:
+        result = run_pipeline(config, golden_frames(), fps=GOLDEN_FPS, workers=2)
+    assert post_init.call_count == 0
+    assert result.scored[2] and result.fused.positive_count()
+
+
 # -- Each frame read once, and only a bounded window of them held -----------
 
 
