@@ -191,29 +191,25 @@ def parse_config(obj: Mapping, base_dir: str | Path = ".") -> PipelineConfig:
             f"expected {CONFIG_VERSION}"
         )
 
-    width, height = 300, 300
+    # Only the keys the JSON gives; every default lives on the dataclasses.
+    names = {"luma": "luma_coefficients", "threshold": "threshold", "fps": "fps"}
+    fields = {names[key]: obj[key] for key in names if key in obj}
     if "input" in obj:
         _require_keys(obj["input"], {"width", "height"}, {"width", "height"}, "input")
-        width, height = obj["input"]["width"], obj["input"]["height"]
+        fields["input_width"] = obj["input"]["width"]
+        fields["input_height"] = obj["input"]["height"]
 
     if not isinstance(obj["stages"], list) or not obj["stages"]:
         raise FormatError("config: 'stages' must be a non-empty list")
-    stages = tuple(
+    fields["stages"] = tuple(
         _parse_stage(entry, base_dir, i) for i, entry in enumerate(obj["stages"])
     )
 
-    fusion = _parse_fusion(obj["fusion"]) if "fusion" in obj else FusionConfig()
+    if "fusion" in obj:
+        fields["fusion"] = _parse_fusion(obj["fusion"])
 
     try:
-        return PipelineConfig(
-            stages=stages,
-            fusion=fusion,
-            input_width=width,
-            input_height=height,
-            luma_coefficients=obj.get("luma", BT601_LUMA),
-            threshold=obj.get("threshold", 0.5),
-            fps=obj.get("fps"),
-        )
+        return PipelineConfig(**fields)
     except ValidationError as exc:
         raise FormatError(f"config: {exc}") from exc
 

@@ -185,6 +185,13 @@ def _check_tolerance(tolerance_s: object) -> None:
         raise ValidationError(f"tolerance must be a finite number >= 0, got {tolerance_s!r}")
 
 
+def _f1(precision: float | None, recall: float | None) -> float | None:
+    """F1: None where precision or recall is undefined, 0.0 where both are 0."""
+    if precision is None or recall is None:
+        return None
+    return 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+
+
 def match_score(
     timestamps: Sequence[float | DetectionEvent],
     intervals: object,
@@ -210,16 +217,10 @@ def match_score(
     )
     precision = matched_events / len(times) if times else None
     recall = matched_intervals / len(spans) if spans else None
-    if precision is None or recall is None:
-        f1 = None
-    elif precision + recall == 0:
-        f1 = 0.0
-    else:
-        f1 = 2.0 * precision * recall / (precision + recall)
     return ScoreReport(
         precision=precision,
         recall=recall,
-        f1=f1,
+        f1=_f1(precision, recall),
         events=len(times),
         matched_events=matched_events,
         intervals=len(spans),
@@ -277,10 +278,7 @@ class FrameMetrics:
 
     @property
     def f1(self) -> float | None:
-        p, r = self.precision, self.recall
-        if p is None or r is None:
-            return None
-        return 2.0 * p * r / (p + r) if p + r else 0.0
+        return _f1(self.precision, self.recall)
 
     @property
     def false_positive_rate(self) -> float | None:

@@ -47,7 +47,7 @@ _PPM_WHITESPACE = b" \t\n\r\x0b\x0c"
 # More significant digits than a PPM header number can have for any payload
 # that fits in memory; ``int()`` refuses more than 4,300 digits by default.
 _PPM_MAX_DIGITS = 20
-# Bytes read at a time while a header comment is skipped.
+# Bytes read at a time while a header comment or a run of leading zeros is skipped.
 _PPM_COMMENT_CHUNK = 1 << 16
 # The most bytes of a bad header number quoted in its error; a token is read
 # no further past them once it holds a non-digit or too many digits.
@@ -182,9 +182,10 @@ class GroundTruth:
 
 def _ppm_header(stream: BinaryIO) -> tuple[int, int]:
     """Width and height of the binary PPM read from ``stream``, which is left
-    at the first payload byte: nothing past the header is read. A ``#``
-    comment is skipped in reads of at most ``_PPM_COMMENT_CHUNK`` bytes, so
-    its length costs no memory."""
+    at the first payload byte. A ``#`` comment, and a number's run of
+    leading zeros, are skipped in reads of at most ``_PPM_COMMENT_CHUNK``
+    bytes, so their length costs no memory; after a run of zeros the stream
+    steps back to the first byte past it."""
     magic = stream.read(2)
     if magic != b"P6":
         raise FormatError(f"frames must be binary PPM (P6): magic {magic!r} is not b'P6'")
@@ -200,8 +201,16 @@ def _ppm_header(stream: BinaryIO) -> tuple[int, int]:
             separated = True
         if not separated:
             raise FormatError(f"PPM header: expected separator before {what}")
+        # Leading zeros only pad a number, so a run of them is read in bulk.
+        size = 0
+        while byte == b"0":
+            run = byte + stream.read(_PPM_COMMENT_CHUNK)
+            zeros = len(run) - len(run.lstrip(b"0"))
+            stream.seek(zeros - len(run), io.SEEK_CUR)
+            size += zeros
+            byte = stream.read(1)
         # The bytes an error quotes and the digits past the leading zeros; neither grows.
-        head, digits, size, bad = bytearray(), bytearray(), 0, False
+        head, digits, bad = bytearray(b"0" * min(size, _PPM_QUOTE)), bytearray(), False
         while byte and byte != b"#" and byte not in _PPM_WHITESPACE:
             size += 1
             if size > _PPM_QUOTE and (bad or len(digits) > _PPM_MAX_DIGITS):
@@ -210,7 +219,7 @@ def _ppm_header(stream: BinaryIO) -> tuple[int, int]:
                 head += byte
             if not byte.isdigit():
                 bad = True
-            elif digits or byte != b"0":
+            else:
                 digits += byte
             byte = stream.read(1)
         if bad or not size:
@@ -243,7 +252,7 @@ def decode_ppm(data: bytes, index: int = 0) -> Frame:
     Pixels come back exactly as stored: row-major RGB, viewing ``data``
     without a copy. Raises :class:`FormatError` for a wrong magic, an
     unsupported maxval, a truncated payload, or trailing bytes after the
-    payload.
+    payload; :class:`FrameSequence` checks a frame file's bytes the same way.
     """
     data = bytes(data)  # no copy for bytes; a mutable buffer must not alias the frame
     stream = io.BytesIO(data)
@@ -294,12 +303,12 @@ class FrameSequence(Sequence[Frame]):
     """The frames of a directory in index order, each decoded when indexed.
 
     Nothing is cached: each indexing reads the file again, and a caller
-    holds a decoded frame only as long as it keeps it. The header is read
-    from the file up to its payload; the file size is then checked against
-    the payload it promises before the file is read and decoded by
-    :func:`decode_ppm`. Every frame must have ``shape``, read from frame
-    0's header; indexing a frame that has another shape raises
-    :class:`FormatError` naming its index. Made by :func:`open_sequence`.
+    holds a decoded frame only as long as it keeps it. Indexing parses the
+    header once, as :func:`decode_ppm` does, checks the file size against
+    the payload it promises, then reads the payload alone. Every frame must
+    have ``shape``, read from frame 0's header; indexing a frame that has
+    another shape raises :class:`FormatError` naming its index. Made by
+    :func:`open_sequence`.
     """
 
     directory: Path
@@ -321,13 +330,14 @@ class FrameSequence(Sequence[Frame]):
             # The header and the file size bound what is read.
             with open(path, "rb") as file:
                 width, height = _ppm_header(file)
-                offset = file.tell()
                 expected = width * height * 3
-                _check_payload(expected, os.fstat(file.fileno()).st_size - offset)
-                file.seek(0)
-                frame = decode_ppm(file.read(offset + expected), index)
+                _check_payload(expected, os.fstat(file.fileno()).st_size - file.tell())
+                payload = file.read(expected)
+            _check_payload(expected, len(payload))
         except FormatError as exc:
             raise _frame_error(index, path, exc) from exc
+        pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+        frame = Frame(index=index, pixels=pixels)
         if frame.pixels.shape != self.shape:
             raise FormatError(
                 f"frame {index} has shape {frame.pixels.shape}, expected {self.shape} like frame 0"
@@ -387,6 +397,8 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
     path = Path(path)
     intervals: list[tuple[float, float]] = []
     for lineno, start, end in _csv_rows(path, "start_s,end_s"):
+        if not (np.isfinite(start) and np.isfinite(end)):
+            raise ValidationError(f"{path} row {lineno}: non-finite value in ({start}, {end})")
         if start > end:
             raise ValidationError(f"{path} row {lineno}: start {start} exceeds end {end}")
         if start < 0 or end < 0:

@@ -328,6 +328,18 @@ class ModelSpec:
             raise FormatError(str(exc)) from exc
 
 
+def _conv_output_size(
+    h: int, w: int, kh: int, kw: int, stride: int, padding: str
+) -> tuple[int, int] | None:
+    """Output height and width of a ``kh``x``kw`` conv over an ``h``x``w``
+    input, or None where a "valid" kernel does not fit in the input."""
+    if padding == "same":
+        return -(-h // stride), -(-w // stride)
+    if h < kh or w < kw:
+        return None
+    return (h - kh) // stride + 1, (w - kw) // stride + 1
+
+
 def _layer_output_shape(layer: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
     kind = layer.kind
     if kind == "conv2d":
@@ -335,17 +347,12 @@ def _layer_output_shape(layer: LayerSpec, shape: tuple[int, ...]) -> tuple[int, 
             raise ValidationError(f"layer {layer.name}: conv2d needs a 3-D input, got {shape}")
         h, w, _ = shape
         kh, kw = layer.kernel  # type: ignore[misc]
-        if layer.padding == "same":
-            out_h = -(-h // layer.stride)
-            out_w = -(-w // layer.stride)
-        else:
-            if h < kh or w < kw:
-                raise ValidationError(
-                    f"layer {layer.name}: input {h}x{w} smaller than kernel {kh}x{kw}"
-                )
-            out_h = (h - kh) // layer.stride + 1
-            out_w = (w - kw) // layer.stride + 1
-        return (out_h, out_w, layer.filters)  # type: ignore[return-value]
+        size = _conv_output_size(h, w, kh, kw, layer.stride, layer.padding)
+        if size is None:
+            raise ValidationError(
+                f"layer {layer.name}: input {h}x{w} smaller than kernel {kh}x{kw}"
+            )
+        return (*size, layer.filters)  # type: ignore[return-value]
     if kind == "maxpool2":
         if len(shape) != 3:
             raise ValidationError(f"layer {layer.name}: maxpool needs a 3-D input, got {shape}")
@@ -576,20 +583,16 @@ def conv2d(
     if pool < 1:
         raise ValueError(f"conv2d pool must be >= 1, got {pool}")
 
-    h, w, _ = x.shape
-    if padding == "same":
-        out_h = -(-h // stride)
-        out_w = -(-w // stride)
-        pad_h = max((out_h - 1) * stride + kh - h, 0)
-        pad_w = max((out_w - 1) * stride + kw - w, 0)
-    elif padding == "valid":
-        if h < kh or w < kw:
-            raise ShapeError(f"conv2d: input {h}x{w} smaller than kernel {kh}x{kw}")
-        out_h = (h - kh) // stride + 1
-        out_w = (w - kw) // stride + 1
-        pad_h = pad_w = 0
-    else:
+    if padding not in ("same", "valid"):
         raise ValueError(f"conv2d padding must be 'same' or 'valid', got {padding!r}")
+    h, w, _ = x.shape
+    size = _conv_output_size(h, w, kh, kw, stride, padding)
+    if size is None:
+        raise ShapeError(f"conv2d: input {h}x{w} smaller than kernel {kh}x{kw}")
+    out_h, out_w = size
+    # A "valid" conv's windows end inside the input, so it pads nothing.
+    pad_h = max((out_h - 1) * stride + kh - h, 0)
+    pad_w = max((out_w - 1) * stride + kw - w, 0)
     if out_h < pool or out_w < pool:
         raise ShapeError(f"conv2d: output {out_h}x{out_w} smaller than pool window {pool}")
     if batchnorm is not None:

@@ -663,6 +663,16 @@ class TestEval:
         assert main(["eval", "--detections", str(detections), "--gt", str(gt)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["nan,2", "0.5,inf"])
+    def test_non_finite_ground_truth_names_file_and_row(self, tmp_path, capsys, row):
+        detections = tmp_path / "detections.csv"
+        detections.write_text("timestamp_s,score\n1.000,0.9\n")
+        gt = tmp_path / "gt.csv"
+        gt.write_text(f"start_s,end_s\n1.0,2.0\n{row}\n")
+        assert main(["eval", "--detections", str(detections), "--gt", str(gt)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {gt} row 3: non-finite value"), err
+
     @pytest.mark.parametrize("score", ["1.5", "-0.25"])
     def test_score_outside_unit_interval_exits_2(self, tmp_path, capsys, score):
         detections = tmp_path / "detections.csv"

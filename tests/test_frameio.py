@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -256,23 +258,59 @@ class TestOpenSequence:
         with pytest.raises(IndexError):
             frames[5]
 
-    def test_indexing_decodes_through_decode_ppm(self, tmp_path, monkeypatch):
-        """Indexing calls the module-global ``decode_ppm`` once, with the
-        file's bytes, so wrapping that name sees every frame read."""
+    def test_indexing_parses_the_header_once(self, tmp_path, monkeypatch):
+        """Indexing reads a frame file's header once, then only its payload."""
         directory = write_sequence(tmp_path / "seq", [BLACK, WHITE, BLACK])
         data = b"P6\n# a comment\n16 16\n255\n" + bytes([255]) * (16 * 16 * 3)
         (directory / "frame_0001.ppm").write_bytes(data)
+        frames = open_sequence(directory)
         calls = []
-        decode = frameio.decode_ppm
+        header = frameio._ppm_header
 
-        def recording(data, index=0):
-            calls.append((data, index))
-            return decode(data, index)
+        def recording(stream):
+            calls.append(stream)
+            return header(stream)
 
-        monkeypatch.setattr(frameio, "decode_ppm", recording)
-        frame = open_sequence(directory)[1]
-        assert calls == [(data, 1)]
-        assert frame == solid_frame(WHITE, index=1)
+        monkeypatch.setattr(frameio, "_ppm_header", recording)
+        for i in range(3):
+            frames[i]
+            assert len(calls) == i + 1
+        assert frames[1] == solid_frame(WHITE, index=1) == decode_ppm(data, index=1)
+
+    def test_long_comment_costs_no_memory_when_indexed(self, tmp_path):
+        """A valid frame whose header holds a 40 MB comment is indexed with
+        the comment skipped in bounded reads, never held in memory."""
+        directory = write_sequence(tmp_path / "seq", [BLACK])
+        payload = random_frame(seed=11, width=16, height=16).pixels.tobytes()
+        with open(directory / "frame_0000.ppm", "wb") as file:
+            file.write(b"P6\n#")
+            file.seek(40 << 20)  # a sparse run of zero bytes inside the comment
+            file.write(b"\n16 16\n255\n" + payload)
+        proc = subprocess.run(
+            [sys.executable, "-c", INDEX_ONE_FRAME_SCRIPT, str(directory)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, after, pixels = proc.stdout.split()
+        assert int(after) - int(before) < 4 << 10, (before, after)
+        assert pixels == payload.hex()
+
+    def test_zero_padded_width_is_read_in_bulk(self, tmp_path):
+        """A width padded with 4 MiB of ASCII zeros decodes in well under a
+        second, from bytes and from a frame file alike."""
+        data = b"P6\n" + b"0" * (4 << 20) + b"1 1\n255\n\x01\x02\x03"
+        directory = write_sequence(tmp_path / "seq", [BLACK])
+        (directory / "frame_0000.ppm").write_bytes(data)
+        start = time.perf_counter()
+        frame = decode_ppm(data)
+        assert time.perf_counter() - start < 0.2
+        start = time.perf_counter()
+        frames = open_sequence(directory)
+        assert time.perf_counter() - start < 0.2
+        start = time.perf_counter()
+        assert frames[0] == frame
+        assert time.perf_counter() - start < 0.2
+        assert frame.pixels.reshape(-1).tolist() == [1, 2, 3]
 
     def test_each_access_reads_the_file(self, tmp_path):
         directory = write_sequence(tmp_path / "seq", [BLACK, BLACK])
@@ -374,6 +412,13 @@ class TestGroundTruth:
         with pytest.raises(ValidationError, match="row 1"):
             load_ground_truth(path)
 
+    def test_negative_interval_names_row(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text("start_s,end_s\n1.0,2.0\n-1.0,2.0\n")
+        with pytest.raises(ValidationError) as caught:
+            load_ground_truth(path)
+        assert str(caught.value) == f"{path} row 3: negative interval (-1.0, 2.0)"
+
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("abc,2.0\n")
@@ -458,3 +503,21 @@ def test_manifest_json_shape_matches_docs(tmp_path):
     path.write_text(json.dumps({"frame_count": 0, "fps": 29.97, "pattern": "frame_%06d.ppm"}))
     manifest = load_manifest(path)
     assert manifest.fps == pytest.approx(29.97)
+
+
+# Opens the frame directory argv[1], then indexes its frame 0, and prints the
+# process's peak resident set (VmHWM) in KiB before and after indexing, then
+# the frame's pixels in hex.
+INDEX_ONE_FRAME_SCRIPT = """
+import sys
+from verisemble import open_sequence
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+frames = open_sequence(sys.argv[1])
+before = peak_kib()
+frame = frames[0]
+print(before, peak_kib(), frame.pixels.tobytes().hex())
+"""

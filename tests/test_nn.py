@@ -317,6 +317,42 @@ class TestModelSpec:
             ModelSpec.from_json_obj(obj)
 
 
+    @pytest.mark.parametrize(
+        "shape, layers, message",
+        [
+            (
+                (4, 4, 1),
+                (LayerSpec.conv("c", 1, (5, 3), padding="valid"),),
+                "layer c: input 4x4 smaller than kernel 5x3",
+            ),
+            (
+                (4, 4, 1),
+                (LayerSpec.flatten(), LayerSpec.maxpool("p")),
+                "layer p: maxpool needs a 3-D input, got (16,)",
+            ),
+            (
+                (4, 4, 1),
+                (LayerSpec.flatten(), LayerSpec.batchnorm("b")),
+                "layer b: batchnorm needs a 3-D input, got (16,)",
+            ),
+            (
+                (4, 4, 1),
+                (LayerSpec.dense("d", 1, activation="sigmoid"),),
+                "layer d: dense needs a flat input, got (4, 4, 1)",
+            ),
+            ((1, 1, 1), (LayerSpec.flatten(),), "model must end with a sigmoid activation"),
+        ],
+    )
+    def test_shape_and_head_checks(self, shape, layers, message):
+        with pytest.raises(ValidationError) as caught:
+            ModelSpec(input_shape=shape, layers=layers)
+        assert str(caught.value) == message
+        obj = {"input": list(shape), "layers": [layer.to_json_obj() for layer in layers]}
+        with pytest.raises(FormatError) as caught:
+            ModelSpec.from_json_obj(obj)
+        assert str(caught.value) == message
+
+
 class TestConv2d:
     def test_identity_kernel_preserves_input(self):
         x = random_tensor(random.Random(1), 5, 4, 3)
@@ -375,6 +411,14 @@ class TestConv2d:
         with pytest.raises(ValueError):
             conv2d(x, k, b, padding="reflect")
 
+    def test_input_and_kernel_ranks_checked(self):
+        with pytest.raises(ShapeError) as caught:
+            conv2d(np.zeros((3, 3)), np.zeros((3, 3, 1, 1)), np.zeros(1))
+        assert str(caught.value) == "conv2d input must be 3-D, got shape (3, 3)"
+        with pytest.raises(ShapeError) as caught:
+            conv2d(np.zeros((3, 3, 1)), np.zeros((3, 3, 1)), np.zeros(1))
+        assert str(caught.value) == "conv2d kernel must be 4-D, got shape (3, 3, 1)"
+
     def test_valid_padding_input_smaller_than_kernel(self):
         with pytest.raises(ShapeError, match="smaller"):
             conv2d(np.zeros((2, 2, 1)), np.zeros((3, 3, 1, 1)), np.zeros(1), padding="valid")
@@ -432,6 +476,11 @@ class TestMaxpool:
     def test_pool_below_two_rejected(self):
         with pytest.raises(ValueError):
             maxpool2(np.zeros((4, 4, 1)), pool=1)
+
+    def test_input_rank_checked(self):
+        with pytest.raises(ShapeError) as caught:
+            maxpool2(np.zeros((4, 4)))
+        assert str(caught.value) == "maxpool input must be 3-D, got shape (4, 4)"
 
     def test_matches_reference_on_random_cases(self):
         rng = random.Random(88)
@@ -782,6 +831,26 @@ class TestForwardMatchesFrozen:
                 for layer, params in expected_weight_shapes(spec).items()
             }
             assert_forward_matches_frozen(spec, weights, rng.standard_normal((h, w, channels)))
+
+    def test_standalone_activation_layers(self):
+        """A relu layer after a linear conv and a sigmoid layer after a
+        linear dense each run as their own step."""
+        rng = np.random.default_rng(2301)
+        spec = ModelSpec(
+            input_shape=(6, 5, 2),
+            layers=(
+                LayerSpec.conv("conv", 3, (3, 3)),
+                LayerSpec.act("relu", "relu"),
+                LayerSpec.flatten(),
+                LayerSpec.dense("out", 1),
+                LayerSpec.act("sigmoid", "sigmoid"),
+            ),
+        )
+        weights = {
+            layer: {p: rng.standard_normal(shape).astype(np.float32) for p, shape in params.items()}
+            for layer, params in expected_weight_shapes(spec).items()
+        }
+        assert_forward_matches_frozen(spec, weights, rng.standard_normal((6, 5, 2)))
 
     @pytest.mark.parametrize("channels", [3, 1])
     def test_stock_model_at_300(self, channels):

@@ -264,6 +264,16 @@ class TestToGrayscale:
         with pytest.raises(ValueError):
             to_grayscale(frame)
 
+    @pytest.mark.parametrize(
+        "coefficients", [(0.5, -0.1, 0.6), (0.5, 0.5), (0.3, float("nan"), 0.1)]
+    )
+    def test_bad_coefficients_rejected(self, coefficients):
+        with pytest.raises(ValidationError) as caught:
+            to_grayscale(solid_frame((1, 2, 3), size=1), coefficients)
+        assert str(caught.value) == (
+            f"luma coefficients must be 3 finite non-negatives, got {coefficients}"
+        )
+
 
 class TestExtractFeatures:
     def test_rgb_scaling(self):
@@ -317,6 +327,17 @@ class TestExtractFeatures:
         frame = solid_frame((100, 0, 0), size=1)
         features = extract_features(frame, ChannelSubset.LUMA, luma_coefficients=(1.0, 0.0, 0.0))
         assert features[0, 0, 0] == 100 / 255
+
+    def test_subset_must_be_a_channel_subset(self):
+        with pytest.raises(ValueError) as caught:
+            extract_features(solid_frame((1, 2, 3), size=1), "RGB")
+        assert str(caught.value) == "subset must be a ChannelSubset, got 'RGB'"
+
+    def test_single_channel_frame_rejected(self):
+        frame = Frame(index=0, pixels=np.zeros((2, 2, 1), np.uint8))
+        with pytest.raises(ValueError) as caught:
+            extract_features(frame, ChannelSubset.LUMA)
+        assert str(caught.value) == "feature extraction requires a 3-channel frame, got 1"
 
     def test_default_coefficients_are_bt601(self):
         assert BT601_LUMA == (0.299, 0.587, 0.114)
