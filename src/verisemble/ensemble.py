@@ -17,7 +17,8 @@ The fold packs the first stage (when packing is enabled), then lets each
 later stage veto through a window reaching ``FusionConfig.verifier_radius``
 frames either side of each positive. Two-stage fusion is
 ``chain_fuse((primary, verifier), config)``, and the per-frame AND is
-``neighbor_validate(primary, verifier, 1)``.
+``neighbor_validate(primary, verifier, 1)``. ``run`` feeds the fold each
+stage as it is scored; :func:`chain_fuse` gives it every stage whole.
 
 All operations are pure: series are immutable value objects and every
 function returns a new series.
@@ -180,7 +181,7 @@ def neighbor_validate(
     # the earlier of equal scores (+0.0 and -0.0), as max() over the window
     # does; the -inf padding never wins.
     pad = (-math.inf,) * r
-    padded = pad + verifier.scores + pad
+    padded = (*pad, *verifier.scores, *pad)
     best = padded[:n]
     for shift in range(1, 2 * r + 1):
         best = tuple(c if c > b else b for b, c in zip(best, padded[shift : shift + n]))
@@ -206,12 +207,47 @@ def chain_fuse(
         config = FusionConfig()
     if not stages:
         raise ValidationError("chain_fuse needs at least one stage")
-    fused = stages[0]
-    if len(stages) == 1:
-        return fused
-    if config.packing_enabled:
-        fused = pack_mode(fused, config.pack_size)
-    window = 2 * config.verifier_radius + 1
-    for stage in stages[1:]:
-        fused = neighbor_validate(fused, stage, window)
-    return fused
+    fold = _PrefixFold(stages, config)
+    for k in range(len(stages)):
+        fold.extend(k, fold.n)
+    return fold.folds[-1]
+
+
+class _PrefixFold:
+    """:func:`chain_fuse`'s fold, extended as its stages become known: ``folds[k]``,
+    the fold of stages ``0..k``, is final on its first ``final[k]`` frames."""
+
+    def __init__(self, stages: Sequence[PredictionSeries], config: FusionConfig) -> None:
+        n = len(stages[0].labels)
+        for stage in stages[1:]:
+            if len(stage.labels) != n:
+                raise ValidationError(f"series lengths differ: primary {n}, verifier {len(stage)}")
+        self.stages, self.n, self.r = stages, n, config.verifier_radius
+        # A lone stage is its own fold, unpacked.
+        self.pack = config.pack_size if config.packing_enabled and len(stages) > 1 else 1
+        self.folds, self.final = [_series((), ())] * len(stages), [0] * len(stages)
+
+    def extend(self, k: int, known: int) -> None:
+        """Extend ``folds[k]``, stage ``k`` being known below frame ``known``: over stage 0's
+        whole packs, or where ``folds[k - 1]`` is final and stage ``k`` is known ``r`` past."""
+        stage, done, r, n = self.stages[k], self.final[k], self.r if k else 0, self.n
+        end = known if known == n else known - (r if k else known % self.pack)
+        end = min(end, self.final[k - 1]) if k else end
+        if end <= done:
+            return
+        # The frames this step decides and those they read, uncopied if that is all.
+        lo, hi, prior = max(0, done - r), min(n, end + r), self.folds[k - 1] if k else stage
+        if hi - lo < n:
+            stage, prior = (_series(s.labels[lo:hi], s.scores[lo:hi]) for s in (stage, prior))
+        if k == 0:
+            fused = pack_mode(stage, self.pack)
+        else:
+            fused = neighbor_validate(prior, stage, 2 * r + 1)
+        if end - done == n:
+            self.folds[k] = fused
+        else:
+            if not done:
+                self.folds[k] = _series([False] * n, [0.0] * n)
+            self.folds[k].labels[done:end] = fused.labels[done - lo : end - lo]
+            self.folds[k].scores[done:end] = fused.scores[done - lo : end - lo]
+        self.final[k] = end

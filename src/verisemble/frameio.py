@@ -306,9 +306,9 @@ class FrameSequence(Sequence[Frame]):
     holds a decoded frame only as long as it keeps it. Indexing parses the
     header once, as :func:`decode_ppm` does, checks the file size against
     the payload it promises, then reads the payload alone. Every frame must
-    have ``shape``, read from frame 0's header; indexing a frame that has
-    another shape raises :class:`FormatError` naming its index. Made by
-    :func:`open_sequence`.
+    have ``shape``, read from frame 0's header; a frame of another shape
+    raises :class:`FormatError` naming its index before its payload is read.
+    Made by :func:`open_sequence`.
     """
 
     directory: Path
@@ -327,22 +327,21 @@ class FrameSequence(Sequence[Frame]):
             raise IndexError(f"frame index {index} out of range for {len(self)} frames")
         path = self.manifest.frame_path(self.directory, index)
         try:
-            # The header and the file size bound what is read.
+            # The header, the file size and frame 0's shape bound what is read.
             with open(path, "rb") as file:
                 width, height = _ppm_header(file)
                 expected = width * height * 3
                 _check_payload(expected, os.fstat(file.fileno()).st_size - file.tell())
-                payload = file.read(expected)
-            _check_payload(expected, len(payload))
+                if (height, width, 3) == self.shape:
+                    payload = file.read(expected)
+                    _check_payload(expected, len(payload))
         except FormatError as exc:
             raise _frame_error(index, path, exc) from exc
-        pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-        frame = Frame(index=index, pixels=pixels)
-        if frame.pixels.shape != self.shape:
+        if (height, width, 3) != self.shape:
             raise FormatError(
-                f"frame {index} has shape {frame.pixels.shape}, expected {self.shape} like frame 0"
+                f"frame {index} has shape {(height, width, 3)}, expected {self.shape} like frame 0"
             )
-        return frame
+        return Frame(index=index, pixels=np.frombuffer(payload, np.uint8).reshape(self.shape))
 
 
 def open_sequence(

@@ -3,19 +3,15 @@
 Stage 0, the proposer, scores every frame. Each later stage is a verifier
 that can only veto, so it scores only the frames its decision can depend
 on: the window of ``FusionConfig.verifier_radius`` frames around each
-proposal that has survived the fold so far. A frame outside every such
-window stays negative whatever the verifier would say. The fold is local,
-so the stages run over the sequence together rather than in passes, and
-whether a verifier needs a frame is asked of :func:`chain_fuse`, the one
-fusion fold, over a slice of the sequence around that frame: each
-frame is read and resized once, on a scoring thread, and its resized copy
-is kept only until every verifier has decided whether it needs the frame
-and has scored it if so. At most ``2 * workers`` tasks are submitted
-beyond the one whose score is being collected, so the frames in flight
-and the resized copies kept are bounded whatever the sequence length;
-per frame, each stage's score is kept, and these grow linearly with it.
-The labels :func:`classify` gives the scores are fused by the verification
-chain and the surviving positives collapse into timestamped events.
+proposal that has survived the fold so far. The fold is local, so the
+stages run over the sequence together: their scores feed one prefix fold,
+the one that ``chain_fuse`` runs, as they are known, and a verifier reads
+the fold before it where that is final. Each frame is read and resized
+once, on a scoring thread, and kept resized only until every verifier has
+decided it and scored it if needed. At most ``2 * workers`` tasks are
+submitted beyond the one being collected, so the frames in flight and kept
+are bounded whatever the sequence length; the scores and their fold grow
+linearly with it. The fold's positives collapse into timestamped events.
 
 While a pool of ``workers`` threads scores frames, each frame gets
 ``max(1, n // workers)`` cores, ``n`` being numpy's OpenBLAS thread count
@@ -48,7 +44,7 @@ from typing import Callable, Iterator, Protocol, Sequence
 import numpy as np
 
 from .config import CnnModelConfig, MeanIntensityModelConfig, PipelineConfig
-from .ensemble import FusionConfig, PredictionSeries, _series, chain_fuse
+from .ensemble import FusionConfig, PredictionSeries, _PrefixFold, _series
 from .errors import LoadError, ValidationError
 from .evaluate import DetectionEvent, events_from_series
 from .frameio import Frame
@@ -161,30 +157,26 @@ def _score_stages(
     config: PipelineConfig,
     models: Sequence[StageModel],
     ahead: int,
-) -> tuple[list[list[float]], list[list[int]]]:
-    """Per stage, the scores of all frames (0.0 where it did not score) and
-    the ascending frames it scored. Each score is checked once, as a float,
-    when it is collected: one outside [0, 1], NaN included, raises
-    :class:`ValidationError` naming the stage and the frame.
+) -> tuple[list[PredictionSeries], list[list[int]]]:
+    """Per stage, its series over all frames (0.0 where it did not score),
+    then their fold; and per stage, the ascending frames it scored. Each
+    score is checked once, as a float, when it is collected: one outside
+    [0, 1], NaN included, raises :class:`ValidationError` naming the stage
+    and the frame.
 
     Stage 0 scores every frame, read and resized once on a scoring thread.
-    Stage ``k > 0`` scores frame ``j`` if the fold of the stages before it
-    is positive anywhere in ``[j - r, j + r]``. The fold is local: at frame
-    ``i`` it reads stage 0 on the pack that holds ``i`` and each verifier
-    on ``[i - r, i + r]``. So whether a verifier needs frame ``j`` is
-    decided once the stages before it are known a bounded distance past
-    ``j``, by :func:`chain_fuse` over a slice of the sequence around ``j``,
-    and the resized frame is kept only until every verifier has
-    decided it and scored it if needed. Tasks go to ``pool`` in the order
+    Each stage's scores, labelled by :func:`classify`, feed the prefix fold
+    as far as they are known. Stage ``k > 0`` decides frame ``j`` once the
+    fold of the stages before it is final on ``[j - r, j + r]``, and scores
+    it if that fold is positive there. Tasks go to ``pool`` in the order
     they become ready, verifiers first, with at most ``ahead`` submitted
     beyond the one being collected; results are collected in that order.
     """
     n, count = len(frames), len(models)
     r = config.fusion.verifier_radius
-    pack = config.fusion.pack_size if config.fusion.packing_enabled else 1
     # A frame a stage did not score keeps score 0.0, below every valid
     # threshold, so its label is False.
-    scores = [[0.0] * n for _ in models]
+    fold = _PrefixFold([_series([False] * n, [0.0] * n) for _ in models], config.fusion)
     scored: list[list[int]] = [[] for _ in models]
     got = [0] * count  # results collected, per stage
     decided = [0] * count  # whether stage k scores frame j is known for j < decided[k]
@@ -216,28 +208,16 @@ def _score_stages(
 
     def advance() -> None:
         nonlocal released
+        fold.extend(0, known(0))
         for k in range(1, count):
-            # Verifier k decides frame j once stage 0 is known on the packs
-            # of [j - r, j + r] and each earlier verifier on [j - 2r, j + 2r].
-            below = known(0)
-            end = n if below == n else below - below % pack - r
-            for m in range(1, k):
-                below = known(m)
-                end = min(end, n if below == n else below - 2 * r)
+            prior, final = fold.folds[k - 1].labels, fold.final[k - 1]
+            end = n if final == n else final - r
             for j in range(decided[k], end):
-                # Folded with a last verifier that fires only at j, the
-                # stages before k keep a positive iff their fold is positive
-                # within r of j. The pack-aligned slice holds all it reads.
-                lo = max(0, j - 2 * r)
-                lo -= lo % pack
-                hi = min(n, j + 2 * r + pack)
-                probe = tuple(i == j for i in range(lo, hi))
-                stages = [_stage_series(scores[m][lo:hi], config.threshold) for m in range(k)]
-                stages.append(_series(probe, (0.0,) * (hi - lo)))
-                if chain_fuse(stages, config.fusion).positive_count():
+                if any(prior[max(0, j - r) : j + r + 1]):
                     scored[k].append(j)
                     ready.append((k, j))
             decided[k] = max(decided[k], end)
+            fold.extend(k, known(k))
         low = min((known(k) for k in range(1, count)), default=n)
         while released < min(low, got[0]):
             kept.pop(released)
@@ -261,20 +241,16 @@ def _score_stages(
             result = future.result()
             if k == 0:
                 kept[i], result = result
-            scores[k][i] = value = float(result)
+            fold.stages[k].scores[i] = value = float(result)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"stage {k}: score at frame {i} outside [0, 1]: {value}")
+            fold.stages[k].labels[i] = classify(value, config.threshold)
             got[k] += 1
             advance()
     finally:
         for *_, future in pending:
             future.cancel()
-    return scores, scored
-
-
-def _stage_series(scores: Sequence[float], threshold: float) -> PredictionSeries:
-    """A stage's checked scores with the labels :func:`classify` gives them."""
-    return _series(tuple(classify(s, threshold) for s in scores), tuple(scores))
+    return [*fold.stages, fold.folds[-1]], scored
 
 
 # (get, set) thread-count symbols of numpy wheels' scipy-openblas, then of a
@@ -390,13 +366,12 @@ def run_pipeline(
     ) as helpers, ThreadPoolExecutor(
         workers, initializer=_lend_helpers, initargs=(helpers, cores - 1)
     ) as pool:
-        scores, needed = _score_stages(pool, frames, config, models, 2 * workers)
-    stage_series = [_stage_series(s, config.threshold) for s in scores]
+        series, needed = _score_stages(pool, frames, config, models, 2 * workers)
+    *stage_series, fused = (_series(tuple(s.labels), tuple(s.scores)) for s in series)
     scored = [tuple(range(n)), *map(tuple, needed[1:])]
     for k, done in enumerate(scored):
         logger.info("stage %d: scored %d of %d frames", k, len(done), n)
 
-    fused = chain_fuse(stage_series, config.fusion)
     events = events_from_series(fused, fps)
     logger.info("fused %d positive frames into %d events", fused.positive_count(), len(events))
     return PipelineResult(

@@ -15,6 +15,7 @@ from verisemble import (
     neighbor_validate,
     pack_mode,
 )
+from verisemble.ensemble import _PrefixFold, _series
 
 import oracles
 
@@ -428,6 +429,14 @@ class TestChainFuse:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             chain_fuse([mk([True]), mk([True, False])])
+        # A third stage one frame shorter or longer is rejected too, not
+        # folded over the frames the stages share.
+        for m in (2, 4):
+            stages = [mk([True, True, False]), mk([True, False, True]), mk([True] * m)]
+            with pytest.raises(
+                ValidationError, match=rf"^series lengths differ: primary 3, verifier {m}$"
+            ):
+                chain_fuse(stages)
 
 
 @st.composite
@@ -481,3 +490,58 @@ def test_fold_matches_reference_bit_for_bit(case):
     chained = chain_fuse(stages, config)
     assert chained.labels == tuple(want_labels)
     assert _bits(chained.scores) == _bits(want_scores)
+
+
+@st.composite
+def streamed_stages(draw):
+    """1-4 aligned stages of 0-40 frames, scores including -0.0 and ties,
+    a fusion config, and an order to feed them in: a list of (stage, chunk)
+    steps, each revealing the next ``chunk`` frames of one stage."""
+    n = draw(st.integers(0, 40))
+    score = st.sampled_from((0.0, -0.0, 0.25, 1.0)) | st.floats(0.0, 1.0)
+    stages = [
+        PredictionSeries(
+            labels=tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+            scores=tuple(draw(st.lists(score, min_size=n, max_size=n))),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    config = FusionConfig(
+        pack_size=draw(st.sampled_from((1, 3, 5, 7))),
+        neighbor_window=draw(st.sampled_from((1, 3, 5, 7))),
+        packing_enabled=draw(st.booleans()),
+    )
+    known = [0] * len(stages)
+    steps = []
+    while min(known) < n:
+        k = draw(st.sampled_from([k for k in range(len(stages)) if known[k] < n]))
+        chunk = draw(st.integers(1, n - known[k]))
+        known[k] += chunk
+        steps.append((k, chunk))
+    return stages, config, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(streamed_stages())
+def test_streamed_fold_equals_chain_fuse(case):
+    """Fed each stage in chunks, in any stage order, the prefix fold reads
+    no frame of a stage before it is known and ends bit for bit equal to
+    ``chain_fuse`` given every stage whole."""
+    stages, config, steps = case
+    n = len(stages[0])
+    # Frames not yet known hold a positive with score 1.0, which would
+    # show in the fold if it were read.
+    fed = [_series([True] * n, [1.0] * n) for _ in stages]
+    fold = _PrefixFold(fed, config)
+    known = [0] * len(stages)
+    for k, chunk in steps:
+        part = slice(known[k], known[k] + chunk)
+        fed[k].labels[part] = stages[k].labels[part]
+        fed[k].scores[part] = stages[k].scores[part]
+        known[k] += chunk
+        for m, below in enumerate(known):
+            fold.extend(m, below)
+    whole = chain_fuse(stages, config)
+    assert fold.final == [n] * len(stages)
+    assert tuple(fold.folds[-1].labels) == whole.labels
+    assert _bits(fold.folds[-1].scores) == _bits(whole.scores)

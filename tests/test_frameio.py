@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from verisemble import (
 )
 from verisemble import frameio
 
-from conftest import BLACK, WHITE, random_frame, solid_frame, write_sequence
+from conftest import BLACK, WHITE, needs_proc_status, random_frame, solid_frame, write_sequence
 
 
 class TestFrame:
@@ -286,14 +287,23 @@ class TestOpenSequence:
             file.write(b"P6\n#")
             file.seek(40 << 20)  # a sparse run of zero bytes inside the comment
             file.write(b"\n16 16\n255\n" + payload)
-        proc = subprocess.run(
-            [sys.executable, "-c", INDEX_ONE_FRAME_SCRIPT, str(directory)],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        before, after, pixels = proc.stdout.split()
-        assert int(after) - int(before) < 4 << 10, (before, after)
+        before, after, pixels = index_one_frame(directory, 0)
+        assert after - before < 4 << 10, (before, after)
         assert pixels == payload.hex()
+
+    @needs_proc_status
+    def test_shape_mismatch_raised_before_the_payload_is_read(self, tmp_path):
+        """A frame whose header promises 4000x4000 pixels, after a 16x16
+        frame 0, is refused from its header: its 48 MB payload, a sparse
+        run of zero bytes, is never read into memory."""
+        directory = write_sequence(tmp_path / "seq", [BLACK, BLACK])
+        header = b"P6\n4000 4000\n255\n"
+        with open(directory / "frame_0001.ppm", "wb") as file:
+            file.write(header)
+            file.truncate(len(header) + 4000 * 4000 * 3)
+        before, after, message = index_one_frame(directory, 1)
+        assert message == "frame 1 has shape (4000, 4000, 3), expected (16, 16, 3) like frame 0"
+        assert after - before < 4 << 10, (before, after)
 
     def test_zero_padded_width_is_read_in_bulk(self, tmp_path):
         """A width padded with 4 MiB of ASCII zeros decodes in well under a
@@ -505,12 +515,13 @@ def test_manifest_json_shape_matches_docs(tmp_path):
     assert manifest.fps == pytest.approx(29.97)
 
 
-# Opens the frame directory argv[1], then indexes its frame 0, and prints the
-# process's peak resident set (VmHWM) in KiB before and after indexing, then
-# the frame's pixels in hex.
+# Opens the frame directory argv[1], then indexes its frame argv[2], and
+# prints the process's peak resident set (VmHWM) in KiB before and after
+# indexing on one line, then the frame's pixels in hex, or the FormatError
+# that indexing raised, on the next.
 INDEX_ONE_FRAME_SCRIPT = """
 import sys
-from verisemble import open_sequence
+from verisemble import FormatError, open_sequence
 
 def peak_kib():
     with open("/proc/self/status") as status:
@@ -518,6 +529,24 @@ def peak_kib():
 
 frames = open_sequence(sys.argv[1])
 before = peak_kib()
-frame = frames[0]
-print(before, peak_kib(), frame.pixels.tobytes().hex())
+try:
+    result = frames[int(sys.argv[2])].pixels.tobytes().hex()
+except FormatError as exc:
+    result = str(exc)
+print(before, peak_kib())
+print(result)
 """
+
+
+def index_one_frame(directory: Path, index: int) -> tuple[int, int, str]:
+    """Peak RSS in KiB before and after indexing frame ``index`` of
+    ``directory`` in a fresh process, and its pixels in hex or the
+    :class:`FormatError` message that indexing raised."""
+    proc = subprocess.run(
+        [sys.executable, "-c", INDEX_ONE_FRAME_SCRIPT, str(directory), str(index)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peaks, result = proc.stdout.splitlines()
+    before, after = map(int, peaks.split())
+    return before, after, result

@@ -567,6 +567,35 @@ def test_run_builds_no_validated_series():
     assert result.scored[2] and result.fused.positive_count()
 
 
+def test_run_makes_no_chain_fuse_call():
+    """The scheduler reads the prefix fold instead of asking ``chain_fuse``
+    whether a verifier needs a frame: a three-stage run over 2,000 frames,
+    whose two verifiers decide every frame, calls ``chain_fuse`` nowhere."""
+    rng = np.random.default_rng(24)
+    frames = [
+        solid_frame(tuple(int(c) for c in rgb), index=i, size=8)
+        for i, rgb in enumerate(rng.integers(0, 256, (2000, 3)))
+    ]
+    config = mean_pipeline(
+        stages=tuple(mean_stage(c) for c in THREE_STAGES), input_width=8, input_height=8
+    )
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is chain_fuse.__code__:
+            calls.append(frame.f_lineno)
+
+    sys.setprofile(profile)
+    try:
+        result = run_pipeline(config, frames, fps=25.0, workers=1)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == 0
+    assert 0 < len(result.scored[2]) < len(result.scored[1]) < len(frames)
+    oracle = chain_fuse(result.stage_series, config.fusion)
+    assert result.fused == oracle and result.fused.positive_count()
+
+
 # -- Each frame read once, and only a bounded window of them held -----------
 
 
