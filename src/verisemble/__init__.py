@@ -68,6 +68,7 @@ from .nn import (
     LayerSpec,
     ModelSpec,
     classify,
+    count_macs,
     count_params,
     default_model_spec,
     forward,
@@ -122,6 +123,7 @@ __all__ = [
     "build_stage_models",
     "chain_fuse",
     "classify",
+    "count_macs",
     "count_params",
     "decode_ppm",
     "default_model_spec",

@@ -4,8 +4,9 @@ Four subcommands cover the operational surface: ``run`` executes the
 full pipeline over a frame directory, ``eval`` scores a detections file
 against ground truth, ``bench`` times the same ``run_pipeline`` call as
 ``run`` (weight loading and frame decoding included) per frame and
-reports model sizes, and ``simulate`` drives the fusion stage with
-synthetic classifier outputs to study error rates without trained weights.
+reports each stage's parameters and multiply-adds, and ``simulate`` drives
+the fusion stage with synthetic classifier outputs to study error rates
+without trained weights.
 
 Exit codes are a stable contract: 0 success, 2 usage or input error,
 1 internal error.
@@ -44,7 +45,7 @@ from .frameio import (
     open_sequence,
     write_detections,
 )
-from .nn import count_params
+from .nn import count_macs, count_params
 from .pipeline import CnnModel, PipelineResult, build_stage_models, run_pipeline
 
 __all__ = ["main", "build_parser"]
@@ -151,10 +152,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config, frames, fps = _load_inputs(args)
     if not frames:
         raise ValidationError("bench needs at least one frame")
-    params = tuple(
-        count_params(model.spec) if isinstance(model, CnnModel) else 0
-        for model in build_stage_models(config)
-    )
+    # Each stage's (parameters, multiply-adds per forward); a weightless
+    # stage has neither.
+    sizes = [
+        (count_params(m.spec), count_macs(m.spec)) if isinstance(m, CnnModel) else (0, 0)
+        for m in build_stage_models(config)
+    ]
 
     for _ in range(args.warmup):
         run_pipeline(config, frames, fps=fps, workers=args.workers)
@@ -166,10 +169,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     out = {
         "stages": [
-            {"channels": stage.channels.value, "params": n}
-            for stage, n in zip(config.stages, params)
+            {"channels": stage.channels.value, "params": params, "macs": macs}
+            for stage, (params, macs) in zip(config.stages, sizes)
         ],
-        "params_total": sum(params),
+        "params_total": sum(params for params, _ in sizes),
         "frames": len(frames),
         "warmup": args.warmup,
         "workers": args.workers,

@@ -2,7 +2,14 @@
 
 Runs a data-driven layer graph (conv / maxpool / batchnorm / dense /
 dropout / flatten / activation) over channel-last float tensors, counts
-parameters, and reads/writes the binary weight container.
+parameters and multiply-adds, and reads/writes the binary weight container.
+
+``forward`` and ``conv2d`` also take a stage's 8-bit pixels, a uint8
+array, and read them as ``x / 255`` where they first read them: a conv
+divides each strip's input rows as it copies them into its padded scratch,
+so no float64 copy of the whole input is built; any other first layer gets
+the input divided once. uint8 to float64 is exact, so either gives the bits
+of dividing first, as ``preprocess.extract_features`` does.
 
 Inference is deterministic and purely functional: specs and weight stores
 are immutable after load and may be shared across threads; dropout is an
@@ -15,12 +22,13 @@ type and range is one rule in ``_FIELD_RULES``.
 
 Each conv runs in strips of output rows, each a whole number of pool
 windows with about ``_STRIP_BYTES`` of im2col and product rows: a strip
-copies the input rows it reads between zero borders into a per-thread
-scratch buffer, its im2col rows are copied from a view of that into a second
-one, one GEMM writes the strip's product into a third, and the strip is
-max-pooled straight into its rows of the output. Neither a zero-padded copy
-of the whole input nor the whole-frame im2col is ever built, and each
-strip's operands stay in a core's L2 cache while they are used.
+copies the input rows it reads (8-bit ones divided by 255) between zero
+borders into a per-thread scratch buffer, its im2col rows are copied from a
+view of that into a second one, one GEMM writes the strip's product into a
+third, and the strip is max-pooled straight into its rows of the output.
+Neither a zero-padded copy of the whole input nor the whole-frame im2col is
+ever built, and each strip's operands stay in a core's L2 cache while they
+are used.
 
 A relu or linear conv, the max-pool directly after it and the batchnorm
 after that run as one step: each strip adds the bias, applies ReLU and the
@@ -58,6 +66,7 @@ from __future__ import annotations
 
 import collections
 import json
+import math
 import struct
 import threading
 from concurrent import futures
@@ -93,6 +102,7 @@ __all__ = [
     "forward",
     "classify",
     "count_params",
+    "count_macs",
     "default_model_spec",
     "random_weights",
     "validate_weights",
@@ -454,6 +464,16 @@ def _apply_activation(x: np.ndarray, activation: str | None) -> np.ndarray:
     raise ValidationError(f"unknown activation {activation!r}")
 
 
+def _read_pixels(x: np.ndarray) -> np.ndarray:
+    """``x`` as float64, 8-bit pixels read as ``x / 255`` into [0, 1]."""
+    x = np.asarray(x)
+    if x.dtype == np.uint8:
+        # uint8 -> float64 is exact, so casting inside the divide gives the
+        # same bits as casting first.
+        return np.divide(x, 255.0, dtype=np.float64)
+    return np.asarray(x, dtype=np.float64)
+
+
 # About half of one core's 2 MiB L2: a strip's im2col rows and its product
 # rows, which leaves room for the kernel matrix.
 _STRIP_BYTES = 1 << 20
@@ -560,11 +580,15 @@ def conv2d(
     inference batchnorm.
 
     ``kernel`` is ``(kh, kw, in_channels, filters)``; "same" zero-pads so
-    that stride-1 output keeps the input height and width. The output is
-    bit-identical to ``batchnorm_infer(relu(maxpool2(conv2d(...), pool)),
-    *batchnorm)``, each step taken only when asked for.
+    that stride-1 output keeps the input height and width. A uint8 ``x``
+    is read as ``x / 255``, each strip's rows divided as they are copied
+    into its padded scratch. The output is bit-identical to
+    ``batchnorm_infer(relu(maxpool2(conv2d(...), pool)), *batchnorm)``,
+    each step taken only when asked for.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if x.dtype != np.uint8:
+        x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     if x.ndim != 3:
@@ -620,7 +644,11 @@ def conv2d(
         pad[i1 + top - p0 :] = 0.0
         pad[:, :left] = 0.0
         pad[:, left + w :] = 0.0
-        pad[i0 + top - p0 : i1 + top - p0, left : left + w] = x[i0:i1]
+        rows = pad[i0 + top - p0 : i1 + top - p0, left : left + w]
+        if x.dtype == np.uint8:
+            np.divide(x[i0:i1], 255.0, out=rows, dtype=np.float64)
+        else:
+            rows[...] = x[i0:i1]
         sy, sx, sc = pad.strides
         strides = (stride * sy, stride * sx, sy, sx, sc)
         cols = np.ndarray((r1 - r0, out_w, kh, kw, in_ch), np.float64, pad, 0, strides)
@@ -649,8 +677,11 @@ def conv2d(
 def _pool_into(x: np.ndarray, pool: int, out: np.ndarray) -> None:
     """Max-pool ``x`` into ``out``, window = stride = ``pool``; ``out``'s
     height and width say how many windows to take."""
-    # Max is exact, so folding the pool**2 strided views in any order
-    # gives the same bits as a windowed max reduction.
+    # Max is exact, but not symmetric in signed zeros: np.maximum(-0.0, 0.0)
+    # is 0.0 and np.maximum(0.0, -0.0) is -0.0. Folding the pool**2 strided
+    # views in this order, row-major over the window, gives the bits of the
+    # windowed max reduction; test_bit_equal_to_windowed_max_reduction pins
+    # it, and a row-then-column fold fails it.
     h2, w2 = out.shape[:2]
     views = [
         x[a : h2 * pool : pool, b : w2 * pool : pool] for a in range(pool) for b in range(pool)
@@ -763,12 +794,16 @@ def forward(spec: ModelSpec, weights: WeightStore, x: np.ndarray) -> float:
     """Run the full layer chain and return the output probability.
 
     Pure function of (spec, weights, input); any shape failure aborts with
-    the offending layer's name.
+    the offending layer's name. A uint8 ``x``, a stage's 8-bit pixels, is
+    read as ``x / 255``: by the first conv's strips as they pad it, or
+    divided once up front when the first layer is not a conv.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.shape != spec.input_shape:
         raise ShapeError(f"input shape {x.shape} does not match spec {spec.input_shape}")
     layers = spec.layers
+    if x.dtype != np.uint8 or layers[0].kind != "conv2d":
+        x = _read_pixels(x)
     i = 0
     while i < len(layers):
         layer = layers[i]
@@ -847,6 +882,20 @@ def count_params(spec: ModelSpec) -> int:
             for dim in shape:
                 n *= dim
             total += n
+    return total
+
+
+def count_macs(spec: ModelSpec) -> int:
+    """Multiply-adds of one forward pass: ``kh * kw * in_channels`` per conv
+    output value and one per dense weight; other layers make none."""
+    total, shape = 0, spec.input_shape
+    for layer, out in zip(spec.layers, spec.output_shapes()):
+        if layer.kind == "conv2d":
+            kh, kw = layer.kernel  # type: ignore[misc]
+            total += kh * kw * shape[2] * math.prod(out)
+        elif layer.kind == "dense":
+            total += shape[0] * out[0]
+        shape = out
     return total
 
 

@@ -13,6 +13,11 @@ submitted beyond the one being collected, so the frames in flight and kept
 are bounded whatever the sequence length; the scores and their fold grow
 linearly with it. The fold's positives collapse into timestamped events.
 
+A scoring task hands a stage model the stage's 8-bit pixels, the resized
+frame's channel subset or its luma, and builds no float64 feature tensor:
+a CNN stage's first conv reads them as ``pixels / 255`` while it pads its
+strips, the same division ``extract_features`` makes.
+
 While a pool of ``workers`` threads scores frames, each frame gets
 ``max(1, n // workers)`` cores, ``n`` being numpy's OpenBLAS thread count
 on entry, and OpenBLAS is held at one thread. A frame thread with more
@@ -48,8 +53,8 @@ from .ensemble import FusionConfig, PredictionSeries, _PrefixFold, _series
 from .errors import LoadError, ValidationError
 from .evaluate import DetectionEvent, events_from_series
 from .frameio import Frame
-from .nn import ModelSpec, WeightStore, _lend_helpers, classify, forward, load_weights
-from .preprocess import extract_features, resize_aa
+from .nn import ModelSpec, WeightStore, _lend_helpers, _read_pixels, classify, forward, load_weights
+from .preprocess import _stage_pixels, resize_aa
 
 __all__ = [
     "StageModel",
@@ -64,32 +69,39 @@ logger = logging.getLogger(__name__)
 
 
 class StageModel(Protocol):
-    """Anything that turns a feature tensor into a probability."""
+    """Anything that turns a stage's pixels into a probability.
 
-    def score(self, features: np.ndarray) -> float: ...
+    ``pixels`` is the stage's ``(height, width, channels)`` uint8 array:
+    the resized frame's channel subset, or its luma. A model reads it as
+    ``pixels / 255``, the feature values ``extract_features`` gives.
+    """
+
+    def score(self, pixels: np.ndarray) -> float: ...
 
 
 @dataclass(frozen=True)
 class CnnModel:
-    """Stage model backed by a loaded network."""
+    """Stage model backed by a loaded network; the first conv reads the
+    8-bit pixels as it pads its strips (see ``nn.forward``)."""
 
     spec: ModelSpec
     weights: WeightStore
 
-    def score(self, features: np.ndarray) -> float:
-        return forward(self.spec, self.weights, features)
+    def score(self, pixels: np.ndarray) -> float:
+        return forward(self.spec, self.weights, pixels)
 
 
 @dataclass(frozen=True)
 class MeanIntensityModel:
-    """Weightless stage model: the score is the mean feature value.
+    """Weightless stage model: the score is the mean feature value, the
+    mean of ``pixels / 255``.
 
     With features in [0, 1] the score is too, so it plugs into the same
     thresholding as a real network.
     """
 
-    def score(self, features: np.ndarray) -> float:
-        return float(np.asarray(features, dtype=np.float64).mean())
+    def score(self, pixels: np.ndarray) -> float:
+        return float(_read_pixels(pixels).mean())
 
 
 def build_stage_models(config: PipelineConfig) -> tuple[StageModel, ...]:
@@ -189,8 +201,8 @@ def _score_stages(
     ready: collections.deque[tuple[int, int]] = collections.deque()
 
     def score(resized: Frame, k: int) -> float:
-        features = extract_features(resized, config.stages[k].channels, config.luma_coefficients)
-        return models[k].score(features)
+        pixels = _stage_pixels(resized, config.stages[k].channels, config.luma_coefficients)
+        return models[k].score(pixels)
 
     def first(i: int, keep: np.ndarray | None) -> tuple[Frame | None, float]:
         resized = resize_aa(frames[i], config.input_width, config.input_height)

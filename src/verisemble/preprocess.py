@@ -2,8 +2,9 @@
 
 The resize suppresses aliasing noise by area-averaging on downscale (every
 source pixel contributes in proportion to its coverage of the target cell)
-and falls back to bilinear interpolation on upscale. Feature extraction
-selects channel subsets, or a derived luma channel, scaled into [0, 1].
+and falls back to bilinear interpolation on upscale. A stage reads
+its channel subset, or a derived luma channel, as 8-bit pixels;
+``extract_features`` gives them scaled into [0, 1] as float64.
 
 All functions are pure and safe to run data-parallel across frames.
 ``resize_aa`` computes in bands of output rows; on a frame thread lent
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .frameio import Frame
-from .nn import _spread
+from .nn import _read_pixels, _spread
 
 __all__ = [
     "BT601_LUMA",
@@ -211,17 +212,15 @@ def to_grayscale(
     return Frame(index=frame.index, pixels=_round_half_up_u8(luma)[:, :, np.newaxis])
 
 
-def extract_features(
+def _stage_pixels(
     frame: Frame,
     subset: ChannelSubset,
     luma_coefficients: tuple[float, float, float] = BT601_LUMA,
 ) -> np.ndarray:
-    """Extract the feature tensor a classification stage consumes.
-
-    Selects the subset's channels in declared order (or derives luma for
-    ``LUMA``) and scales 8-bit values by 1/255 into [0, 1]. Returns a
-    ``(height, width, channels)`` float64 array.
-    """
+    """The 8-bit pixels a classification stage reads: the subset's channels
+    in declared order, or the uint8 luma of :func:`to_grayscale` for
+    ``LUMA``, as a ``(height, width, channels)`` uint8 array. For ``RGB``
+    it is the frame's own pixel array."""
     if not isinstance(subset, ChannelSubset):
         raise ValueError(f"subset must be a ChannelSubset, got {subset!r}")
     if frame.channels != 3:
@@ -229,11 +228,22 @@ def extract_features(
             f"feature extraction requires a 3-channel frame, got {frame.channels}"
         )
     if subset is ChannelSubset.LUMA:
-        pixels = to_grayscale(frame, coefficients=luma_coefficients).pixels
-    elif subset is ChannelSubset.RGB:
-        pixels = frame.pixels
-    else:
-        pixels = frame.pixels[:, :, list(subset.channel_indices)]
-    # One pass: uint8 -> float64 is exact, so casting inside the divide gives
-    # the same bits as casting first.
-    return np.divide(pixels, 255.0, dtype=np.float64)
+        return to_grayscale(frame, coefficients=luma_coefficients).pixels
+    if subset is ChannelSubset.RGB:
+        return frame.pixels
+    return frame.pixels[:, :, list(subset.channel_indices)]
+
+
+def extract_features(
+    frame: Frame,
+    subset: ChannelSubset,
+    luma_coefficients: tuple[float, float, float] = BT601_LUMA,
+) -> np.ndarray:
+    """Extract the feature tensor a classification stage consumes.
+
+    The stage's 8-bit pixels (the subset's channels in declared order, or
+    luma for ``LUMA``) scaled by 1/255 into [0, 1], as a ``(height, width,
+    channels)`` float64 array. The pipeline hands a stage the 8-bit pixels
+    themselves; ``nn.forward`` reads them with this same division.
+    """
+    return _read_pixels(_stage_pixels(frame, subset, luma_coefficients))

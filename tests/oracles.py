@@ -264,6 +264,34 @@ def count_params_ref(input_channels: int, blocks, dense_units, flat_len: int) ->
     return total
 
 
+def count_macs_ref(input_shape, layers) -> int:
+    """Multiply-adds of one forward pass, counted layer by layer: a conv
+    makes ``kh * kw * in_channels`` per output value and a dense layer one
+    per input and unit. Shapes follow each layer's documented rule."""
+    h, w, c = input_shape
+    total = 0
+    for layer in layers:
+        if layer.kind == "conv2d":
+            kh, kw = layer.kernel
+            s = layer.stride
+            if layer.padding == "same":
+                h, w = math.ceil(h / s), math.ceil(w / s)
+            else:
+                h, w = (h - kh) // s + 1, (w - kw) // s + 1
+            for _ in range(h * w * layer.filters):
+                total += kh * kw * c
+            c = layer.filters
+        elif layer.kind == "maxpool2":
+            h, w = h // layer.pool, w // layer.pool
+        elif layer.kind == "flatten":
+            h, w, c = 1, 1, h * w * c
+        elif layer.kind == "dense":
+            for _ in range(layer.units):
+                total += h * w * c
+            h, w, c = 1, 1, layer.units
+    return total
+
+
 def conv2d_frozen(x, kernel, bias, stride: int = 1, padding: str = "same"):
     """The earlier numpy conv: a sliding-window view contracted by tensordot,
     then ``+ bias``."""

@@ -723,6 +723,7 @@ class TestBench:
         assert report["workers"] == 1
         assert report["params_total"] == 0  # mean-intensity stages are weightless
         assert [s["channels"] for s in report["stages"]] == ["RGB", "L"]
+        assert [s["macs"] for s in report["stages"]] == [0, 0]
         latency = report["latency_ms"]
         assert list(latency) == ["mean", "median", "p95"]
         assert latency["p95"] >= latency["median"]
@@ -730,7 +731,7 @@ class TestBench:
         assert list(out) == ["reports"]
 
     def test_cnn_bench_reports_parameter_counts(self, tmp_path, capsys):
-        from verisemble import count_params, random_weights, save_weights
+        from verisemble import count_macs, count_params, random_weights, save_weights
         from test_pipeline import small_cnn_spec
 
         rgb_spec, luma_spec = small_cnn_spec(3), small_cnn_spec(1)
@@ -752,6 +753,7 @@ class TestBench:
         want = [count_params(rgb_spec), count_params(luma_spec)]
         assert [s["params"] for s in report["stages"]] == want
         assert report["params_total"] == sum(want)
+        assert [s["macs"] for s in report["stages"]] == [count_macs(rgb_spec), count_macs(luma_spec)]
 
     def test_throughput_section(self, tmp_path, capsys):
         config, frames = self.small_workspace(tmp_path)

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from verisemble import (
+    ChannelSubset,
     FormatError,
     Frame,
     LayerSpec,
@@ -31,15 +32,17 @@ from verisemble import (
     ShapeError,
     ValidationError,
     classify,
+    count_macs,
     count_params,
     default_model_spec,
+    extract_features,
     forward,
     load_weights,
     random_weights,
     resize_aa,
     save_weights,
 )
-from verisemble import cli, nn, pipeline
+from verisemble import cli, nn, pipeline, preprocess
 from verisemble.nn import (
     WEIGHTS_MAGIC,
     WEIGHTS_VERSION,
@@ -1128,6 +1131,63 @@ class TestStripBudget:
         assert len(nn._strip_bounds(18, 18, 9 * 128, 128, 2)) - 1 > 3
 
 
+def eight_bit_specs(shape: tuple[int, int, int]) -> list[ModelSpec]:
+    """Models over ``shape`` whose first step reads the input differently:
+    a relu conv with pool and batchnorm, a strided "valid" conv, a max-pool,
+    a batchnorm and a flatten."""
+    head = (LayerSpec.flatten(), LayerSpec.dense("out", 1, activation="sigmoid"))
+    firsts = [
+        (LayerSpec.conv("c", 4, (3, 3), activation="relu"), LayerSpec.maxpool("p", 3),
+         LayerSpec.batchnorm("bn")),
+        (LayerSpec.conv("c", 5, (2, 3), 2, "valid"),),
+        (LayerSpec.maxpool("p"), LayerSpec.conv("c", 3, (3, 3), activation="relu")),
+        (LayerSpec.batchnorm("bn"),),
+        (),
+    ]
+    return [ModelSpec(input_shape=shape, layers=first + head) for first in firsts]
+
+
+@pytest.mark.parametrize("subset", list(ChannelSubset), ids=lambda s: s.value)
+def test_stage_pixels_read_as_their_features(subset):
+    """``forward`` and ``conv2d`` read a stage's uint8 pixels as
+    ``extract_features``' float64 features, bit for bit, at an odd size."""
+    rgb = np.random.default_rng(2501).integers(0, 256, (37, 23, 3), np.uint8)
+    frame = Frame(index=0, pixels=rgb)
+    pixels, features = preprocess._stage_pixels(frame, subset), extract_features(frame, subset)
+    assert pixels.dtype == np.uint8
+    assert pixels.shape == features.shape
+    for seed, spec in enumerate(eight_bit_specs(pixels.shape)):
+        weights = random_weights(spec, seed=seed)
+        first = spec.layers[0]
+        assert forward(spec, weights, pixels).hex() == forward(spec, weights, features).hex(), first
+        if first.kind == "conv2d":
+            params = weights[first.name]
+            got, want = (
+                conv2d(x, params["kernel"], params["bias"], first.stride, first.padding)
+                for x in (pixels, features)
+            )
+            assert got.tobytes() == want.tobytes(), first
+
+
+@pytest.mark.parametrize("subset", list(ChannelSubset), ids=lambda s: s.value)
+def test_stage_pixels_in_strips_spread_over_helpers(lent_helpers, subset):
+    """A stock model's conv1 pads a stage's pixels in several strips, spread
+    over 0, 1 and 3 helpers: the score and conv1's output are those of the
+    float64 features on the calling thread."""
+    rgb = np.random.default_rng(2502).integers(0, 256, (161, 159, 3), np.uint8)
+    frame = Frame(index=0, pixels=rgb)
+    pixels, features = preprocess._stage_pixels(frame, subset), extract_features(frame, subset)
+    spec = default_model_spec(channels=subset.cardinality, height=161, width=159)
+    weights = random_weights(spec, seed=subset.cardinality)
+    conv1 = weights["conv1"]
+    assert len(nn._strip_bounds(161, 159, 9 * subset.cardinality, 16, 2)) > 2
+    got = lent_helpers(conv2d, pixels, conv1["kernel"], conv1["bias"], 1, "same", 2, True)
+    want = conv2d(features, conv1["kernel"], conv1["bias"], 1, "same", 2, True)
+    assert got.tobytes() == want.tobytes()
+    score = lent_helpers(forward, spec, weights, pixels)
+    assert score.hex() == forward(spec, weights, features).hex()
+
+
 # The most a stock forward pass at 300x300 may allocate beyond its input.
 # conv1's and conv2's outputs are alive together (2.75 + 1.37 MiB for 16
 # and 32 channels), and a thread's scratch holds a strip's padded rows,
@@ -1368,6 +1428,26 @@ class TestCountParams:
         small = count_params(default_model_spec(channels=1))
         assert big > small
         assert big - small == 3 * 3 * 2 * 16  # extra first-conv input channels
+
+
+class TestCountMacs:
+    def test_stock_models_at_300(self):
+        # conv1-conv5 38,880,000 / 103,680,000 / 103,680,000 / 100,933,632 /
+        # 47,775,744 for RGB, then dense 663,552 + 1,024 + 16; a luma conv1
+        # makes a third of RGB's.
+        assert count_macs(default_model_spec(channels=3)) == 395_613_968
+        assert count_macs(default_model_spec(channels=1)) == 369_693_968
+
+    def test_tiny_spec_by_hand(self):
+        # conv 3x3x2 -> 2 over 4x4: 16 * 2 * 18; dense 8 -> 1: 8.
+        assert count_macs(tiny_spec()) == 576 + 8
+        assert count_macs(head_spec()) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(conv_models())
+    def test_equals_a_naive_per_layer_loop(self, case):
+        spec, _, _ = case
+        assert count_macs(spec) == oracles.count_macs_ref(spec.input_shape, spec.layers)
 
 
 class TestStockArchitecture:

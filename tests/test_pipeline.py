@@ -8,6 +8,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -34,6 +35,7 @@ from verisemble import (
     ValidationError,
     build_stage_models,
     chain_fuse,
+    default_model_spec,
     events_from_series,
     extract_features,
     forward,
@@ -515,8 +517,8 @@ class BadAtLevel:
     def __init__(self, bad: float = 0.9, level: int = -1) -> None:
         self.bad, self.level = bad, level
 
-    def score(self, features: np.ndarray) -> float:
-        return self.bad if round(float(features.mean()) * 255) == self.level else 0.9
+    def score(self, pixels: np.ndarray) -> float:
+        return self.bad if round(float(pixels.mean())) == self.level else 0.9
 
 
 @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.25])
@@ -704,6 +706,39 @@ class TestBoundedWindow:
             assert proc.returncode == 0, proc.stderr
             peaks.append(int(proc.stdout) * 1024)
         assert peaks[1] - peaks[0] < 4 << 20, peaks
+
+    def test_cnn_stage_reads_its_pixels_without_a_feature_tensor(self, tmp_path, monkeypatch):
+        """A stock RGB stage scores four 300x300 frames at one worker within
+        ``PIPELINE_PEAK_MIB`` of traced allocations beyond its weights: the
+        stage's 8-bit pixels go to conv1, which scales them as it pads its
+        strips, and no float64 feature tensor is held through the pass."""
+        spec = default_model_spec(channels=3)
+        weights = tmp_path / "rgb.weights"
+        save_weights(weights, spec, random_weights(spec, seed=3))
+        stage = StageConfig(channels=ChannelSubset.RGB, model=CnnModelConfig(weights=str(weights)))
+        frames = [random_frame(2503 + i, 300, 300) for i in range(4)]
+        # One core per frame thread: no helper threads, whose scratch would
+        # count or not as they happen to take strips.
+        monkeypatch.setattr(pipeline, "_blas_thread_api", lambda: None)
+
+        def traced_peak() -> float:
+            tracemalloc.start()
+            try:
+                run_pipeline(PipelineConfig(stages=(stage,)), frames, fps=GOLDEN_FPS, workers=1)
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        with ThreadPoolExecutor(1) as fresh:
+            peak = fresh.submit(traced_peak).result(timeout=300)
+        assert peak - weights.stat().st_size / 2**20 < PIPELINE_PEAK_MIB
+
+
+# What a one-worker run with a stock RGB stage at 300x300 may allocate beyond
+# its weights container: one forward's outputs, kernels and scratch (about
+# 6.0 MiB). A float64 feature tensor of the frame (2.06 MiB) held through the
+# forward breaks it.
+PIPELINE_PEAK_MIB = 7.0
 
 
 # Runs `run_pipeline` with two workers over argv[1] 200x200 frames, made on
