@@ -40,6 +40,8 @@ from .evaluate import (
 )
 from .frameio import (
     FrameSequence,
+    _quote,
+    _text_lines,
     load_detections,
     load_ground_truth,
     open_sequence,
@@ -191,16 +193,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _load_labels(path: str | Path) -> tuple[bool, ...]:
     labels: list[bool] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line == "0":
-            labels.append(False)
-        elif line == "1":
-            labels.append(True)
-        else:
-            raise ValidationError(f"{path} row {lineno}: labels must be 0 or 1, got {line!r}")
+    for lineno, line in _text_lines(Path(path)):
+        if line not in ("0", "1"):
+            raise ValidationError(f"{path} row {lineno}: labels must be 0 or 1, got {_quote(line)}")
+        labels.append(line == "1")
     return tuple(labels)
 
 

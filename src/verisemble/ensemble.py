@@ -17,8 +17,9 @@ The fold packs the first stage (when packing is enabled), then lets each
 later stage veto through a window reaching ``FusionConfig.verifier_radius``
 frames either side of each positive. Two-stage fusion is
 ``chain_fuse((primary, verifier), config)``, and the per-frame AND is
-``neighbor_validate(primary, verifier, 1)``. ``run`` feeds the fold each
-stage as it is scored; :func:`chain_fuse` gives it every stage whole.
+``neighbor_validate(primary, verifier, 1)``. :func:`chain_fuse` gives the
+fold every stage whole; for ``run`` the fold owns the stages' cells and asks
+each verifier about the frames in its windows around surviving proposals.
 
 All operations are pure: series are immutable value objects and every
 function returns a new series.
@@ -26,6 +27,7 @@ function returns a new series.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -213,19 +215,61 @@ def chain_fuse(
     return fold.folds[-1]
 
 
+class _Cells:
+    """Labels and scores written in place; unwritten, label False and score 0.0."""
+
+    def __init__(self, n: int) -> None:
+        self.labels, self.scores = [False] * n, [0.0] * n
+
+
 class _PrefixFold:
     """:func:`chain_fuse`'s fold, extended as its stages become known: ``folds[k]``,
-    the fold of stages ``0..k``, is final on its first ``final[k]`` frames."""
+    the fold of stages ``0..k``, is final on its first ``final[k]`` frames.
 
-    def __init__(self, stages: Sequence[PredictionSeries], config: FusionConfig) -> None:
+    Built by :meth:`scoring`, it owns the stages' cells and asks stage 0 about
+    every frame, verifier ``k`` about frame ``j`` once ``folds[k - 1]`` is final
+    and positive within ``r`` of it: ``asked[k]`` lists those frames, ``ready``
+    queues them as ``(k, j)``, and stage ``k``'s cells are known below ``known[k]``.
+    """
+
+    def __init__(self, stages: Sequence[PredictionSeries | _Cells], config: FusionConfig) -> None:
         n = len(stages[0].labels)
         for stage in stages[1:]:
             if len(stage.labels) != n:
                 raise ValidationError(f"series lengths differ: primary {n}, verifier {len(stage)}")
-        self.stages, self.n, self.r = stages, n, config.verifier_radius
+        self.stages, self.n, self.r, self.owned = stages, n, config.verifier_radius, False
         # A lone stage is its own fold, unpacked.
         self.pack = config.pack_size if config.packing_enabled and len(stages) > 1 else 1
-        self.folds, self.final = [_series((), ())] * len(stages), [0] * len(stages)
+        # Until a step writes it, ``folds[k]`` is stage ``k``, final on no frame.
+        self.folds, self.final = list(stages), [0] * len(stages)
+
+    @classmethod
+    def scoring(cls, count: int, n: int, config: FusionConfig) -> _PrefixFold:
+        """A fold over ``count`` stages of ``n`` frames that owns their cells."""
+        fold = cls([_Cells(n) for _ in range(count)], config)
+        fold.owned, fold.ready = True, collections.deque()
+        fold.asked = [range(n), *([] for _ in range(1, count))]
+        fold.decided, fold.got, fold.known = [n] + [0] * (count - 1), [0] * count, [0] * count
+        return fold
+
+    def put(self, stage: int, i: int, score: float, label: bool) -> None:
+        """Write ``stage``'s cell at frame ``i``, the next asked of it; extend each fold
+        as far as it is known, asking verifiers about the frames it now decides."""
+        self.stages[stage].labels[i], self.stages[stage].scores[i] = label, score
+        self.got[stage] += 1
+        n, r = self.n, self.r
+        for k, asked in enumerate(self.asked):
+            if k:
+                prior, final = self.folds[k - 1].labels, self.final[k - 1]
+                end = n if final == n else final - r
+                for j in range(self.decided[k], end):
+                    if any(prior[max(0, j - r) : j + r + 1]):
+                        asked.append(j)
+                        self.ready.append((k, j))
+                self.decided[k] = max(self.decided[k], end)
+            got = self.got[k]
+            self.known[k] = asked[got] if got < len(asked) else self.decided[k]
+            self.extend(k, self.known[k])
 
     def extend(self, k: int, known: int) -> None:
         """Extend ``folds[k]``, stage ``k`` being known below frame ``known``: over stage 0's
@@ -235,19 +279,18 @@ class _PrefixFold:
         end = min(end, self.final[k - 1]) if k else end
         if end <= done:
             return
-        # The frames this step decides and those they read, uncopied if that is all.
+        # The frames this step decides and those they read, uncopied if given whole.
         lo, hi, prior = max(0, done - r), min(n, end + r), self.folds[k - 1] if k else stage
-        if hi - lo < n:
-            stage, prior = (_series(s.labels[lo:hi], s.scores[lo:hi]) for s in (stage, prior))
-        if k == 0:
-            fused = pack_mode(stage, self.pack)
-        else:
-            fused = neighbor_validate(prior, stage, 2 * r + 1)
+        if self.owned or hi - lo < n:
+            stage, prior = (
+                _series(tuple(s.labels[lo:hi]), tuple(s.scores[lo:hi])) for s in (stage, prior)
+            )
+        fused = neighbor_validate(prior, stage, 2 * r + 1) if k else pack_mode(stage, self.pack)
         if end - done == n:
             self.folds[k] = fused
         else:
             if not done:
-                self.folds[k] = _series([False] * n, [0.0] * n)
+                self.folds[k] = _Cells(n)
             self.folds[k].labels[done:end] = fused.labels[done - lo : end - lo]
             self.folds[k].scores[done:end] = fused.scores[done - lo : end - lo]
         self.final[k] = end

@@ -50,8 +50,12 @@ _PPM_MAX_DIGITS = 20
 # Bytes read at a time while a header comment or a run of leading zeros is skipped.
 _PPM_COMMENT_CHUNK = 1 << 16
 # The most bytes of a bad header number quoted in its error; a token is read
-# no further past them once it holds a non-digit or too many digits.
-_PPM_QUOTE = 32
+# no further past them once it holds a non-digit or too many digits. An error
+# quotes as many characters of a bad line or number of a CSV or labels file.
+_QUOTE = 32
+# The most characters a line of a CSV or labels file may take, its line break
+# included; a longer line is refused once that many are read.
+_MAX_LINE = 4096
 
 # The widest field a frame file pattern may pad to: NAME_MAX, the longest
 # file name on common file systems, so no wider field can name a file.
@@ -210,12 +214,12 @@ def _ppm_header(stream: BinaryIO) -> tuple[int, int]:
             size += zeros
             byte = stream.read(1)
         # The bytes an error quotes and the digits past the leading zeros; neither grows.
-        head, digits, bad = bytearray(b"0" * min(size, _PPM_QUOTE)), bytearray(), False
+        head, digits, bad = bytearray(b"0" * min(size, _QUOTE)), bytearray(), False
         while byte and byte != b"#" and byte not in _PPM_WHITESPACE:
             size += 1
-            if size > _PPM_QUOTE and (bad or len(digits) > _PPM_MAX_DIGITS):
+            if size > _QUOTE and (bad or len(digits) > _PPM_MAX_DIGITS):
                 break
-            if size <= _PPM_QUOTE:
+            if size <= _QUOTE:
                 head += byte
             if not byte.isdigit():
                 bad = True
@@ -223,7 +227,7 @@ def _ppm_header(stream: BinaryIO) -> tuple[int, int]:
                 digits += byte
             byte = stream.read(1)
         if bad or not size:
-            cut = "..." if size > _PPM_QUOTE else ""
+            cut = "..." if size > _QUOTE else ""
             raise FormatError(f"PPM header: bad {what} {bytes(head)!r}{cut}")
         if len(digits) > _PPM_MAX_DIGITS:
             raise FormatError(f"PPM header: {what} has more than {_PPM_MAX_DIGITS} digits")
@@ -372,23 +376,48 @@ def open_sequence(
     return FrameSequence(directory=directory, manifest=manifest, shape=shape)
 
 
+def _quote(text: str) -> str:
+    """``text`` as a repr, cut to its first ``_QUOTE`` characters and ``...``."""
+    return repr(text[:_QUOTE]) + ("..." if len(text) > _QUOTE else "")
+
+
+def _text_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """``(lineno, line)`` for each line of a text file that is not blank,
+    stripped. The file is read one line at a time, and its lines are
+    numbered as ``str.splitlines`` splits them; a line of more than
+    ``_MAX_LINE`` characters raises :class:`FormatError`."""
+    lineno = 0
+    with open(path) as file:
+        while chunk := file.readline(_MAX_LINE + 1):
+            if len(chunk) > _MAX_LINE:
+                raise FormatError(f"{path} row {lineno + 1}: longer than {_MAX_LINE} characters")
+            for line in chunk.splitlines():
+                lineno += 1
+                if line := line.strip():
+                    yield lineno, line
+
+
 def _csv_rows(path: Path, header: str) -> Iterator[tuple[int, float, float]]:
     """``(lineno, a, b)`` for each row of a two-column CSV of numbers.
 
     Lines are stripped and blank ones skipped; line 1 may be ``header``.
     """
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or (lineno == 1 and line.replace(" ", "") == header):
+    for lineno, line in _text_lines(path):
+        if lineno == 1 and line.replace(" ", "") == header:
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            raise FormatError(f"{path} row {lineno}: expected {header!r}, got {line!r}")
-        try:
-            a, b = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise FormatError(f"{path} row {lineno}: non-numeric value: {exc}") from exc
-        yield lineno, a, b
+            raise FormatError(f"{path} row {lineno}: expected {header!r}, got {_quote(line)}")
+        values = []
+        for part in parts:
+            try:
+                values.append(float(part))
+            except ValueError as exc:
+                raise FormatError(
+                    f"{path} row {lineno}: non-numeric value: "
+                    f"could not convert string to float: {_quote(part)}"
+                ) from exc
+        yield lineno, *values
 
 
 def load_ground_truth(path: str | Path) -> GroundTruth:

@@ -4,30 +4,27 @@ Stage 0, the proposer, scores every frame. Each later stage is a verifier
 that can only veto, so it scores only the frames its decision can depend
 on: the window of ``FusionConfig.verifier_radius`` frames around each
 proposal that has survived the fold so far. The fold is local, so the
-stages run over the sequence together: their scores feed one prefix fold,
-the one that ``chain_fuse`` runs, as they are known, and a verifier reads
-the fold before it where that is final. Each frame is read and resized
-once, on a scoring thread, and kept resized only until every verifier has
-decided it and scored it if needed. At most ``2 * workers`` tasks are
-submitted beyond the one being collected, so the frames in flight and kept
-are bounded whatever the sequence length; the scores and their fold grow
-linearly with it. The fold's positives collapse into timestamped events.
+stages run over the sequence together: the prefix fold that ``chain_fuse``
+runs owns their cells and asks each verifier about those frames as the
+fold before it becomes final. The scheduler submits what the fold asks,
+writes each collected score into its cell and drops a resized frame once
+every stage's cell there is known. Each frame is read and resized once, on
+a scoring thread. At most ``2 * workers`` tasks are submitted beyond the
+one being collected, so the frames in flight and kept are bounded whatever
+the sequence length; the cells and the fold grow linearly with it. The
+fold's positives collapse into timestamped events.
 
 A scoring task hands a stage model the stage's 8-bit pixels, the resized
 frame's channel subset or its luma, and builds no float64 feature tensor:
 a CNN stage's first conv reads them as ``pixels / 255`` while it pads its
 strips, the same division ``extract_features`` makes.
 
-While a pool of ``workers`` threads scores frames, each frame gets
-``max(1, n // workers)`` cores, ``n`` being numpy's OpenBLAS thread count
-on entry, and OpenBLAS is held at one thread. A frame thread with more
-than one core spreads its conv strips and resize bands over helper threads
-of this call (``nn._spread``), so its cores run whole strips and bands, not
-only the GEMM inside them. The helpers are joined when the call returns or
-raises; with one core per frame, or no OpenBLAS found, there are none. The
-BLAS count is process-wide: other threads calling BLAS meanwhile see it
-too. Outputs do not change: strip bounds do not depend on the thread
-count, strips and bands write disjoint rows, the resize is integer
+Frame threads share the cores and OpenBLAS is held at one thread while
+they run (see :func:`run_pipeline`); a frame thread with more than one
+core spreads its conv strips and resize bands over helper threads
+(``nn._spread``), so its cores run whole strips and bands, not only the
+GEMM inside them. Outputs do not change: strip bounds do not depend on the
+thread count, strips and bands write disjoint rows, the resize is integer
 arithmetic, and a GEMM gives the same bits at any BLAS thread count.
 """
 
@@ -169,36 +166,20 @@ def _score_stages(
     config: PipelineConfig,
     models: Sequence[StageModel],
     ahead: int,
-) -> tuple[list[PredictionSeries], list[list[int]]]:
-    """Per stage, its series over all frames (0.0 where it did not score),
-    then their fold; and per stage, the ascending frames it scored. Each
-    score is checked once, as a float, when it is collected: one outside
-    [0, 1], NaN included, raises :class:`ValidationError` naming the stage
-    and the frame.
-
-    Stage 0 scores every frame, read and resized once on a scoring thread.
-    Each stage's scores, labelled by :func:`classify`, feed the prefix fold
-    as far as they are known. Stage ``k > 0`` decides frame ``j`` once the
-    fold of the stages before it is final on ``[j - r, j + r]``, and scores
-    it if that fold is positive there. Tasks go to ``pool`` in the order
-    they become ready, verifiers first, with at most ``ahead`` submitted
-    beyond the one being collected; results are collected in that order.
-    """
-    n, count = len(frames), len(models)
-    r = config.fusion.verifier_radius
-    # A frame a stage did not score keeps score 0.0, below every valid
-    # threshold, so its label is False.
-    fold = _PrefixFold([_series([False] * n, [0.0] * n) for _ in models], config.fusion)
-    scored: list[list[int]] = [[] for _ in models]
-    got = [0] * count  # results collected, per stage
-    decided = [0] * count  # whether stage k scores frame j is known for j < decided[k]
+) -> _PrefixFold:
+    """The prefix fold of the stages' scores, each checked once, as a float,
+    when it is collected: one outside [0, 1], NaN included, raises
+    :class:`ValidationError` naming the stage and the frame. Tasks go to
+    ``pool`` as they become ready, the fold's asks first, with at most
+    ``ahead`` submitted beyond the one being collected; results are
+    collected in that order."""
+    fold = _PrefixFold.scoring(len(models), len(frames), config.fusion)
     # A frame a verifier may need is copied into an array allocated here, on
     # the collecting thread, so that the frames kept across tasks do not pin
     # the scoring threads' heaps between their short-lived arrays.
     shape = (config.input_height, config.input_width, 3)
     kept: dict[int, Frame] = {}
     released = 0
-    ready: collections.deque[tuple[int, int]] = collections.deque()
 
     def score(resized: Frame, k: int) -> float:
         pixels = _stage_pixels(resized, config.stages[k].channels, config.luma_coefficients)
@@ -212,39 +193,16 @@ def _score_stages(
         keep[...] = resized.pixels
         return Frame(resized.index, keep), result
 
-    def known(k: int) -> int:
-        """Frames below this one have their stage-``k`` label."""
-        if k == 0:
-            return got[0]
-        return scored[k][got[k]] if got[k] < len(scored[k]) else decided[k]
-
-    def advance() -> None:
-        nonlocal released
-        fold.extend(0, known(0))
-        for k in range(1, count):
-            prior, final = fold.folds[k - 1].labels, fold.final[k - 1]
-            end = n if final == n else final - r
-            for j in range(decided[k], end):
-                if any(prior[max(0, j - r) : j + r + 1]):
-                    scored[k].append(j)
-                    ready.append((k, j))
-            decided[k] = max(decided[k], end)
-            fold.extend(k, known(k))
-        low = min((known(k) for k in range(1, count)), default=n)
-        while released < min(low, got[0]):
-            kept.pop(released)
-            released += 1
-
     pending: collections.deque[tuple[int, int, Future]] = collections.deque()
     submitted = 0
     try:
         while True:
-            while len(pending) <= ahead and (ready or submitted < n):
-                if ready:
-                    k, j = ready.popleft()
+            while len(pending) <= ahead and (fold.ready or submitted < fold.n):
+                if fold.ready:
+                    k, j = fold.ready.popleft()
                     pending.append((k, j, pool.submit(score, kept[j], k)))
                 else:
-                    keep = np.empty(shape, np.uint8) if count > 1 else None
+                    keep = np.empty(shape, np.uint8) if len(models) > 1 else None
                     pending.append((0, submitted, pool.submit(first, submitted, keep)))
                     submitted += 1
             if not pending:
@@ -253,16 +211,17 @@ def _score_stages(
             result = future.result()
             if k == 0:
                 kept[i], result = result
-            fold.stages[k].scores[i] = value = float(result)
+            value = float(result)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"stage {k}: score at frame {i} outside [0, 1]: {value}")
-            fold.stages[k].labels[i] = classify(value, config.threshold)
-            got[k] += 1
-            advance()
+            fold.put(k, i, value, classify(value, config.threshold))
+            while released < min(fold.known):
+                kept.pop(released)
+                released += 1
     finally:
         for *_, future in pending:
             future.cancel()
-    return [*fold.stages, fold.folds[-1]], scored
+    return fold
 
 
 # (get, set) thread-count symbols of numpy wheels' scipy-openblas, then of a
@@ -378,17 +337,15 @@ def run_pipeline(
     ) as helpers, ThreadPoolExecutor(
         workers, initializer=_lend_helpers, initargs=(helpers, cores - 1)
     ) as pool:
-        series, needed = _score_stages(pool, frames, config, models, 2 * workers)
+        fold = _score_stages(pool, frames, config, models, 2 * workers)
+    series = (*fold.stages, fold.folds[-1])
     *stage_series, fused = (_series(tuple(s.labels), tuple(s.scores)) for s in series)
-    scored = [tuple(range(n)), *map(tuple, needed[1:])]
+    scored = tuple(map(tuple, fold.asked))
     for k, done in enumerate(scored):
         logger.info("stage %d: scored %d of %d frames", k, len(done), n)
 
     events = events_from_series(fused, fps)
     logger.info("fused %d positive frames into %d events", fused.positive_count(), len(events))
     return PipelineResult(
-        stage_series=tuple(stage_series),
-        fused=fused,
-        events=events,
-        scored=tuple(scored),
+        stage_series=tuple(stage_series), fused=fused, events=events, scored=scored
     )

@@ -585,6 +585,51 @@ class TestRun:
         assert "intentional failure" in capsys.readouterr().err
 
 
+@needs_proc_status
+@pytest.mark.parametrize(
+    "command, flag",
+    [("eval", "--detections"), ("eval", "--gt"), ("simulate", "--labels"), ("run", "--gt")],
+)
+def test_sparse_text_input_exits_2_in_bounded_memory(tmp_path, command, flag):
+    """A text input that is one 8 MiB line of NUL bytes: the command exits 2
+    with one short `error:` line naming its first row, and its peak resident
+    set stays within a few MB of the same command given a good file, since
+    lines are read one at a time up to a bound."""
+    config, frames, out = golden_workspace(tmp_path)
+    detections = tmp_path / "detections.csv"
+    detections.write_text("timestamp_s,score\n1.000,0.9\n")
+    gt = tmp_path / "gt.csv"
+    gt.write_text("0.1,0.3\n")
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n1\n1\n0\n")
+    rates = [f"--{stage}-{rate}" for stage in ("primary", "verifier") for rate in ("tpr", "fpr")]
+    argv = {
+        "eval": ["eval", "--detections", str(detections), "--gt", str(gt)],
+        "simulate": ["simulate", "--labels", str(labels), *(a for r in rates for a in (r, "0.5"))],
+        "run": ["run", "--config", str(config), "--frames", str(frames), "--out", str(out),
+                "--gt", str(gt)],
+    }[command]
+    sparse = tmp_path / "sparse"
+    with open(sparse, "wb") as file:
+        file.truncate(8 << 20)
+    bad = list(argv)
+    bad[bad.index(flag) + 1] = str(sparse)
+    runs = []
+    for args in (argv, bad):
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_SCRIPT, *args],
+            capture_output=True, text=True, timeout=120,
+        )
+        code, peak_kb = proc.stdout.splitlines()[-1].split()
+        runs.append((code, int(peak_kb) * 1024, proc.stderr.splitlines()))
+    (code, peak, err), (bad_code, bad_peak, bad_err) = runs
+    assert (code, err) == ("0", [])
+    assert bad_code == "2"
+    assert len(bad_err) == 1 and len(bad_err[0]) < 200, bad_err
+    assert bad_err[0].startswith(f"error: {sparse} row 1: "), bad_err
+    assert bad_peak - peak < 4 << 20, (peak, bad_peak)
+
+
 class TestEval:
     def test_hand_example(self, tmp_path, capsys):
         detections = tmp_path / "detections.csv"

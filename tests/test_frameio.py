@@ -507,6 +507,59 @@ class TestDetections:
             load_detections(path)
 
 
+class TestTextLines:
+    """The CSV and labels files are read line by line up to ``_MAX_LINE``
+    characters, and an error quotes at most 32 characters of a bad line or
+    number."""
+
+    @pytest.mark.parametrize("token", ["abc", " 2e", "\x00", "x" * 32, "x" * 33, "\x00" * 400])
+    def test_bad_number_is_quoted_to_32_characters(self, tmp_path, token):
+        path = tmp_path / "gt.csv"
+        path.write_text(f"start_s,end_s\n1.0,{token}\n")
+        with pytest.raises(FormatError) as caught:
+            load_ground_truth(path)
+        if len(token) <= 32:
+            with pytest.raises(ValueError) as plain:
+                float(token)
+            want = f"non-numeric value: {plain.value}"
+        else:
+            want = f"non-numeric value: could not convert string to float: {token[:32]!r}..."
+        assert str(caught.value) == f"{path} row 2: {want}"
+
+    @pytest.mark.parametrize("line", ["1,2,3", "1," * 16, "1," * 17, "," * 1000])
+    def test_bad_row_is_quoted_to_32_characters(self, tmp_path, line):
+        path = tmp_path / "det.csv"
+        path.write_text(f"{line}\n")
+        with pytest.raises(FormatError) as caught:
+            load_detections(path)
+        quote = repr(line) if len(line) <= 32 else f"{line[:32]!r}..."
+        assert str(caught.value) == f"{path} row 1: expected 'timestamp_s,score', got {quote}"
+
+    def test_lines_past_the_bound_are_refused(self, tmp_path):
+        """A line of ``_MAX_LINE`` characters with its line break loads; one
+        more character is refused, naming the row."""
+        path = tmp_path / "gt.csv"
+        longest = "1.0," + " " * (frameio._MAX_LINE - 8) + "2.0\n"
+        assert len(longest) == frameio._MAX_LINE
+        path.write_text("start_s,end_s\n" + longest)
+        assert load_ground_truth(path).intervals == ((1.0, 2.0),)
+        path.write_text("start_s,end_s\n" + " " + longest)
+        with pytest.raises(FormatError) as caught:
+            load_ground_truth(path)
+        assert str(caught.value) == (
+            f"{path} row 2: longer than {frameio._MAX_LINE} characters"
+        )
+
+    def test_rows_are_numbered_as_splitlines_numbers_them(self, tmp_path):
+        text = "start_s,end_s\r\n\r1.0,2.0\x0c\n3.0,4.0\x1e-1.0,2.0\n"
+        row = text.splitlines().index("-1.0,2.0") + 1
+        path = tmp_path / "gt.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValidationError) as caught:
+            load_ground_truth(path)
+        assert str(caught.value) == f"{path} row {row}: negative interval (-1.0, 2.0)"
+
+
 def test_manifest_json_shape_matches_docs(tmp_path):
     # The documented external manifest shape loads as written.
     path = tmp_path / "manifest.json"

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from verisemble import (
     ChannelSubset,
@@ -44,7 +44,7 @@ from verisemble import (
     run_pipeline,
     save_weights,
 )
-from verisemble import cli, nn, pipeline
+from verisemble import cli, ensemble, evaluate, nn, pipeline
 
 from conftest import (
     BLACK,
@@ -428,8 +428,14 @@ def lazy_cases(draw):
     return stages, colors, fusion
 
 
+# 2,000 seeded solid frames through three stages, so the fold extends over
+# thousands of steps and each verifier's asks reach far past the first packs.
+LONG_COLORS = [tuple(map(int, c)) for c in np.random.default_rng(26).integers(0, 256, (2000, 3))]
+
+
 @settings(max_examples=150, deadline=None)
 @given(lazy_cases())
+@example((3, LONG_COLORS, FusionConfig(pack_size=3, neighbor_window=5)))
 def test_lazy_run_equals_eager_oracle(case):
     """Each verifier scores exactly the windows around the proposals that
     survive the stages before it, once per frame; labels, events and every
@@ -567,6 +573,49 @@ def test_run_builds_no_validated_series():
         result = run_pipeline(config, golden_frames(), fps=GOLDEN_FPS, workers=2)
     assert post_init.call_count == 0
     assert result.scored[2] and result.fused.positive_count()
+
+
+def test_no_series_is_written_after_it_is_built():
+    """With ``_series`` freezing its fields into tuples wherever it is held,
+    a three-stage run at one and two workers, and ``chain_fuse`` over random
+    stages, give what they give unpatched: nothing writes into a
+    ``PredictionSeries`` after it is built."""
+    rng = np.random.default_rng(25)
+    frames = [
+        solid_frame(tuple(map(int, rgb)), index=i, size=4)
+        for i, rgb in enumerate(rng.integers(0, 256, (300, 3)))
+    ]
+    config = mean_pipeline(
+        stages=tuple(mean_stage(c) for c in THREE_STAGES), input_width=4, input_height=4
+    )
+    draw = np.random.default_rng(26)
+    fusions = [
+        (
+            [
+                PredictionSeries(labels=tuple(draw.random(n) < 0.5), scores=tuple(draw.random(n)))
+                for _ in range(draw.integers(1, 5))
+            ],
+            FusionConfig(*map(int, draw.choice((1, 3, 5), 2)), packing_enabled=bool(n % 2)),
+        )
+        for n in draw.integers(0, 40, 200)
+    ]
+
+    def outputs():
+        runs = [run_pipeline(config, frames, fps=25.0, workers=w) for w in (1, 2)]
+        fused = [chain_fuse(stages, fusion) for stages, fusion in fusions]
+        return runs, [(f.labels, [v.hex() for v in f.scores]) for f in fused]
+
+    want = outputs()
+    assert 0 < len(want[0][0].scored[2]) < len(want[0][0].scored[1]) < len(frames)
+    original = ensemble._series
+
+    def frozen(labels, scores):
+        return original(tuple(labels), tuple(scores))
+
+    with mock.patch.object(ensemble, "_series", frozen), mock.patch.object(
+        pipeline, "_series", frozen
+    ), mock.patch.object(evaluate, "_series", frozen):
+        assert outputs() == want
 
 
 def test_run_makes_no_chain_fuse_call():
