@@ -106,14 +106,25 @@ def _write_predictions_csv(path: Path, config: PipelineConfig, result: PipelineR
             out.write(",".join(row) + "\n")
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Raise unless ``out_dir`` can be made a directory: it, if it exists, and
+    its nearest existing ancestor must be directories. Nothing is created."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ValidationError(f"--out: {path} exists and is not a directory")
+            return
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     # Checked before scoring, so a bad value costs no pass and leaves no CSV.
     _check_tolerance(args.tol)
+    out_dir = Path(args.out)
+    _check_out_dir(out_dir)
     gt = load_ground_truth(args.gt) if args.gt is not None else None
     config, frames, fps = _load_inputs(args)
     result = run_pipeline(config, frames, fps=fps, workers=args.workers)
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_detections(
         [(event.timestamp_s, event.peak_score) for event in result.events],

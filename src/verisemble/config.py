@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
     _is_finite_number,
     _is_int_at_least,
-    _parse_json,
+    _read_json,
     _require_keys,
 )
 from .preprocess import BT601_LUMA, ChannelSubset
@@ -218,7 +218,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     """Read and parse a config file; relative paths resolve against it."""
     path = Path(path)
     try:
-        data = path.read_bytes()
+        obj = _read_json(path, str(path))
     except FileNotFoundError as exc:
         raise LoadError(f"config file not found: {path}") from exc
-    return parse_config(_parse_json(data, str(path)), base_dir=path.parent)
+    return parse_config(obj, base_dir=path.parent)

@@ -17,9 +17,12 @@ The fold packs the first stage (when packing is enabled), then lets each
 later stage veto through a window reaching ``FusionConfig.verifier_radius``
 frames either side of each positive. Two-stage fusion is
 ``chain_fuse((primary, verifier), config)``, and the per-frame AND is
-``neighbor_validate(primary, verifier, 1)``. :func:`chain_fuse` gives the
-fold every stage whole; for ``run`` the fold owns the stages' cells and asks
-each verifier about the frames in its windows around surviving proposals.
+``neighbor_validate(primary, verifier, 1)``. :func:`chain_fuse` is the fold's
+definition, over whole series. ``run`` folds with ``_PrefixFold``, which owns
+the stages' cells, extends each step as they become known and asks each
+verifier only about the frames in its windows around surviving proposals. It
+runs the same two steps over slices of the series, not :func:`chain_fuse`,
+and is tested bit-equal to it.
 
 All operations are pure: series are immutable value objects and every
 function returns a new series.
@@ -209,10 +212,15 @@ def chain_fuse(
         config = FusionConfig()
     if not stages:
         raise ValidationError("chain_fuse needs at least one stage")
-    fold = _PrefixFold(stages, config)
-    for k in range(len(stages)):
-        fold.extend(k, fold.n)
-    return fold.folds[-1]
+    fused = stages[0]
+    if len(stages) == 1:
+        return fused
+    if config.packing_enabled:
+        fused = pack_mode(fused, config.pack_size)
+    window = 2 * config.verifier_radius + 1
+    for stage in stages[1:]:
+        fused = neighbor_validate(fused, stage, window)
+    return fused
 
 
 class _Cells:
@@ -223,43 +231,37 @@ class _Cells:
 
 
 class _PrefixFold:
-    """:func:`chain_fuse`'s fold, extended as its stages become known: ``folds[k]``,
-    the fold of stages ``0..k``, is final on its first ``final[k]`` frames.
+    """``run``'s fold over ``count`` stages of ``n`` frames, extended as their cells
+    become known: ``folds[k]``, the fold of stages ``0..k``, is final on its first
+    ``final[k]`` frames, and equals :func:`chain_fuse`'s there bit for bit.
 
-    Built by :meth:`scoring`, it owns the stages' cells and asks stage 0 about
-    every frame, verifier ``k`` about frame ``j`` once ``folds[k - 1]`` is final
-    and positive within ``r`` of it: ``asked[k]`` lists those frames, ``ready``
-    queues them as ``(k, j)``, and stage ``k``'s cells are known below ``known[k]``.
+    It owns the stages' cells and asks stage 0 about every frame, verifier ``k``
+    about frame ``j`` once ``folds[k - 1]`` is final and positive within ``r`` of it:
+    ``asked[k]`` lists those frames, ``ready`` queues them as ``(k, j)``, and stage
+    ``k``'s cells are known below ``known[k]``.
     """
 
-    def __init__(self, stages: Sequence[PredictionSeries | _Cells], config: FusionConfig) -> None:
-        n = len(stages[0].labels)
-        for stage in stages[1:]:
-            if len(stage.labels) != n:
-                raise ValidationError(f"series lengths differ: primary {n}, verifier {len(stage)}")
-        self.stages, self.n, self.r, self.owned = stages, n, config.verifier_radius, False
+    def __init__(self, count: int, n: int, config: FusionConfig) -> None:
+        self.n, self.r = n, config.verifier_radius
         # A lone stage is its own fold, unpacked.
-        self.pack = config.pack_size if config.packing_enabled and len(stages) > 1 else 1
-        # Until a step writes it, ``folds[k]`` is stage ``k``, final on no frame.
-        self.folds, self.final = list(stages), [0] * len(stages)
-
-    @classmethod
-    def scoring(cls, count: int, n: int, config: FusionConfig) -> _PrefixFold:
-        """A fold over ``count`` stages of ``n`` frames that owns their cells."""
-        fold = cls([_Cells(n) for _ in range(count)], config)
-        fold.owned, fold.ready = True, collections.deque()
-        fold.asked = [range(n), *([] for _ in range(1, count))]
-        fold.decided, fold.got, fold.known = [n] + [0] * (count - 1), [0] * count, [0] * count
-        return fold
+        self.pack = config.pack_size if config.packing_enabled and count > 1 else 1
+        self.stages = [_Cells(n) for _ in range(count)]
+        self.folds, self.final = [_Cells(n) for _ in range(count)], [0] * count
+        self.asked = [range(n), *([] for _ in range(1, count))]
+        self.decided, self.got, self.known = [n] + [0] * (count - 1), [0] * count, [0] * count
+        self.ready: collections.deque[tuple[int, int]] = collections.deque()
 
     def put(self, stage: int, i: int, score: float, label: bool) -> None:
         """Write ``stage``'s cell at frame ``i``, the next asked of it; extend each fold
-        as far as it is known, asking verifiers about the frames it now decides."""
+        from ``stage`` on as far as it is known, asking the verifiers after ``stage``
+        about the frames it now decides. The folds before ``stage`` cannot move, and
+        ``stage``'s asks were decided when the fold before it last moved."""
         self.stages[stage].labels[i], self.stages[stage].scores[i] = label, score
         self.got[stage] += 1
         n, r = self.n, self.r
-        for k, asked in enumerate(self.asked):
-            if k:
+        for k in range(stage, len(self.asked)):
+            asked = self.asked[k]
+            if k > stage:
                 prior, final = self.folds[k - 1].labels, self.final[k - 1]
                 end = n if final == n else final - r
                 for j in range(self.decided[k], end):
@@ -274,23 +276,19 @@ class _PrefixFold:
     def extend(self, k: int, known: int) -> None:
         """Extend ``folds[k]``, stage ``k`` being known below frame ``known``: over stage 0's
         whole packs, or where ``folds[k - 1]`` is final and stage ``k`` is known ``r`` past."""
-        stage, done, r, n = self.stages[k], self.final[k], self.r if k else 0, self.n
+        done, r, n = self.final[k], self.r if k else 0, self.n
         end = known if known == n else known - (r if k else known % self.pack)
         end = min(end, self.final[k - 1]) if k else end
         if end <= done:
             return
-        # The frames this step decides and those they read, uncopied if given whole.
-        lo, hi, prior = max(0, done - r), min(n, end + r), self.folds[k - 1] if k else stage
-        if self.owned or hi - lo < n:
-            stage, prior = (
-                _series(tuple(s.labels[lo:hi]), tuple(s.scores[lo:hi])) for s in (stage, prior)
-            )
-        fused = neighbor_validate(prior, stage, 2 * r + 1) if k else pack_mode(stage, self.pack)
-        if end - done == n:
-            self.folds[k] = fused
-        else:
-            if not done:
-                self.folds[k] = _Cells(n)
-            self.folds[k].labels[done:end] = fused.labels[done - lo : end - lo]
-            self.folds[k].scores[done:end] = fused.scores[done - lo : end - lo]
+        # The frames this step decides and those they read, of stage ``k`` and of
+        # the fold before it (none for stage 0).
+        lo, hi = max(0, done - r), min(n, end + r)
+        stage, *prior = (
+            _series(tuple(s.labels[lo:hi]), tuple(s.scores[lo:hi]))
+            for s in (self.stages[k], *self.folds[k - 1 : k])
+        )
+        fused = neighbor_validate(*prior, stage, 2 * r + 1) if k else pack_mode(stage, self.pack)
+        self.folds[k].labels[done:end] = fused.labels[done - lo : end - lo]
+        self.folds[k].scores[done:end] = fused.scores[done - lo : end - lo]
         self.final[k] = end

@@ -1,9 +1,10 @@
 """Exception types shared across the package, and the one home of the rules
-that input from outside the program is checked by: the JSON parse
-(:func:`_parse_json`), the keys of a JSON object (:func:`_require_keys`) and
-the two number rules (:func:`_is_int_at_least`, :func:`_is_finite_number`).
-A bool is never a number, and a number is compared with the float range,
-never converted to a float, because a JSON integer may exceed every float.
+that input from outside the program is checked by: the JSON file's size and
+parse (:func:`_read_json`, :func:`_parse_json`), the keys of a JSON object
+(:func:`_require_keys`) and the two number rules (:func:`_is_int_at_least`,
+:func:`_is_finite_number`). A bool is never a number, and a number is
+compared with the float range, never converted to a float, because a JSON
+integer may exceed every float.
 
 The CLI maps these (plus ``OSError``, ``ValueError`` and ``MemoryError``) to
 exit code 2; anything else is treated as an internal error (exit code 1).
@@ -12,7 +13,9 @@ exit code 2; anything else is treated as an internal error (exit code 1).
 from __future__ import annotations
 
 import json
+import os
 import sys
+from pathlib import Path
 from typing import Mapping
 
 
@@ -43,6 +46,24 @@ def _parse_json(data: bytes, where: str) -> object:
         return json.loads(data)
     except (ValueError, RecursionError) as exc:  # JSON and Unicode decode errors are ValueErrors
         raise FormatError(f"{where}: not valid JSON: {exc}") from exc
+
+
+# The largest JSON file read: configs and manifests are a few KB, and a
+# larger file is refused before it is read.
+JSON_MAX_BYTES = 1 << 20
+
+
+def _read_json(path: Path, where: str) -> object:
+    """Read and parse the JSON file at ``path``; raise :class:`FormatError`
+    naming ``where`` when it holds more than :data:`JSON_MAX_BYTES`, before it
+    is read, or is not JSON. ``FileNotFoundError`` passes through."""
+    with open(path, "rb") as file:
+        size = os.fstat(file.fileno()).st_size
+        # A pipe or device reports size 0, so the read is bounded too.
+        data = file.read(JSON_MAX_BYTES + 1) if size <= JSON_MAX_BYTES else b""
+    if max(size, len(data)) > JSON_MAX_BYTES:
+        raise FormatError(f"{where}: JSON file larger than {JSON_MAX_BYTES} bytes")
+    return _parse_json(data, where)
 
 
 def _require_keys(obj: Mapping, allowed: set[str], required: set[str], where: str) -> None:

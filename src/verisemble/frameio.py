@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
     _is_finite_number,
     _is_int_at_least,
-    _parse_json,
+    _read_json,
     _require_keys,
 )
 
@@ -279,12 +279,11 @@ def encode_ppm(frame: Frame) -> bytes:
 def load_manifest(path: str | Path) -> SequenceManifest:
     """Load and validate a sequence manifest JSON file."""
     path = Path(path)
+    where = f"manifest {path}"
     try:
-        data = path.read_bytes()
+        obj = _read_json(path, where)
     except FileNotFoundError as exc:
         raise LoadError(f"manifest not found: {path}") from exc
-    where = f"manifest {path}"
-    obj = _parse_json(data, where)
     keys = {"frame_count", "fps", "pattern"}
     _require_keys(obj, keys, keys, where)
     if not _is_int_at_least(obj["frame_count"], 0):

@@ -4,9 +4,9 @@ Stage 0, the proposer, scores every frame. Each later stage is a verifier
 that can only veto, so it scores only the frames its decision can depend
 on: the window of ``FusionConfig.verifier_radius`` frames around each
 proposal that has survived the fold so far. The fold is local, so the
-stages run over the sequence together: the prefix fold that ``chain_fuse``
-runs owns their cells and asks each verifier about those frames as the
-fold before it becomes final. The scheduler submits what the fold asks,
+stages run over the sequence together: a prefix fold, checked bit-equal to
+``chain_fuse``, owns their cells and asks each verifier about those frames
+as the fold before it becomes final. The scheduler submits what the fold asks,
 writes each collected score into its cell and drops a resized frame once
 every stage's cell there is known. Each frame is read and resized once, on
 a scoring thread. At most ``2 * workers`` tasks are submitted beyond the
@@ -173,7 +173,7 @@ def _score_stages(
     ``pool`` as they become ready, the fold's asks first, with at most
     ``ahead`` submitted beyond the one being collected; results are
     collected in that order."""
-    fold = _PrefixFold.scoring(len(models), len(frames), config.fusion)
+    fold = _PrefixFold(len(models), len(frames), config.fusion)
     # A frame a verifier may need is copied into an array allocated here, on
     # the collecting thread, so that the frames kept across tasks do not pin
     # the scoring threads' heaps between their short-lived arrays.

@@ -14,9 +14,11 @@ from hypothesis import settings
 from verisemble import Frame, encode_ppm, nn, pipeline
 
 # CI keeps no example database between runs, so it runs derandomized and a
-# failure prints the blob that replays it (`@reproduce_failure`). Select the
-# profile with HYPOTHESIS_PROFILE=ci.
+# failure prints the blob that replays it (`@reproduce_failure`). The
+# scheduled `fresh` profile draws new examples on every run instead, and
+# prints the blob too. Select a profile with HYPOTHESIS_PROFILE=ci or fresh.
 settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.register_profile("fresh", derandomize=False, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 BLACK = (0, 0, 0)

@@ -28,6 +28,7 @@ from verisemble import (
 )
 from verisemble import cli, frameio, pipeline
 from verisemble.cli import main
+from verisemble.errors import JSON_MAX_BYTES
 
 from conftest import (
     BLACK,
@@ -513,6 +514,26 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_scoring(self, tmp_path, capsys, below):
+        """An ``--out`` that is a file, or lies below one, is refused before a
+        stage scores anything."""
+        config, frames, _ = golden_workspace(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        models = (CountingModel(), CountingModel())
+        with mock.patch.object(pipeline, "build_stage_models", return_value=models):
+            code = main([
+                "run", "--config", str(config), "--frames", str(frames),
+                "--out", str(taken / below),
+            ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out: {taken} exists and is not a directory"
+        ]
+        assert [model.calls for model in models] == [0, 0]
+        assert taken.read_text() == "not a directory\n"
+
     @pytest.mark.parametrize("source", ["config", "manifest"])
     def test_fps_too_small_for_finite_timestamps_exits_2(self, tmp_path, capsys, source):
         """At 5e-324 fps frame 2 would be stamped inf seconds."""
@@ -627,6 +648,46 @@ def test_sparse_text_input_exits_2_in_bounded_memory(tmp_path, command, flag):
     assert bad_code == "2"
     assert len(bad_err) == 1 and len(bad_err[0]) < 200, bad_err
     assert bad_err[0].startswith(f"error: {sparse} row 1: "), bad_err
+    assert bad_peak - peak < 4 << 20, (peak, bad_peak)
+
+
+@needs_proc_status
+@pytest.mark.parametrize(
+    "command, flag", [("simulate", "--config"), ("run", "--config"), ("run", "--manifest")]
+)
+def test_oversized_json_input_exits_2_in_bounded_memory(tmp_path, command, flag):
+    """A config or manifest grown to a 32 MiB sparse file: the command exits 2
+    with one `error:` line, and its peak resident set stays within a few MB
+    of the same command given the intact file, since the file's size is
+    checked before it is read."""
+    config, frames, out = golden_workspace(tmp_path)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n1\n1\n0\n")
+    rates = [f"--{stage}-{rate}" for stage in ("primary", "verifier") for rate in ("tpr", "fpr")]
+    argv = {
+        "simulate": ["simulate", "--labels", str(labels), "--config", str(config),
+                     *(a for r in rates for a in (r, "0.5"))],
+        "run": ["run", "--config", str(config), "--frames", str(frames), "--out", str(out),
+                "--manifest", str(frames / "manifest.json")],
+    }[command]
+    sparse = tmp_path / "sparse.json"
+    with open(sparse, "wb") as file:
+        file.truncate(32 << 20)
+    bad = list(argv)
+    bad[bad.index(flag) + 1] = str(sparse)
+    runs = []
+    for args in (argv, bad):
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_SCRIPT, *args],
+            capture_output=True, text=True, timeout=120,
+        )
+        code, peak_kb = proc.stdout.splitlines()[-1].split()
+        runs.append((code, int(peak_kb) * 1024, proc.stderr.splitlines()))
+    (code, peak, err), (bad_code, bad_peak, bad_err) = runs
+    assert (code, err) == ("0", [])
+    assert bad_code == "2"
+    assert len(bad_err) == 1, bad_err
+    assert bad_err[0].endswith(f"{sparse}: JSON file larger than {JSON_MAX_BYTES} bytes"), bad_err
     assert bad_peak - peak < 4 << 20, (peak, bad_peak)
 
 

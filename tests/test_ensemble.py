@@ -15,7 +15,7 @@ from verisemble import (
     neighbor_validate,
     pack_mode,
 )
-from verisemble.ensemble import _PrefixFold, _series
+from verisemble.ensemble import _PrefixFold
 
 import oracles
 
@@ -529,10 +529,12 @@ def test_streamed_fold_equals_chain_fuse(case):
     ``chain_fuse`` given every stage whole."""
     stages, config, steps = case
     n = len(stages[0])
+    fold = _PrefixFold(len(stages), n, config)
+    fed = fold.stages
     # Frames not yet known hold a positive with score 1.0, which would
     # show in the fold if it were read.
-    fed = [_series([True] * n, [1.0] * n) for _ in stages]
-    fold = _PrefixFold(fed, config)
+    for cells in fed:
+        cells.labels[:], cells.scores[:] = [True] * n, [1.0] * n
     known = [0] * len(stages)
     for k, chunk in steps:
         part = slice(known[k], known[k] + chunk)

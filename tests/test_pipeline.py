@@ -647,6 +647,38 @@ def test_run_makes_no_chain_fuse_call():
     assert result.fused == oracle and result.fused.positive_count()
 
 
+def test_a_score_extends_no_fold_before_its_stage():
+    """A score of stage ``s`` cannot move the folds of stages ``0..s-1``, so
+    over the same three-stage run no ``put`` of stage ``s`` extends them."""
+    rng = np.random.default_rng(24)
+    frames = [
+        solid_frame(tuple(int(c) for c in rgb), index=i, size=8)
+        for i, rgb in enumerate(rng.integers(0, 256, (2000, 3)))
+    ]
+    config = mean_pipeline(
+        stages=tuple(mean_stage(c) for c in THREE_STAGES), input_width=8, input_height=8
+    )
+    put, extend = ensemble._PrefixFold.put, ensemble._PrefixFold.extend
+    writing, early = [], []
+
+    def recording_put(fold, stage, *args):
+        writing.append(stage)
+        put(fold, stage, *args)
+
+    def recording_extend(fold, k, known):
+        if k < writing[-1]:
+            early.append((writing[-1], k))
+        extend(fold, k, known)
+
+    with mock.patch.object(ensemble._PrefixFold, "put", recording_put), mock.patch.object(
+        ensemble._PrefixFold, "extend", recording_extend
+    ):
+        result = run_pipeline(config, frames, fps=25.0, workers=1)
+    assert early == []
+    assert {1, 2} <= set(writing)
+    assert result.fused == chain_fuse(result.stage_series, config.fusion)
+
+
 # -- Each frame read once, and only a bounded window of them held -----------
 
 
