@@ -1,10 +1,10 @@
 """Exception types shared across the package, and the one home of the rules
 that input from outside the program is checked by: the JSON file's size and
-parse (:func:`_read_json`, :func:`_parse_json`), the keys of a JSON object
-(:func:`_require_keys`) and the two number rules (:func:`_is_int_at_least`,
-:func:`_is_finite_number`). A bool is never a number, and a number is
-compared with the float range, never converted to a float, because a JSON
-integer may exceed every float.
+parse (:func:`_read_json`, :func:`_parse_json`, which refuses a repeated key),
+the keys of a JSON object (:func:`_require_keys`) and the two number rules
+(:func:`_is_int_at_least`, :func:`_is_finite_number`). A bool is never a
+number, and a number is compared with the float range, never converted to a
+float, because a JSON integer may exceed every float.
 
 The CLI maps these (plus ``OSError``, ``ValueError`` and ``MemoryError``) to
 exit code 2; anything else is treated as an internal error (exit code 1).
@@ -41,9 +41,19 @@ class LoadError(VerisembleError):
 
 def _parse_json(data: bytes, where: str) -> object:
     """Parse a JSON document; raise :class:`FormatError` naming ``where``
-    when it is not JSON or nests too deep to parse."""
+    when it is not JSON, nests too deep to parse or repeats a key in one
+    object."""
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set[str] = set()
+            key = next(key for key, _ in pairs if key in seen or seen.add(key))
+            raise FormatError(f"{where}: duplicate key {key!r}")
+        return obj
+
     try:
-        return json.loads(data)
+        return json.loads(data, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:  # JSON and Unicode decode errors are ValueErrors
         raise FormatError(f"{where}: not valid JSON: {exc}") from exc
 

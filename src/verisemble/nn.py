@@ -58,8 +58,9 @@ do not depend on the thread count and strips write disjoint rows of the
 output, so the bytes are those of the plain loop. On a thread that has no
 helpers, ``conv2d`` and ``forward`` run on the calling thread alone.
 
-``load_weights`` reads a container once; its arrays are read-only views of
-those bytes.
+``load_weights`` checks a container's size against the one its spec fixes
+before it reads any record, then reads the records in one read; its arrays
+are read-only views of those bytes.
 """
 
 from __future__ import annotations
@@ -67,13 +68,14 @@ from __future__ import annotations
 import collections
 import json
 import math
+import os
 import struct
 import threading
 from concurrent import futures
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -376,10 +378,7 @@ def _layer_output_shape(layer: LayerSpec, shape: tuple[int, ...]) -> tuple[int, 
             raise ValidationError(f"layer {layer.name}: batchnorm needs a 3-D input, got {shape}")
         return shape
     if kind == "flatten":
-        n = 1
-        for dim in shape:
-            n *= dim
-        return (n,)
+        return (math.prod(shape),)
     if kind == "dense":
         if len(shape) != 1:
             raise ValidationError(f"layer {layer.name}: dense needs a flat input, got {shape}")
@@ -875,14 +874,8 @@ def classify(score: float, threshold: float = 0.5) -> bool:
 def count_params(spec: ModelSpec) -> int:
     """Total number of stored parameters: conv/dense weights+biases, 4 per
     batchnorm channel; pooling, flatten, dropout and activations carry none."""
-    total = 0
-    for params in expected_weight_shapes(spec).values():
-        for shape in params.values():
-            n = 1
-            for dim in shape:
-                n *= dim
-            total += n
-    return total
+    shapes = expected_weight_shapes(spec).values()
+    return sum(math.prod(shape) for params in shapes for shape in params.values())
 
 
 def count_macs(spec: ModelSpec) -> int:
@@ -929,10 +922,7 @@ def random_weights(spec: ModelSpec, seed: int) -> dict[str, dict[str, np.ndarray
         arrays: dict[str, np.ndarray] = {}
         for param_name, shape in params.items():
             if param_name == "kernel":
-                fan_in = 1
-                for dim in shape[:-1]:
-                    fan_in *= dim
-                arr = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+                arr = rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[:-1])), size=shape)
             elif param_name == "bias":
                 arr = np.zeros(shape)
             elif param_name == "gamma":
@@ -954,100 +944,92 @@ def _spec_json_bytes(spec: ModelSpec) -> bytes:
     return json.dumps(spec.to_json_obj(), sort_keys=True, separators=(",", ":")).encode()
 
 
+def _record_layout(
+    spec: ModelSpec, where: str | Path
+) -> list[tuple[str, str, tuple[int, ...], bytes]]:
+    """Every record of ``spec``'s container in container order, the layers in
+    spec order and each layer's arrays in ``_LAYER_KINDS`` order: its layer,
+    array name, shape and header (u16 name length, UTF-8 name ``layer/param``,
+    u8 rank, u32 dims). A name or dim its field cannot hold raises
+    :class:`FormatError` naming ``where``."""
+    layout = []
+    for layer, params in expected_weight_shapes(spec).items():
+        for param, shape in params.items():
+            name = f"{layer}/{param}"
+            try:
+                raw = name.encode()
+                rank = len(shape)
+                header = struct.pack(f"<H{len(raw)}sB{rank}I", len(raw), raw, rank, *shape)
+            except (UnicodeEncodeError, struct.error) as exc:
+                raise FormatError(f"{where}: record {name!r} {shape} does not fit: {exc}") from exc
+            layout.append((layer, param, shape, header))
+    return layout
+
+
 def save_weights(path: str | Path, spec: ModelSpec, weights: WeightStore) -> None:
     """Serialize a (spec, weights) pair to the binary weight container.
 
     Layout: magic ``TSTM``, u32 version, u32-length-prefixed JSON spec,
-    then one record per weight array: u16 name length + UTF-8 name
-    (``layer/param``), u8 rank, u32 dims, float32 data. All integers and
-    floats little-endian; arrays row-major.
+    then each record of :func:`_record_layout`: its header, then its
+    float32 data. All integers and floats little-endian; arrays row-major.
     """
     validate_weights(spec, weights)
     spec_json = _spec_json_bytes(spec)
-    chunks = [WEIGHTS_MAGIC, struct.pack("<I", WEIGHTS_VERSION)]
-    chunks.append(struct.pack("<I", len(spec_json)))
-    chunks.append(spec_json)
-    for layer in spec.layers:
-        for param_name in _LAYER_KINDS[layer.kind].weights:
-            arr = np.ascontiguousarray(weights[layer.name][param_name], dtype="<f4")
-            name = f"{layer.name}/{param_name}".encode()
-            chunks.append(struct.pack("<H", len(name)))
-            chunks.append(name)
-            chunks.append(struct.pack("<B", arr.ndim))
-            chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            chunks.append(arr.tobytes(order="C"))
+    chunks = [WEIGHTS_MAGIC, struct.pack("<II", WEIGHTS_VERSION, len(spec_json)), spec_json]
+    for layer, param, _, header in _record_layout(spec, path):
+        chunks += [header, np.ascontiguousarray(weights[layer][param], dtype="<f4").tobytes()]
     Path(path).write_bytes(b"".join(chunks))
-
-
-class _RecordReader:
-    """Reads a container from ``pos`` on; every chunk it returns is a
-    ``memoryview`` of ``data``, so the arrays share the container's buffer."""
-
-    def __init__(self, data: bytes, pos: int) -> None:
-        self.data = memoryview(data)
-        self.pos = pos
-
-    def take(self, n: int, what: str) -> memoryview:
-        if self.pos + n > len(self.data):
-            raise FormatError(f"weight container truncated while reading {what}")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def records(self) -> Iterator[tuple[str, np.ndarray]]:
-        while self.pos < len(self.data):
-            (name_len,) = struct.unpack("<H", self.take(2, "record name length"))
-            raw = self.take(name_len, "record name")
-            try:
-                name = str(raw, "utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"record name {bytes(raw)!r} is not valid UTF-8") from exc
-            (rank,) = struct.unpack("<B", self.take(1, f"rank of {name}"))
-            dims = struct.unpack(f"<{rank}I", self.take(4 * rank, f"dims of {name}"))
-            count = 1
-            for dim in dims:
-                count *= dim
-            payload = self.take(4 * count, f"data of {name}")
-            try:
-                arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
-            except ValueError as exc:  # more dims than numpy holds, or a size past its index type
-                raise FormatError(f"record {name!r}: no array has dims {dims}") from exc
-            yield name, arr
 
 
 def load_weights(path: str | Path) -> tuple[ModelSpec, dict[str, dict[str, np.ndarray]]]:
     """Load a weight container; the inverse of :func:`save_weights`.
 
-    Round-trips bit-exactly. Validates magic, version, the embedded spec,
-    and every array's shape; failures raise before any partial state is
-    returned.
+    Round-trips bit-exactly. The spec fixes every record, so the file's size
+    is checked against it before any record is read; each record header must
+    be the one :func:`_record_layout` fixes, in its order, and the arrays are
+    checked by :func:`validate_weights`. Every error names the file.
     """
     path = Path(path)
     try:
-        data = path.read_bytes()
+        file = open(path, "rb")
     except FileNotFoundError as exc:
         raise LoadError(f"weights file not found: {path}") from exc
-    if data[:4] != WEIGHTS_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {WEIGHTS_MAGIC!r}")
-    reader = _RecordReader(data, 4)
-    (version,) = struct.unpack("<I", reader.take(4, "version"))
-    if version != WEIGHTS_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    (spec_len,) = struct.unpack("<I", reader.take(4, "spec length"))
-    spec_json = bytes(reader.take(spec_len, "spec JSON"))
-    spec = ModelSpec.from_json_obj(_parse_json(spec_json, f"{path}: spec"))
-
+    with file:
+        size = os.fstat(file.fileno()).st_size
+        head = file.read(12)
+        if head[:4] != WEIGHTS_MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:4]!r}, expected {WEIGHTS_MAGIC!r}")
+        if len(head) < 12:
+            raise FormatError(f"{path}: truncated: {len(head)} bytes, the head takes 12")
+        version, spec_len = struct.unpack("<II", head[4:])
+        if version != WEIGHTS_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if spec_len > size - 12:
+            raise FormatError(f"{path}: truncated: {size - 12} bytes of a {spec_len}-byte spec")
+        try:
+            spec = ModelSpec.from_json_obj(_parse_json(file.read(spec_len), "spec"))
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+        layout = _record_layout(spec, path)
+        total = sum(len(header) + 4 * math.prod(shape) for _, _, shape, header in layout)
+        # The size is checked before any record byte is read.
+        if size - 12 - spec_len != total or len(data := file.read(total)) != total:
+            raise FormatError(
+                f"{path}: the spec fixes {total} bytes of weight records, "
+                f"the file holds {size - 12 - spec_len}"
+            )
     store: dict[str, dict[str, np.ndarray]] = {}
-    for name, arr in reader.records():
-        if "/" not in name:
-            raise FormatError(f"{path}: bad record name {name!r}")
-        layer_name, param_name = name.rsplit("/", 1)
-        layer_store = store.setdefault(layer_name, {})
-        if param_name in layer_store:
-            raise FormatError(f"{path}: duplicate record {name!r}")
-        arr.setflags(write=False)
-        layer_store[param_name] = arr
-
+    pos = 0
+    for layer, param, shape, header in layout:
+        if not data.startswith(header, pos):
+            raise FormatError(
+                f"{path}: the record at byte {12 + spec_len + pos} is not "
+                f"{layer + '/' + param!r} of dims {shape}"
+            )
+        pos += len(header)
+        count = math.prod(shape)
+        store.setdefault(layer, {})[param] = np.frombuffer(data, "<f4", count, pos).reshape(shape)
+        pos += 4 * count
     try:
         validate_weights(spec, store)
     except ValidationError as exc:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -18,12 +19,15 @@ from verisemble import (
     FusionConfig,
     MeanIntensityModel,
     PredictionSeries,
+    default_model_spec,
     encode_ppm,
     extract_features,
     load_config,
     open_sequence,
+    random_weights,
     resize_aa,
     run_pipeline,
+    save_weights,
     write_detections,
 )
 from verisemble import cli, frameio, pipeline
@@ -689,6 +693,82 @@ def test_oversized_json_input_exits_2_in_bounded_memory(tmp_path, command, flag)
     assert len(bad_err) == 1, bad_err
     assert bad_err[0].endswith(f"{sparse}: JSON file larger than {JSON_MAX_BYTES} bytes"), bad_err
     assert bad_peak - peak < 4 << 20, (peak, bad_peak)
+
+
+def cnn_workspace(tmp_path: Path, channels: list[str]) -> tuple[list[str], list[Path]]:
+    """Nine 32x32 frames and a config with one stock-model CNN stage per
+    entry of ``channels``, each reading its own container; returns `run`'s
+    argv and the containers' paths."""
+    frames = write_sequence(tmp_path / "frames", GOLDEN_COLORS, size=32)
+    stages, paths = [], []
+    for position, subset in enumerate(channels):
+        spec = default_model_spec(ChannelSubset.parse(subset).cardinality, 32, 32)
+        paths.append(tmp_path / f"stage{position}.weights")
+        save_weights(paths[-1], spec, random_weights(spec, seed=position))
+        stages.append({"channels": subset, "model": {"type": "cnn", "weights": paths[-1].name}})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "config_version": 1, "input": {"width": 32, "height": 32}, "stages": stages,
+    }))
+    return ["run", "--config", str(config), "--frames", str(frames), "--out", str(tmp_path / "out")], paths
+
+
+@needs_proc_status
+def test_container_with_a_long_tail_exits_2_in_bounded_memory(tmp_path):
+    """A stock container followed by a 64 MiB sparse tail: `run` exits 2 with
+    one `error:` line naming the container, and its peak resident set stays
+    within a few MB of a run over the intact container, since the spec fixes
+    the container's size and the file's size is checked before any record
+    is read."""
+    argv, (weights,) = cnn_workspace(tmp_path, ["RGB"])
+    runs = []
+    for tail in (0, 64 << 20):
+        with open(weights, "r+b") as file:
+            file.truncate(os.fstat(file.fileno()).st_size + tail)
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_SCRIPT, *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        code, peak_kb = proc.stdout.splitlines()[-1].split()
+        runs.append((code, int(peak_kb) * 1024, proc.stderr.splitlines()))
+    (code, peak, err), (bad_code, bad_peak, bad_err) = runs
+    assert (code, err) == ("0", [])
+    assert bad_code == "2"
+    assert len(bad_err) == 1 and bad_err[0].startswith(f"error: {weights}: "), bad_err
+    assert bad_peak - peak < 4 << 20, (peak, bad_peak)
+
+
+def test_truncated_container_of_a_two_cnn_stage_config_is_named(tmp_path, capsys):
+    """Both stock stages hold a `dense3/bias`, so only the file's name says
+    which container is cut."""
+    argv, (_, second) = cnn_workspace(tmp_path, ["RGB", "L"])
+    second.write_bytes(second.read_bytes()[:-2])
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {second}: "), err
+
+
+@pytest.mark.parametrize("document", ["config", "manifest", "container"])
+def test_duplicate_json_key_exits_2(tmp_path, capsys, document):
+    """A key given twice in one JSON object is refused, in a config, a
+    manifest and a container's spec; it used to take the last value."""
+    argv, (weights,) = cnn_workspace(tmp_path, ["RGB"])
+    if document == "config":
+        path, where, key = tmp_path / "config.json", str(tmp_path / "config.json"), "threshold"
+        path.write_text(path.read_text().replace("{", '{"threshold": 0.9, "threshold": 0.1, ', 1))
+    elif document == "manifest":
+        path = tmp_path / "frames" / "manifest.json"
+        where, key = f"manifest {path}", "fps"
+        path.write_text(path.read_text().replace("{", '{"fps": 25, "fps": 2, ', 1))
+    else:
+        path, where, key = weights, f"{weights}: spec", "input"
+        data = path.read_bytes()
+        (spec_len,) = struct.unpack("<I", data[8:12])
+        spec_json = data[12 : 12 + spec_len].replace(b"{", b'{"input":[64,64,3],', 1)
+        path.write_bytes(data[:8] + struct.pack("<I", len(spec_json)) + spec_json + data[12 + spec_len :])
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {where}: duplicate key {key!r}"]
 
 
 class TestEval:

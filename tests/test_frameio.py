@@ -177,13 +177,13 @@ class TestManifest:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text('{"frame_count": 1, "fps": 25, "pattern": "f_%d.ppm", "extra": 1}')
-        with pytest.raises(FormatError, match="unknown"):
+        with pytest.raises(FormatError, match=r"manifest\.json: unknown keys \['extra'\]"):
             load_manifest(path)
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text('{"frame_count": 1, "fps": 25}')
-        with pytest.raises(FormatError, match="missing"):
+        with pytest.raises(FormatError, match=r"manifest\.json: missing keys \['pattern'\]"):
             load_manifest(path)
 
     def test_zero_fps_rejected(self, tmp_path):

@@ -1635,13 +1635,13 @@ class TestWeightContainer:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.weights"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError, match=r"bad\.weights: bad magic b'NOPE', expected"):
             load_weights(path)
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "v2.weights"
         path.write_bytes(b"TSTM" + struct.pack("<I", 2) + struct.pack("<I", 0))
-        with pytest.raises(FormatError, match="version"):
+        with pytest.raises(FormatError, match=r"v2\.weights: unsupported version 2$"):
             load_weights(path)
 
     def test_truncated_container(self, tmp_path):
@@ -1652,7 +1652,10 @@ class TestWeightContainer:
         for cut in (2, 6, 10, len(data) // 2, len(data) - 1):
             chopped = tmp_path / f"cut{cut}.weights"
             chopped.write_bytes(data[:cut])
-            with pytest.raises(FormatError, match="truncated|magic"):
+            with pytest.raises(
+                FormatError,
+                match=r"cut\d+\.weights: (bad magic|truncated: |the spec fixes \d+ bytes of weight)",
+            ):
                 load_weights(chopped)
 
     def test_duplicate_record_rejected(self, tmp_path):
@@ -1665,7 +1668,7 @@ class TestWeightContainer:
         record += struct.pack("<I", 1) + struct.pack("<f", 0.0)
         dup = tmp_path / "dup.weights"
         dup.write_bytes(data + record)
-        with pytest.raises(FormatError, match="duplicate"):
+        with pytest.raises(FormatError, match=r"dup\.weights: the spec fixes 44 bytes .* holds 63$"):
             load_weights(dup)
 
     def test_extra_record_rejected(self, tmp_path):
@@ -1678,7 +1681,7 @@ class TestWeightContainer:
         record += struct.pack("<I", 1) + struct.pack("<f", 0.0)
         extra = tmp_path / "extra.weights"
         extra.write_bytes(path.read_bytes() + record)
-        with pytest.raises(FormatError, match="layer out: unexpected array 'extra'"):
+        with pytest.raises(FormatError, match=r"extra\.weights: the spec fixes 44 .* holds 64$"):
             load_weights(extra)
 
     def test_missing_record_names_layer(self, tmp_path):
@@ -1689,7 +1692,7 @@ class TestWeightContainer:
         # Drop the trailing out/bias record (2 + 8 name, 1 rank, 4 dim, 4 data).
         trimmed = tmp_path / "short.weights"
         trimmed.write_bytes(data[: len(data) - (2 + 8 + 1 + 4 + 4)])
-        with pytest.raises(FormatError, match="out"):
+        with pytest.raises(FormatError, match=r"short\.weights: the spec fixes 44 .* holds 25$"):
             load_weights(trimmed)
 
     def test_record_name_without_slash_rejected(self, tmp_path):
@@ -1701,7 +1704,7 @@ class TestWeightContainer:
         blob += struct.pack("<B", 1) + struct.pack("<I", 1) + struct.pack("<f", 0.0)
         path = tmp_path / "noslash.weights"
         path.write_bytes(blob)
-        with pytest.raises(FormatError, match="record name"):
+        with pytest.raises(FormatError, match=r"noslash\.weights: the spec fixes 44 .* holds 15$"):
             load_weights(path)
 
     def test_record_name_not_utf8_rejected(self, tmp_path):
@@ -1713,7 +1716,7 @@ class TestWeightContainer:
         blob += struct.pack("<B", 1) + struct.pack("<I", 1) + struct.pack("<f", 0.0)
         path = tmp_path / "badname.weights"
         path.write_bytes(blob)
-        with pytest.raises(FormatError, match="record name .* not valid UTF-8"):
+        with pytest.raises(FormatError, match=r"badname\.weights: the spec fixes 44 .* holds 15$"):
             load_weights(path)
 
     def test_spec_json_not_utf8_rejected(self, tmp_path):
@@ -1745,7 +1748,7 @@ class TestWeightContainer:
         data[payload_at : payload_at + 4] = struct.pack("<f", -1.0)
         bad = tmp_path / "negvar.weights"
         bad.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="variance"):
+        with pytest.raises(FormatError, match=r"negvar\.weights: layer b1: negative moving variance"):
             load_weights(bad)
 
     def test_save_rejects_invalid_weights(self, tmp_path):
@@ -1791,7 +1794,8 @@ class TestWeightBuffer:
         owners = {id(buffer_owner(arr)) for params in loaded.values() for arr in params.values()}
         assert len(owners) == 1
         owner = buffer_owner(loaded["conv1"]["kernel"])
-        assert isinstance(owner, bytes) and owner == path.read_bytes()
+        (spec_len,) = struct.unpack("<I", path.read_bytes()[8:12])
+        assert isinstance(owner, bytes) and owner == path.read_bytes()[12 + spec_len :]
         for layer, params in weights.items():
             for name, arr in params.items():
                 got = loaded[layer][name]
@@ -1806,7 +1810,20 @@ class TestWeightBuffer:
         blob += struct.pack(f"<{rank}I", *[1] * rank) + struct.pack("<f", 0.0)
         path = tmp_path / "unshapeable.weights"
         path.write_bytes(blob)
-        with pytest.raises(FormatError, match="no array has dims"):
+        with pytest.raises(FormatError, match=r"unshapeable\.weights: the spec fixes 44 .* 297$"):
+            load_weights(path)
+
+
+    @pytest.mark.parametrize(
+        "shape, name", [((2**16, 2**16, 2), "out"), ((1, 1, 1), "o" * 2**16)], ids=["dim", "name"]
+    )
+    def test_record_header_its_fields_cannot_hold_raises_format_error(self, tmp_path, shape, name):
+        # A dense kernel dim of 2**33 is past u32, and a name of 2**16 + 7
+        # bytes is past u16: struct.pack's error is one of the file's.
+        spec = ModelSpec(shape, (LayerSpec.flatten(), LayerSpec.dense(name, 1, "sigmoid")))
+        path = tmp_path / "wide.weights"
+        path.write_bytes(container_bytes(spec.to_json_obj(), b""))
+        with pytest.raises(FormatError, match=r"wide\.weights: record '.*/kernel' .* does not fit"):
             load_weights(path)
 
 
@@ -1953,7 +1970,7 @@ class TestRunRejectsMalformedSpec:
         assert run_stock_container(tmp_path, None, record) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
-        assert "layer dense3: unexpected array 'gain'" in err[0]
+        assert "model.weights: the spec fixes 1023902 bytes of weight records, the file holds 1023924" in err[0]
 
 
 class TestContainerFormatPinned:
@@ -1968,6 +1985,28 @@ class TestContainerFormatPinned:
     def test_stock_spec_json_bytes(self, channels):
         spec_json = nn._spec_json_bytes(default_model_spec(channels, 300, 300))
         assert hashlib.sha256(spec_json).hexdigest() == self.SPEC_SHA256[channels]
+
+    # SHA-256 of the whole container of `tiny_spec` with each array
+    # `arange(size) / 8` in its shape: conv, batchnorm and dense records,
+    # built without an RNG so that every numpy version writes these floats.
+    TINY_CONTAINER_SHA256 = "408a1b6a059e72026e69d1934e7cd6aeecd29df38d9a06cb84dcb9dd40c38a5e"
+
+    def test_tiny_container_bytes(self, tmp_path):
+        shapes = {
+            "c1": {"kernel": (3, 3, 2, 2), "bias": (2,)},
+            "b1": {"gamma": (2,), "beta": (2,), "mean": (2,), "var": (2,)},
+            "out": {"kernel": (8, 1), "bias": (1,)},
+        }
+        weights = {
+            layer: {
+                name: np.arange(math.prod(shape), dtype=np.float32).reshape(shape) / 8
+                for name, shape in params.items()
+            }
+            for layer, params in shapes.items()
+        }
+        path = tmp_path / "tiny.weights"
+        save_weights(path, tiny_spec(), weights)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.TINY_CONTAINER_SHA256
 
     def test_stock_container_round_trips_byte_for_byte(self, tmp_path):
         spec = default_model_spec(3, 300, 300)

@@ -529,7 +529,7 @@ class TestContainerRecordBytes:
         record = data[name_at:rank_at] + struct.pack(f"<B{rank}I", rank, *dims)
         path = tmp_path / "bad_dims.weights"
         path.write_bytes(data + record)
-        with pytest.raises(FormatError, match="c1/kernel"):
+        with pytest.raises(FormatError, match=r"bad_dims\.weights: the spec fixes \d+ bytes of weight"):
             load_weights(path)
 
     @pytest.mark.parametrize("name", ["c1/\nkernel", "c1/\rkernel", "c1/\u2028kernel"])
