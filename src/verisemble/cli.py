@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -28,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import PipelineConfig, load_config
+from .cores import usable_cpus
 from .ensemble import FusionConfig, chain_fuse
 from .errors import ValidationError, VerisembleError
 from .evaluate import (
@@ -243,14 +243,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the
-    platform has one, else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     # The inputs and threads of `run` and `bench`, which score the same way.
     scoring = argparse.ArgumentParser(add_help=False)
@@ -262,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     scoring.add_argument(
         "--workers",
         type=int,
-        default=_usable_cpus(),
+        default=usable_cpus(),
         help="frame-scoring threads; each frame spreads its work over "
         "max(1, BLAS threads // workers) cores "
         "(default: the CPUs this process may use, here %(default)s)",

@@ -58,8 +58,8 @@ def _parse_json(data: bytes, where: str) -> object:
         raise FormatError(f"{where}: not valid JSON: {exc}") from exc
 
 
-# The largest JSON file read: configs and manifests are a few KB, and a
-# larger file is refused before it is read.
+# The largest JSON input read: configs, manifests and weight-container specs
+# are a few KB, and a larger one is refused before it is read.
 JSON_MAX_BYTES = 1 << 20
 
 

@@ -50,14 +50,6 @@ the whole-frame product. So does a one-filter conv: numpy computes its
 product with gemv, whose rounding depends on where a row sits in the
 product.
 
-A thread that has been lent helper threads (``_lend_helpers``; the pipeline
-lends each frame thread its share of the cores) spreads its strips over
-them with ``_spread``. Whichever thread takes a strip runs all of it (copy,
-GEMM, pool, bias, ReLU, batchnorm) through its own scratch. The strip bounds
-do not depend on the thread count and strips write disjoint rows of the
-output, so the bytes are those of the plain loop. On a thread that has no
-helpers, ``conv2d`` and ``forward`` run on the calling thread alone.
-
 ``load_weights`` checks a container's size against the one its spec fixes
 before it reads any record, then reads the records in one read; its arrays
 are read-only views of those bytes.
@@ -65,21 +57,20 @@ are read-only views of those bytes.
 
 from __future__ import annotations
 
-import collections
 import json
 import math
 import os
 import struct
 import threading
-from concurrent import futures
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .cores import _spread
 from .errors import (
+    JSON_MAX_BYTES,
     FormatError,
     LoadError,
     ShapeError,
@@ -486,51 +477,6 @@ _DENSE_BLOCK = 16
 
 # Each thread's scratch buffers, reused across strips, layers and frames.
 _scratch = threading.local()
-
-# The helper threads lent to this thread, as (executor, how many tasks one
-# call may give it); unset on a thread that has none.
-_lent = threading.local()
-
-
-def _lend_helpers(helpers: Executor, count: int) -> None:
-    """Let ``_spread`` on this thread give up to ``count`` tasks to ``helpers``."""
-    _lent.helpers = (helpers, count) if count > 0 else None
-
-
-def _spread(fn: Callable, items: Sequence) -> None:
-    """Call ``fn`` on every item, on this thread and the helpers lent to it.
-
-    The threads take items from one shared queue until it is empty, so a
-    helper that starts late, or not at all, only takes fewer of them. Once
-    this thread finds the queue empty it cancels the helper tasks that have
-    not started and waits for those that have; an error from any thread is
-    raised here. With no helpers lent this is a plain loop.
-    """
-    helpers = getattr(_lent, "helpers", None)
-    if helpers is None or len(items) < 2:
-        for item in items:
-            fn(item)
-        return
-    executor, count = helpers
-    queue = collections.deque(items)
-
-    def drain() -> None:
-        while True:
-            try:
-                item = queue.popleft()
-            except IndexError:
-                return
-            fn(item)
-
-    tasks = [executor.submit(drain) for _ in range(min(count, len(items) - 1))]
-    try:
-        drain()
-    finally:
-        queue.clear()  # after an error here, helpers take nothing more
-        started = [task for task in tasks if not task.cancel()]
-        futures.wait(started)
-    for task in started:
-        task.result()
 
 
 def _scratch_buffer(slot: str, size: int) -> np.ndarray:
@@ -1004,6 +950,8 @@ def load_weights(path: str | Path) -> tuple[ModelSpec, dict[str, dict[str, np.nd
         version, spec_len = struct.unpack("<II", head[4:])
         if version != WEIGHTS_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
+        if spec_len > JSON_MAX_BYTES:
+            raise FormatError(f"{path}: spec larger than {JSON_MAX_BYTES} bytes")
         if spec_len > size - 12:
             raise FormatError(f"{path}: truncated: {size - 12} bytes of a {spec_len}-byte spec")
         try:

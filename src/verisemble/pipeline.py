@@ -18,39 +18,27 @@ A scoring task hands a stage model the stage's 8-bit pixels, the resized
 frame's channel subset or its luma, and builds no float64 feature tensor:
 a CNN stage's first conv reads them as ``pixels / 255`` while it pads its
 strips, the same division ``extract_features`` makes.
-
-Frame threads share the cores and OpenBLAS is held at one thread while
-they run (see :func:`run_pipeline`); a frame thread with more than one
-core spreads its conv strips and resize bands over helper threads
-(``nn._spread``), so its cores run whole strips and bands, not only the
-GEMM inside them. Outputs do not change: strip bounds do not depend on the
-thread count, strips and bands write disjoint rows, the resize is integer
-arithmetic, and a GEMM gives the same bits at any BLAS thread count.
 """
 
 from __future__ import annotations
 
 import collections
-import ctypes
-import functools
 import logging
 import math
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
+from . import cores
 from .config import CnnModelConfig, MeanIntensityModelConfig, PipelineConfig
 from .ensemble import FusionConfig, PredictionSeries, _PrefixFold, _series
 from .errors import LoadError, ValidationError
 from .evaluate import DetectionEvent, events_from_series
 from .frameio import Frame
-from .nn import ModelSpec, WeightStore, _lend_helpers, _read_pixels, classify, forward, load_weights
+from .nn import ModelSpec, WeightStore, _read_pixels, classify, forward, load_weights
 from .preprocess import _stage_pixels, resize_aa
 
 __all__ = [
@@ -161,7 +149,7 @@ class PipelineResult:
 
 
 def _score_stages(
-    pool: ThreadPoolExecutor,
+    pool: cores.Executor,
     frames: Sequence[Frame],
     config: PipelineConfig,
     models: Sequence[StageModel],
@@ -193,7 +181,7 @@ def _score_stages(
         keep[...] = resized.pixels
         return Frame(resized.index, keep), result
 
-    pending: collections.deque[tuple[int, int, Future]] = collections.deque()
+    pending: collections.deque[tuple[int, int, cores.Future]] = collections.deque()
     submitted = 0
     try:
         while True:
@@ -224,76 +212,6 @@ def _score_stages(
     return fold
 
 
-# (get, set) thread-count symbols of numpy wheels' scipy-openblas, then of a
-# plain OpenBLAS; ILP64 builds, such as numpy 1.2x wheels', add a ``64_`` suffix.
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _blas_thread_api() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The OpenBLAS mapped into this process (per ``/proc/self/maps``) as its
-    (get, set) thread-count functions; None where none is found."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
-    except OSError:
-        paths = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    logger.info("BLAS thread count not controlled: no known OpenBLAS symbol found")
-    return None
-
-
-# One record for the pools that overlap in this process: the BLAS count
-# saved when the first of them started, and how many are running.
-_blas_lock = threading.Lock()
-_blas_saved = 0
-_blas_pools = 0
-
-
-@contextmanager
-def _frame_cores(workers: int) -> Iterator[int]:
-    """Hold BLAS at one thread inside the block and yield the cores each of
-    ``workers`` frame threads may use: ``max(1, n // workers)``, ``n`` being
-    the saved count. The last overlapping block to finish restores ``n``.
-    Where no OpenBLAS is found, BLAS is left alone and each frame gets one
-    core."""
-    global _blas_saved, _blas_pools
-    api = _blas_thread_api()
-    if api is None:
-        yield 1
-        return
-    get, put = api
-    with _blas_lock:
-        if _blas_pools == 0:
-            _blas_saved = get()
-        _blas_pools += 1
-        cores = max(1, _blas_saved // workers)
-        if get() != 1:
-            put(1)
-    try:
-        yield cores
-    finally:
-        with _blas_lock:
-            _blas_pools -= 1
-            if _blas_pools == 0 and get() != _blas_saved:
-                put(_blas_saved)
-
-
 def run_pipeline(
     config: PipelineConfig,
     frames: Sequence[Frame],
@@ -311,12 +229,8 @@ def run_pipeline(
     count because each frame is scored independently and results are
     collected in submission order.
 
-    While the pool runs, numpy's BLAS thread count ``n`` is held at one,
-    and the last overlapping call to finish restores ``n``, also when
-    scoring raises. The count is process-wide: other threads calling BLAS
-    at that time see it. Each scoring thread may spread its conv strips and
-    resize bands over ``max(1, n // workers) - 1`` helper threads of this
-    call, which are joined before it returns or raises.
+    The threads share the cores as :func:`.cores.frame_pool` says, with
+    numpy's process-wide BLAS count held at one until the call ends.
     """
     n = len(frames)
     if not (fps > 0):
@@ -328,15 +242,7 @@ def run_pipeline(
     models = build_stage_models(config)
     logger.info("scoring %d frames with %d stages (%d workers)", n, len(models), workers)
 
-    # Each frame thread may give its conv strips and resize bands to
-    # ``cores - 1`` helper threads of this call. Helper threads start only
-    # when first given work, and are joined, after the frame threads, when
-    # the block exits.
-    with _frame_cores(workers) as cores, ThreadPoolExecutor(
-        max(1, workers * (cores - 1)), thread_name_prefix="verisemble-helper"
-    ) as helpers, ThreadPoolExecutor(
-        workers, initializer=_lend_helpers, initargs=(helpers, cores - 1)
-    ) as pool:
+    with cores.frame_pool(workers) as pool:
         fold = _score_stages(pool, frames, config, models, 2 * workers)
     series = (*fold.stages, fold.folds[-1])
     *stage_series, fused = (_series(tuple(s.labels), tuple(s.scores)) for s in series)

@@ -7,10 +7,6 @@ its channel subset, or a derived luma channel, as 8-bit pixels;
 ``extract_features`` gives them scaled into [0, 1] as float64.
 
 All functions are pure and safe to run data-parallel across frames.
-``resize_aa`` computes in bands of output rows; on a frame thread lent
-helper threads by the pipeline it spreads the bands over them with
-``nn._spread``. Each band writes its own output rows with integer
-arithmetic, so the bytes do not depend on which thread ran it.
 """
 
 from __future__ import annotations
@@ -21,9 +17,10 @@ import math
 
 import numpy as np
 
+from .cores import _spread
 from .errors import ValidationError
 from .frameio import Frame
-from .nn import _read_pixels, _spread
+from .nn import _read_pixels
 
 __all__ = [
     "BT601_LUMA",

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from verisemble import Frame, encode_ppm, nn, pipeline
+from verisemble import Frame, cores, encode_ppm
 
 # CI keeps no example database between runs, so it runs derandomized and a
 # failure prints the blob that replays it (`@reproduce_failure`). The
@@ -96,14 +96,14 @@ def lent_helpers(request):
     helper threads, as a frame thread of ``run_pipeline`` is, with numpy's
     OpenBLAS held at one thread in-process where its count can be set."""
     count = request.param
-    api = pipeline._blas_thread_api()
+    api = cores._blas_thread_api()
     saved = api[0]() if api else None
     if api:
         api[1](1)
     try:
         with ThreadPoolExecutor(max(1, count), thread_name_prefix="test-helper") as helpers:
             with ThreadPoolExecutor(
-                1, initializer=nn._lend_helpers, initargs=(helpers, count)
+                1, initializer=cores._lend_helpers, initargs=(helpers, count)
             ) as caller:
                 yield lambda fn, *args: caller.submit(fn, *args).result(timeout=600)
     finally:

@@ -738,6 +738,34 @@ def test_container_with_a_long_tail_exits_2_in_bounded_memory(tmp_path):
     assert bad_peak - peak < 4 << 20, (peak, bad_peak)
 
 
+@needs_proc_status
+def test_container_claiming_a_long_spec_exits_2_in_bounded_memory(tmp_path):
+    """A 12-byte head claiming a 64 MiB spec over a 64 MiB sparse file:
+    `run` exits 2 with one `error:` line naming the container, and its peak
+    resident set stays within a few MB of a run over the intact container,
+    since a spec longer than a JSON input may be is refused before it is
+    read."""
+    argv, (weights,) = cnn_workspace(tmp_path, ["RGB"])
+    runs = []
+    for damaged in (False, True):
+        if damaged:
+            with open(weights, "r+b") as file:
+                file.seek(8)
+                file.write(struct.pack("<I", 64 << 20))
+                file.truncate(12 + (64 << 20))
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_SCRIPT, *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        code, peak_kb = proc.stdout.splitlines()[-1].split()
+        runs.append((code, int(peak_kb) * 1024, proc.stderr.splitlines()))
+    (code, peak, err), (bad_code, bad_peak, bad_err) = runs
+    assert (code, err) == ("0", [])
+    assert bad_code == "2"
+    assert bad_err == [f"error: {weights}: spec larger than {JSON_MAX_BYTES} bytes"], bad_err
+    assert bad_peak - peak < 4 << 20, (peak, bad_peak)
+
+
 def test_truncated_container_of_a_two_cnn_stage_config_is_named(tmp_path, capsys):
     """Both stock stages hold a `dense3/bias`, so only the file's name says
     which container is cut."""

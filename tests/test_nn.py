@@ -42,7 +42,7 @@ from verisemble import (
     resize_aa,
     save_weights,
 )
-from verisemble import cli, nn, pipeline, preprocess
+from verisemble import cli, cores, nn, preprocess
 from verisemble.nn import (
     WEIGHTS_MAGIC,
     WEIGHTS_VERSION,
@@ -866,7 +866,7 @@ class TestForwardMatchesFrozen:
 @pytest.fixture(params=[1, 2], ids=["blas1", "blas2"])
 def blas_threads(request):
     """Runs the test with numpy's OpenBLAS held at 1, then 2 threads."""
-    api = pipeline._blas_thread_api()
+    api = cores._blas_thread_api()
     if api is None:
         pytest.skip("no OpenBLAS thread control in this numpy")
     get, put = api
@@ -1223,12 +1223,12 @@ class TestSpread:
     @staticmethod
     def on_lent_thread(helpers, count, fn, *args):
         """``fn(*args)`` on a new thread lent ``count`` tasks of ``helpers``."""
-        with ThreadPoolExecutor(1, initializer=nn._lend_helpers, initargs=(helpers, count)) as caller:
+        with ThreadPoolExecutor(1, initializer=cores._lend_helpers, initargs=(helpers, count)) as caller:
             return caller.submit(fn, *args).result(timeout=600)
 
     def test_without_helpers_is_a_loop_on_the_calling_thread(self):
         seen = []
-        nn._spread(lambda item: seen.append((item, threading.get_ident())), range(5))
+        cores._spread(lambda item: seen.append((item, threading.get_ident())), range(5))
         assert seen == [(i, threading.get_ident()) for i in range(5)]
 
     def test_every_item_runs_once_across_helpers(self):
@@ -1240,7 +1240,7 @@ class TestSpread:
                 seen.append((item, threading.current_thread().name))
 
         with ThreadPoolExecutor(3, thread_name_prefix="spread-helper") as helpers:
-            self.on_lent_thread(helpers, 3, nn._spread, record, list(range(200)))
+            self.on_lent_thread(helpers, 3, cores._spread, record, list(range(200)))
         assert sorted(item for item, _ in seen) == list(range(200))
         assert any(name.startswith("spread-helper") for _, name in seen)
 
@@ -1252,7 +1252,7 @@ class TestSpread:
 
         with ThreadPoolExecutor(1, thread_name_prefix="spread-helper") as helpers:
             with pytest.raises(RuntimeError, match="helper failed"):
-                self.on_lent_thread(helpers, 1, nn._spread, fail_on_helper, list(range(200)))
+                self.on_lent_thread(helpers, 1, cores._spread, fail_on_helper, list(range(200)))
 
     def test_stalled_helper_leaves_the_work_to_the_caller(self):
         # The only helper thread is blocked, so no strip or band is given to

@@ -44,7 +44,7 @@ from verisemble import (
     run_pipeline,
     save_weights,
 )
-from verisemble import cli, ensemble, evaluate, nn, pipeline
+from verisemble import cli, cores, ensemble, evaluate, nn, pipeline
 
 from conftest import (
     BLACK,
@@ -800,7 +800,7 @@ class TestBoundedWindow:
         frames = [random_frame(2503 + i, 300, 300) for i in range(4)]
         # One core per frame thread: no helper threads, whose scratch would
         # count or not as they happen to take strips.
-        monkeypatch.setattr(pipeline, "_blas_thread_api", lambda: None)
+        monkeypatch.setattr(cores, "_blas_thread_api", lambda: None)
 
         def traced_peak() -> float:
             tracemalloc.start()
@@ -855,7 +855,7 @@ with open("/proc/self/status") as status:
 
 
 def blas_api():
-    api = pipeline._blas_thread_api()
+    api = cores._blas_thread_api()
     if api is None:
         pytest.skip("no OpenBLAS thread-count symbols in this process")
     return api
@@ -872,7 +872,7 @@ def test_a_mapped_openblas_is_controlled():
         pytest.skip("no /proc/self/maps")
     if not mapped:
         pytest.skip("no OpenBLAS mapped into this process")
-    assert pipeline._blas_thread_api() is not None
+    assert cores._blas_thread_api() is not None
 
 
 class BlasReadingModel:
@@ -897,12 +897,14 @@ class FakeBlas:
     def __init__(self, threads: int) -> None:
         self.threads = threads
         self.sets: list[int] = []
+        self.live_at_set: list[set[str]] = []  # verisemble threads alive at each set
 
     def get(self) -> int:
         return self.threads
 
     def set(self, threads: int) -> None:
         self.sets.append(threads)
+        self.live_at_set.append(verisemble_threads())
         self.threads = threads
 
 
@@ -938,21 +940,39 @@ class TestBlasThreadsWhileScoring:
     )
     def test_split_and_restore_calls(self, monkeypatch, start, workers, sets):
         blas = FakeBlas(start)
-        monkeypatch.setattr(pipeline, "_blas_thread_api", lambda: (blas.get, blas.set))
+        monkeypatch.setattr(cores, "_blas_thread_api", lambda: (blas.get, blas.set))
         run_pipeline(mean_pipeline(), golden_frames(), fps=GOLDEN_FPS, workers=workers)
         assert blas.sets == sets
 
     def test_overlapping_splits_restore_the_count_saved_first(self, monkeypatch):
         blas = FakeBlas(4)
-        monkeypatch.setattr(pipeline, "_blas_thread_api", lambda: (blas.get, blas.set))
-        first, second = pipeline._frame_cores(2), pipeline._frame_cores(4)
-        assert first.__enter__() == 2
-        assert second.__enter__() == 1
+        monkeypatch.setattr(cores, "_blas_thread_api", lambda: (blas.get, blas.set))
+        first, second = cores.frame_pool(2), cores.frame_pool(4)
+        # Each frame thread is lent its cores but one: 4 // 2 and 4 // 4.
+        assert first.__enter__().submit(lent_here).result(timeout=60) == 2 - 1
+        assert second.__enter__().submit(lent_here).result(timeout=60) == 1 - 1
         first.__exit__(None, None, None)
         assert blas.threads == 1
         second.__exit__(None, None, None)
         assert blas.threads == 4
         assert blas.sets == [1, 4]
+
+    @pytest.mark.parametrize("fail_at", [None, 2])
+    def test_count_restored_after_every_thread_of_the_call_exits(self, monkeypatch, fail_at):
+        # The restoring call sees no frame or helper thread alive, on
+        # return and on raise: the threads are joined before BLAS is
+        # given back its count.
+        blas = FakeBlas(4)
+        monkeypatch.setattr(cores, "_blas_thread_api", lambda: (blas.get, blas.set))
+        models = (ConvModel(fail_at=fail_at), ConvModel())
+        if fail_at is None:
+            run_conv_pipeline(models, workers=1)
+        else:
+            with pytest.raises(RuntimeError, match="stage model failed"):
+                run_conv_pipeline(models, workers=1)
+        assert saw_frame_and_helper_threads(models[0])
+        assert blas.sets == [1, 4]
+        assert blas.live_at_set[-1] == set()
 
     @pytest.mark.parametrize(
         "start, workers, cores", [(4, 1, 4), (4, 2, 2), (4, 3, 1), (2, 8, 1), (1, 1, 1)]
@@ -961,10 +981,17 @@ class TestBlasThreadsWhileScoring:
         self, monkeypatch, start, workers, cores
     ):
         blas = FakeBlas(start)
-        monkeypatch.setattr(pipeline, "_blas_thread_api", lambda: (blas.get, blas.set))
+        # ``cores`` is the parameter here, so the module is reached by ``pipeline``.
+        monkeypatch.setattr(pipeline.cores, "_blas_thread_api", lambda: (blas.get, blas.set))
         models = (LentHelpersModel(), LentHelpersModel())
         run_golden_with(models, workers=workers)
         assert set(models[0].lent + models[1].lent) == {cores - 1}
+
+
+def lent_here() -> int:
+    """How many helper tasks the calling thread may give to helper threads."""
+    helpers = getattr(cores._lent, "helpers", None)
+    return 0 if helpers is None else helpers[1]
 
 
 class LentHelpersModel:
@@ -975,26 +1002,26 @@ class LentHelpersModel:
         self.lent: list[int] = []
 
     def score(self, features: np.ndarray) -> float:
-        helpers = getattr(nn._lent, "helpers", None)
-        self.lent.append(0 if helpers is None else helpers[1])
+        self.lent.append(lent_here())
         return MeanIntensityModel().score(features)
 
 
-def helper_threads() -> set[str]:
-    return {t.name for t in threading.enumerate() if t.name.startswith("verisemble-helper")}
+def verisemble_threads() -> set[str]:
+    """The live frame and helper threads of ``run_pipeline`` calls."""
+    return {t.name for t in threading.enumerate() if t.name.startswith("verisemble-")}
 
 
 class ConvModel:
     """Stage whose score runs a conv of several strips on its features, and
-    that records the helper threads alive at each call and raises at call
-    number ``fail_at``."""
+    that records the frame and helper threads alive at each call and raises
+    at call number ``fail_at``."""
 
     def __init__(self, fail_at: int | None = None) -> None:
         rng = np.random.default_rng(23)
         self.kernel = rng.standard_normal((3, 3, 3, 16)).astype(np.float32)
         self.bias = rng.standard_normal(16).astype(np.float32)
         self.fail_at = fail_at
-        self.helpers_seen: set[str] = set()
+        self.threads_seen: set[str] = set()
         self.calls = 0
         self._lock = threading.Lock()
 
@@ -1003,7 +1030,7 @@ class ConvModel:
         out = nn.conv2d(x, self.kernel, self.bias, pool=2)
         with self._lock:
             self.calls += 1
-            self.helpers_seen |= helper_threads()
+            self.threads_seen |= verisemble_threads()
             if self.calls == self.fail_at:
                 raise RuntimeError("stage model failed")
         return float(1.0 / (1.0 + np.exp(-out.mean())))
@@ -1023,20 +1050,27 @@ def run_conv_pipeline(models, workers: int):
         return run_pipeline(conv_pipeline(), conv_frames(), fps=5.0, workers=workers)
 
 
+def saw_frame_and_helper_threads(model: ConvModel) -> bool:
+    return {name.split("_")[0] for name in model.threads_seen} == {
+        "verisemble-frame", "verisemble-helper"
+    }
+
+
 class TestHelperThreads:
     """Frame threads lent helpers, with BLAS faked at 4 threads so that a
-    frame gets ``4 // workers`` cores on any host."""
+    frame gets ``4 // workers`` cores on any host. No frame or helper
+    thread outlives its call."""
 
     @pytest.fixture(autouse=True)
     def four_blas_threads(self, monkeypatch):
         blas = FakeBlas(4)
-        monkeypatch.setattr(pipeline, "_blas_thread_api", lambda: (blas.get, blas.set))
+        monkeypatch.setattr(cores, "_blas_thread_api", lambda: (blas.get, blas.set))
 
     def test_no_helper_thread_remains_after_return(self):
         models = (ConvModel(), ConvModel())
         run_conv_pipeline(models, workers=1)
-        assert models[0].helpers_seen  # the frame threads did start helpers
-        assert helper_threads() == set()
+        assert saw_frame_and_helper_threads(models[0])  # the frame threads did start helpers
+        assert verisemble_threads() == set()
 
     @pytest.mark.parametrize("failing_stage, fail_at", [(0, 2), (1, 1)])
     def test_no_helper_thread_remains_after_raise(self, failing_stage, fail_at):
@@ -1044,8 +1078,8 @@ class TestHelperThreads:
         models[failing_stage] = ConvModel(fail_at=fail_at)
         with pytest.raises(RuntimeError, match="stage model failed"):
             run_conv_pipeline(tuple(models), workers=1)
-        assert models[0].helpers_seen
-        assert helper_threads() == set()
+        assert saw_frame_and_helper_threads(models[0])
+        assert verisemble_threads() == set()
 
     def test_results_equal_across_worker_counts(self):
         results = [run_conv_pipeline((ConvModel(), ConvModel()), workers) for workers in (1, 2, 4)]
@@ -1070,21 +1104,21 @@ class TestHelperThreads:
                 with ThreadPoolExecutor(max_workers=2) as callers:
                     calls = [callers.submit(call, 1), callers.submit(call, 2)]
                     assert [f.result(timeout=600) for f in calls] == [want, want]
-        assert helper_threads() == set()
+        assert verisemble_threads() == set()
 
 
 @pytest.fixture
 def no_blas_symbols(monkeypatch):
-    monkeypatch.setattr(pipeline, "_BLAS_THREAD_SYMBOLS", ())
-    pipeline._blas_thread_api.cache_clear()
+    monkeypatch.setattr(cores, "_BLAS_THREAD_SYMBOLS", ())
+    cores._blas_thread_api.cache_clear()
     yield
-    pipeline._blas_thread_api.cache_clear()
+    cores._blas_thread_api.cache_clear()
 
 
 def test_without_blas_symbols_run_is_unchanged_and_says_so_once(
     tmp_path, caplog, no_blas_symbols
 ):
-    caplog.set_level(logging.INFO, logger="verisemble.pipeline")
+    caplog.set_level(logging.INFO, logger="verisemble.cores")
     frames = write_sequence(tmp_path / "frames", GOLDEN_COLORS)
     config = write_mean_config(tmp_path / "config.json")
     gt = tmp_path / "gt.csv"
@@ -1101,6 +1135,6 @@ def test_without_blas_symbols_run_is_unchanged_and_says_so_once(
             for name in ("detections.csv", "predictions.csv", "report.json")
         ])
     assert outputs[0] == outputs[1]
-    assert pipeline._blas_thread_api() is None
+    assert cores._blas_thread_api() is None
     notes = [m for m in caplog.messages if m.startswith("BLAS thread count not controlled")]
     assert len(notes) == 1
