@@ -85,15 +85,14 @@ def _load_inputs(args: argparse.Namespace) -> tuple[PipelineConfig, FrameSequenc
 
 def _write_predictions_csv(path: Path, config: PipelineConfig, result: PipelineResult) -> None:
     """One row per frame. A stage's cells are empty where it did not score
-    the frame; ``final_score`` is empty where a verifier's window around the
-    frame takes in a frame that verifier did not score."""
+    the frame; ``final_score`` is empty where the fold marked the fused score
+    not known (``result.fused_score_known``)."""
     columns = ["frame_index"]
     for k, stage in enumerate(config.stages):
         columns.append(f"stage{k}_{stage.channels.value}_label")
         columns.append(f"stage{k}_{stage.channels.value}_score")
     columns += ["final_label", "final_score"]
     n = len(result.fused)
-    known = result.fused_score_known(config.fusion)
     scored = [np.isin(np.arange(n), frames) for frames in result.scored]
     with open(path, "w") as out:
         out.write(",".join(columns) + "\n")
@@ -102,7 +101,7 @@ def _write_predictions_csv(path: Path, config: PipelineConfig, result: PipelineR
             for series, done in zip(result.stage_series, scored):
                 row += [str(int(series.labels[i])), repr(series.scores[i])] if done[i] else ["", ""]
             row.append(str(int(result.fused.labels[i])))
-            row.append(repr(result.fused.scores[i]) if known[i] else "")
+            row.append(repr(result.fused.scores[i]) if result.fused_score_known[i] else "")
             out.write(",".join(row) + "\n")
 
 

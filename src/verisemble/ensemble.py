@@ -22,7 +22,8 @@ definition, over whole series. ``run`` folds with ``_PrefixFold``, which owns
 the stages' cells, extends each step as they become known and asks each
 verifier only about the frames in its windows around surviving proposals. It
 runs the same two steps over slices of the series, not :func:`chain_fuse`,
-and is tested bit-equal to it.
+and is tested bit-equal to it. It marks a fused score exact where every
+verifier was asked about the whole window around the frame.
 
 All operations are pure: series are immutable value objects and every
 function returns a new series.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import collections
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import and_, gt
@@ -238,7 +240,8 @@ class _PrefixFold:
     It owns the stages' cells and asks stage 0 about every frame, verifier ``k``
     about frame ``j`` once ``folds[k - 1]`` is final and positive within ``r`` of it:
     ``asked[k]`` lists those frames, ``ready`` queues them as ``(k, j)``, and stage
-    ``k``'s cells are known below ``known[k]``.
+    ``k``'s cells are known below ``known[k]``. ``exact[i]`` says whether every verifier
+    was asked about all of frame ``i``'s window, so that its fused score is exact.
     """
 
     def __init__(self, count: int, n: int, config: FusionConfig) -> None:
@@ -247,6 +250,7 @@ class _PrefixFold:
         self.pack = config.pack_size if config.packing_enabled and count > 1 else 1
         self.stages = [_Cells(n) for _ in range(count)]
         self.folds, self.final = [_Cells(n) for _ in range(count)], [0] * count
+        self.exact = [True] * n
         self.asked = [range(n), *([] for _ in range(1, count))]
         self.decided, self.got, self.known = [n] + [0] * (count - 1), [0] * count, [0] * count
         self.ready: collections.deque[tuple[int, int]] = collections.deque()
@@ -275,7 +279,8 @@ class _PrefixFold:
 
     def extend(self, k: int, known: int) -> None:
         """Extend ``folds[k]``, stage ``k`` being known below frame ``known``: over stage 0's
-        whole packs, or where ``folds[k - 1]`` is final and stage ``k`` is known ``r`` past."""
+        whole packs, or where ``folds[k - 1]`` is final and stage ``k`` is known ``r`` past.
+        A new frame whose window verifier ``k`` was not wholly asked about is inexact."""
         done, r, n = self.final[k], self.r if k else 0, self.n
         end = known if known == n else known - (r if k else known % self.pack)
         end = min(end, self.final[k - 1]) if k else end
@@ -292,3 +297,8 @@ class _PrefixFold:
         self.folds[k].labels[done:end] = fused.labels[done - lo : end - lo]
         self.folds[k].scores[done:end] = fused.scores[done - lo : end - lo]
         self.final[k] = end
+        if k:
+            for i in range(done, end):
+                a, b = max(0, i - r), min(n, i + r + 1)
+                if bisect_left(self.asked[k], b) - bisect_left(self.asked[k], a) < b - a:
+                    self.exact[i] = False

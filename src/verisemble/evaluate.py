@@ -14,6 +14,7 @@ about fused false-positive rates can be tested without trained models.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -122,8 +123,8 @@ class DetectionEvent:
 
 def events_from_series(series: PredictionSeries, fps: float) -> tuple[DetectionEvent, ...]:
     """Collapse positive runs into events; timestamp = start_frame / fps."""
-    if not (fps > 0):
-        raise ValidationError(f"fps must be positive, got {fps}")
+    if not 0 < fps < math.inf:
+        raise ValidationError(f"fps must be positive and finite, got {fps}")
     events: list[DetectionEvent] = []
     labels = series.labels
     scores = series.scores

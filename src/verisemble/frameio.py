@@ -139,8 +139,8 @@ class SequenceManifest:
     def __post_init__(self) -> None:
         if self.frame_count < 0:
             raise ValidationError(f"frame_count must be >= 0, got {self.frame_count}")
-        if not (self.fps > 0):
-            raise ValidationError(f"fps must be > 0, got {self.fps}")
+        if not 0 < self.fps < np.inf:
+            raise ValidationError(f"fps must be > 0 and finite, got {self.fps}")
         # `pattern % 0` pads to the width and precision the pattern asks for.
         for conversion in _CONVERSION.finditer(self.pattern):
             width, precision = conversion.groups(default="")
@@ -150,14 +150,11 @@ class SequenceManifest:
                     f"frame file pattern {self.pattern!r}: {conversion.group()!r} may set "
                     f"no precision and no width over {_MAX_PATTERN_WIDTH}"
                 )
+        # A pattern that formats one int at all formats 0 and 1 differently.
         try:
-            first = self.pattern % 0
+            self.pattern % 0
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad frame file pattern {self.pattern!r}: {exc}") from exc
-        if first == self.pattern % 1 and self.frame_count > 1:
-            raise ValidationError(
-                f"frame file pattern {self.pattern!r} does not vary with the index"
-            )
 
     def frame_path(self, directory: Path, index: int) -> Path:
         return Path(directory) / (self.pattern % index)
@@ -354,8 +351,8 @@ def open_sequence(
 
     The manifest defaults to ``<directory>/manifest.json``. Each frame file
     must exist, and the first missing one raises :class:`LoadError` naming
-    its index; frame 0's header is parsed to fix the shape. No payload is
-    decoded here.
+    its index; frame 0's header fixes the shape and is checked against the
+    file's size, as indexing checks it. No payload is decoded here.
     """
     directory = Path(directory)
     manifest = load_manifest(manifest_path or directory / "manifest.json")
@@ -369,6 +366,7 @@ def open_sequence(
         try:
             with open(first, "rb") as file:
                 width, height = _ppm_header(file)
+                _check_payload(width * height * 3, os.fstat(file.fileno()).st_size - file.tell())
         except FormatError as exc:
             raise _frame_error(0, first, exc) from exc
         shape = (height, width, 3)
@@ -434,47 +432,48 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
     return GroundTruth(intervals=tuple(intervals))
 
 
+def _check_detection(where: str, t: float, score: float, prev: float) -> None:
+    """Raise :class:`ValidationError` naming ``where`` unless ``(t, score)`` is
+    finite, ``t`` at least 0 and ``prev``, the row before's, and ``score`` in [0, 1]."""
+    if not (np.isfinite(t) and np.isfinite(score)):
+        raise ValidationError(f"{where}: non-finite value in ({t}, {score})")
+    if t < 0:
+        raise ValidationError(f"{where}: negative timestamp {t}")
+    if not 0.0 <= score <= 1.0:
+        raise ValidationError(f"{where}: score {score} outside [0, 1]")
+    if t < prev:
+        raise ValidationError(f"{where}: timestamps not sorted ({t} after {prev})")
+
+
 def write_detections(
     events: Sequence[tuple[float, float]] | Iterable[tuple[float, float]],
     path: str | Path,
 ) -> None:
     """Write detection events as a ``timestamp_s,score`` CSV.
 
-    Events must already be sorted by timestamp; an unsorted input raises
-    :class:`ValidationError` before anything is written. Timestamps are
-    formatted with 3 decimal places, scores with the shortest round-trip
-    representation.
+    Every event must pass the row rule :func:`load_detections` reads with:
+    finite, a timestamp >= 0, a score in [0, 1], and sorted by timestamp. A
+    row that breaks it raises :class:`ValidationError` before anything is
+    written. Timestamps are formatted with 3 decimal places, scores with
+    the shortest round-trip representation.
     """
-    events = list(events)
-    for prev, cur in zip(events, events[1:]):
-        if cur[0] < prev[0]:
-            raise ValidationError(
-                f"detections must be sorted by timestamp: {cur[0]} after {prev[0]}"
-            )
+    rows = [(float(t), float(score)) for t, score in events]
+    for i, (t, score) in enumerate(rows):
+        _check_detection(f"detection {i}", t, score, rows[i - 1][0] if i else 0.0)
     lines = ["timestamp_s,score"]
-    lines += [f"{t:.3f},{repr(float(score))}" for t, score in events]
+    lines += [f"{t:.3f},{score!r}" for t, score in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_detections(path: str | Path) -> tuple[tuple[float, float], ...]:
     """Parse a detections CSV back into ``(timestamp_s, score)`` pairs.
 
-    Accepts the ``timestamp_s,score`` header as optional; rows must be
-    finite and sorted by timestamp, mirroring :func:`write_detections`,
-    with scores in [0, 1].
+    Accepts the ``timestamp_s,score`` header as optional; every row must
+    pass the rule :func:`write_detections` checks before it writes.
     """
     path = Path(path)
     rows: list[tuple[float, float]] = []
     for lineno, t, score in _csv_rows(path, "timestamp_s,score"):
-        if not (np.isfinite(t) and np.isfinite(score)):
-            raise ValidationError(f"{path} row {lineno}: non-finite value in ({t}, {score})")
-        if t < 0:
-            raise ValidationError(f"{path} row {lineno}: negative timestamp {t}")
-        if not 0.0 <= score <= 1.0:
-            raise ValidationError(f"{path} row {lineno}: score {score} outside [0, 1]")
-        if rows and t < rows[-1][0]:
-            raise ValidationError(
-                f"{path} row {lineno}: timestamps not sorted ({t} after {rows[-1][0]})"
-            )
+        _check_detection(f"{path} row {lineno}", t, score, rows[-1][0] if rows else 0.0)
         rows.append((t, score))
     return tuple(rows)

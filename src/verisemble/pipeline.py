@@ -26,7 +26,6 @@ import collections
 import logging
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import cores
 from .config import CnnModelConfig, MeanIntensityModelConfig, PipelineConfig
-from .ensemble import FusionConfig, PredictionSeries, _PrefixFold, _series
+from .ensemble import PredictionSeries, _PrefixFold, _series
 from .errors import LoadError, ValidationError
 from .evaluate import DetectionEvent, events_from_series
 from .frameio import Frame
@@ -126,26 +125,16 @@ class PipelineResult:
     frame for stage 0, the proposal windows for each verifier. At a frame a
     stage did not score, its series holds label False and score 0.0, so a
     fused score whose window takes in such a frame may differ from the one
-    that scoring every frame gives. Fused labels, and the fused scores of
-    fused positives, never differ.
+    that scoring every frame gives; ``fused_score_known[i]`` is False for
+    those frames, as the fold marked them. Fused labels, and the fused
+    scores of fused positives, never differ.
     """
 
     stage_series: tuple[PredictionSeries, ...]
     fused: PredictionSeries
     events: tuple[DetectionEvent, ...]
     scored: tuple[tuple[int, ...], ...]
-
-    def fused_score_known(self, fusion: FusionConfig) -> tuple[bool, ...]:
-        """Per frame, whether every verifier scored the whole window around
-        it under ``fusion``, so its fused score is the one that scoring
-        every frame gives."""
-        n, r = len(self.fused), fusion.verifier_radius
-        missing = [len(self.scored) - 1] * n  # per frame, verifiers that did not score it
-        for frames in self.scored[1:]:
-            for j in frames:
-                missing[j] -= 1
-        before = (0, *accumulate(missing))
-        return tuple(before[max(0, i - r)] == before[min(n, i + r + 1)] for i in range(n))
+    fused_score_known: tuple[bool, ...]
 
 
 def _score_stages(
@@ -233,8 +222,8 @@ def run_pipeline(
     numpy's process-wide BLAS count held at one until the call ends.
     """
     n = len(frames)
-    if not (fps > 0):
-        raise ValidationError(f"fps must be positive, got {fps}")
+    if not 0 < fps < math.inf:
+        raise ValidationError(f"fps must be positive and finite, got {fps}")
     if not math.isfinite((n - 1) / fps):
         raise ValidationError(f"fps {fps} is too small: frame {n - 1} has no finite timestamp")
     if workers < 1:
@@ -253,5 +242,6 @@ def run_pipeline(
     events = events_from_series(fused, fps)
     logger.info("fused %d positive frames into %d events", fused.positive_count(), len(events))
     return PipelineResult(
-        stage_series=tuple(stage_series), fused=fused, events=events, scored=scored
+        stage_series=tuple(stage_series), fused=fused, events=events, scored=scored,
+        fused_score_known=tuple(fold.exact),
     )

@@ -166,8 +166,13 @@ class TestRun:
             tuple(i for i in range(n) if i % 10 < 7),
             tuple(i for i in range(n) if i % 7 < 5),
         )
+        known = tuple(i % 10 < 6 and i % 7 < 4 for i in range(n))
         result = pipeline.PipelineResult(
-            stage_series=(series,) * 3, fused=series, events=(), scored=scored
+            stage_series=(series,) * 3,
+            fused=series,
+            events=(),
+            scored=scored,
+            fused_score_known=known,
         )
         path = tmp_path / "predictions.csv"
         tracemalloc.start()

@@ -198,6 +198,10 @@ class TestEventsFromSeries:
     def test_empty_series(self):
         assert events_from_series(mk([]), fps=10.0) == ()
 
+    def test_infinite_fps_rejected(self):
+        with pytest.raises(ValidationError, match="fps must be positive"):
+            events_from_series(mk([False, True]), fps=float("inf"))
+
 
 class TestMatchScore:
     def test_event_inside_interval(self):

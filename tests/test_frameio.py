@@ -56,6 +56,11 @@ class TestFrame:
         with pytest.raises(ValidationError):
             Frame(index=0, pixels=np.zeros((2, 2, 3), np.float64))
 
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3), (0, 0, 1)])
+    def test_empty_frame_rejected(self, shape):
+        with pytest.raises(ValidationError, match="at least 1x1"):
+            Frame(index=0, pixels=np.zeros(shape, np.uint8))
+
     def test_equality_covers_index_and_pixels(self):
         a = solid_frame(BLACK, index=0)
         b = solid_frame(BLACK, index=0)
@@ -207,6 +212,10 @@ class TestManifest:
         with pytest.raises(LoadError):
             load_manifest(tmp_path / "nope.json")
 
+    def test_infinite_fps_rejected(self):
+        with pytest.raises(ValidationError, match="fps must be > 0"):
+            SequenceManifest(frame_count=1, fps=float("inf"), pattern="f_%d.ppm")
+
     def test_constant_pattern_rejected(self):
         with pytest.raises(ValidationError):
             SequenceManifest(frame_count=2, fps=25.0, pattern="frame.ppm")
@@ -258,6 +267,25 @@ class TestOpenSequence:
         assert frames[4].index == 4
         with pytest.raises(IndexError):
             frames[5]
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            (5, "PPM payload truncated: expected 768 bytes, got 763"),
+            (-1, "PPM payload has 1 trailing bytes"),
+        ],
+        ids=["short", "padded"],
+    )
+    def test_frame_0_of_the_wrong_size_is_refused_at_open(self, tmp_path, cut, message):
+        """Frame 0's file size is checked against its header when the
+        sequence is opened, with the message indexing it would give."""
+        directory = write_sequence(tmp_path / "seq", [BLACK, WHITE], size=16)
+        path = directory / "frame_0000.ppm"
+        data = path.read_bytes()
+        path.write_bytes(data[:-cut] if cut > 0 else data + b"\0" * -cut)
+        with pytest.raises(FormatError) as caught:
+            open_sequence(directory)
+        assert str(caught.value) == f"frame 0 (frame_0000.ppm): {message}"
 
     def test_indexing_parses_the_header_once(self, tmp_path, monkeypatch):
         """Indexing reads a frame file's header once, then only its payload."""
@@ -456,6 +484,15 @@ class TestGroundTruth:
         with pytest.raises(ValidationError):
             GroundTruth(intervals=((-1.0, 2.0),))
 
+    @pytest.mark.parametrize("interval", [(0.0, float("inf")), (float("nan"), 1.0)])
+    def test_non_finite_interval_rejected(self, interval):
+        with pytest.raises(ValidationError, match="is not finite"):
+            GroundTruth(intervals=(interval,))
+
+    def test_reversed_interval_rejected(self):
+        with pytest.raises(ValidationError, match="start 2.0 exceeds end 1.0"):
+            GroundTruth(intervals=((2.0, 1.0),))
+
 
 class TestDetections:
     def test_exact_body(self, tmp_path):
@@ -472,6 +509,24 @@ class TestDetections:
         path = tmp_path / "det.csv"
         with pytest.raises(ValidationError):
             write_detections([(2.0, 0.5), (1.0, 0.5)], path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "row, why",
+        [
+            ((0.0, float("nan")), "non-finite value"),
+            ((-1.0, 0.5), "negative timestamp"),
+            ((0.0, 1.5), r"score 1.5 outside \[0, 1\]"),
+            ((float("inf"), 0.5), "non-finite value"),
+        ],
+        ids=["nan score", "negative timestamp", "score over 1", "infinite timestamp"],
+    )
+    def test_row_the_reader_refuses_is_not_written(self, tmp_path, row, why):
+        """The writer checks each row by the reader's rule, so it raises
+        before it writes anything."""
+        path = tmp_path / "det.csv"
+        with pytest.raises(ValidationError, match=f"detection 0: {why}"):
+            write_detections([row], path)
         assert not path.exists()
 
     def test_read_round_trip(self, tmp_path):

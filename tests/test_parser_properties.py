@@ -25,6 +25,8 @@ from verisemble import (
     FormatError,
     LayerSpec,
     ModelSpec,
+    SequenceManifest,
+    ValidationError,
     decode_ppm,
     encode_ppm,
     load_weights,
@@ -172,6 +174,33 @@ def test_pattern_width_is_bounded_and_precision_refused(run_workspace, pattern, 
     path = root / "sized.json"
     path.write_text(json.dumps({"frame_count": 0, "fps": 25, "pattern": pattern}))
     assert run_exit_code(root, frames, config, manifest=path) == code
+
+
+# Any printf conversion, weighted to the ones the manifest may accept.
+CONVERSIONS = st.builds(
+    "%{}{}{}{}{}".format,
+    st.sampled_from(["", "", "", "(i)"]),
+    st.lists(st.sampled_from("-+ #0"), max_size=3).map("".join),
+    st.one_of(st.just(""), WIDTHS),
+    st.one_of(st.just(""), st.just(""), PRECISIONS),
+    st.sampled_from("diouxXeEfFgGcrsa%*q"),
+)
+# Text around one conversion, sometimes two.
+ANY_PATTERNS = st.tuples(
+    st.text(max_size=3), CONVERSIONS, st.text(max_size=3), st.one_of(st.just(""), CONVERSIONS)
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pattern=ANY_PATTERNS)
+def test_every_accepted_pattern_names_frames_0_and_1_apart(pattern):
+    """The manifest needs no check that a pattern varies with the index:
+    every pattern it accepts formats one int, which gives 0 and 1 apart."""
+    try:
+        manifest = SequenceManifest(frame_count=2, fps=25.0, pattern=pattern)
+    except ValidationError:
+        return
+    assert manifest.frame_path(Path("frames"), 0) != manifest.frame_path(Path("frames"), 1)
 
 
 # -- pipeline config JSON ----------------------------------------------------

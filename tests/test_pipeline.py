@@ -345,6 +345,10 @@ class TestRunPipeline:
         with pytest.raises(ValidationError, match="fps"):
             run_pipeline(mean_pipeline(), [], fps=0.0)
 
+    def test_infinite_fps_rejected(self):
+        with pytest.raises(ValidationError, match="fps must be positive"):
+            run_pipeline(mean_pipeline(), golden_frames(), fps=float("inf"))
+
     def test_invalid_workers(self):
         with pytest.raises(ValidationError, match="workers"):
             run_pipeline(mean_pipeline(), [], fps=25.0, workers=0)
@@ -457,6 +461,7 @@ def test_lazy_run_equals_eager_oracle(case):
         fused=oracle,
         events=events_from_series(oracle, 10.0),
         scored=(tuple(range(n)),) * count,
+        fused_score_known=(True,) * n,
     )
     eager_cells = predictions_cells(config, eager)
 
@@ -475,6 +480,7 @@ def test_lazy_run_equals_eager_oracle(case):
         assert result.events == eager.events
 
         known = final_known(result.scored, n, fusion)
+        assert result.fused_score_known == tuple(i in known for i in range(n))
         for i, (cells, want) in enumerate(zip(predictions_cells(config, result), eager_cells)):
             for k in range(count):
                 stage_cells = cells[1 + 2 * k : 3 + 2 * k]
@@ -485,29 +491,6 @@ def test_lazy_run_equals_eager_oracle(case):
             assert cells[-2] == want[-2]
             assert cells[-1] == (want[-1] if i in known else "")
     assert results[0] == results[1]
-
-
-@st.composite
-def scored_cases(draw):
-    """Random ascending scored tuples, not proposal windows, for 1-3 stages
-    over 0-40 frames, and a verifier radius of 0-4, also at or past ``n``."""
-    n = draw(st.integers(0, 40))
-    frames = st.sets(st.integers(0, n - 1), max_size=n) if n else st.just(set())
-    scored = tuple(tuple(sorted(draw(frames))) for _ in range(draw(st.integers(1, 3))))
-    return n, scored, draw(st.integers(0, 4))
-
-
-@settings(max_examples=300, deadline=None)
-@given(scored_cases())
-def test_fused_score_known_equals_the_window_oracle(case):
-    n, scored, radius = case
-    fusion = FusionConfig(neighbor_window=2 * radius + 1)
-    blank = PredictionSeries(labels=(False,) * n, scores=(0.0,) * n)
-    result = pipeline.PipelineResult(
-        stage_series=(blank,) * len(scored), fused=blank, events=(), scored=scored
-    )
-    known = final_known(scored, n, fusion)
-    assert result.fused_score_known(fusion) == tuple(i in known for i in range(n))
 
 
 # -- Each stage score checked once, where it is collected -------------------
