@@ -48,7 +48,6 @@ from .evaluate import (
     events_from_series,
     frame_metrics,
     match_score,
-    median_report,
     simulate_predictor,
 )
 from .frameio import (
@@ -138,7 +137,6 @@ __all__ = [
     "load_manifest",
     "load_weights",
     "match_score",
-    "median_report",
     "neighbor_validate",
     "open_sequence",
     "pack_mode",

@@ -215,7 +215,6 @@ def _simulate_fusion_config(args: argparse.Namespace) -> FusionConfig:
     flags = {
         "pack_size": args.pack_size,
         "neighbor_window": args.neighbor_window,
-        "packing_enabled": None if args.packing is None else args.packing == "on",
     }
     return dataclasses.replace(base, **{k: v for k, v in flags.items() if v is not None})
 
@@ -298,9 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--neighbor-window", type=int, default=None, help="override verifier window"
     )
-    sim.add_argument(
-        "--packing", choices=("on", "off"), default=None, help="override packing"
-    )
     sim.set_defaults(func=cmd_simulate)
     return parser
 
@@ -322,7 +318,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (VerisembleError, OSError, ValueError, MemoryError) as exc:
-        print(f"error: {_one_line(str(exc))}", file=sys.stderr)
+        # A failed allocation raises a MemoryError with no message.
+        message = str(exc) or (
+            "out of memory" if isinstance(exc, MemoryError) else type(exc).__name__
+        )
+        print(f"error: {_one_line(message)}", file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()

@@ -165,9 +165,7 @@ def _parse_stage(obj: Mapping, base_dir: Path, position: int) -> StageConfig:
 
 
 def _parse_fusion(obj: Mapping) -> FusionConfig:
-    _require_keys(
-        obj, {"pack_size", "neighbor_window", "packing_enabled"}, set(), "fusion"
-    )
+    _require_keys(obj, {"pack_size", "neighbor_window"}, set(), "fusion")
     try:
         return FusionConfig(**obj)
     except ValidationError as exc:

@@ -13,17 +13,18 @@ Fusion is one fold, :func:`chain_fuse`, over two steps:
   anywhere inside a small centered window, tolerating off-by-a-few
   frame misalignment between the stages.
 
-The fold packs the first stage (when packing is enabled), then lets each
-later stage veto through a window reaching ``FusionConfig.verifier_radius``
-frames either side of each positive. Two-stage fusion is
-``chain_fuse((primary, verifier), config)``, and the per-frame AND is
-``neighbor_validate(primary, verifier, 1)``. :func:`chain_fuse` is the fold's
-definition, over whole series. ``run`` folds with ``_PrefixFold``, which owns
-the stages' cells, extends each step as they become known and asks each
-verifier only about the frames in its windows around surviving proposals. It
-runs the same two steps over slices of the series, not :func:`chain_fuse`,
-and is tested bit-equal to it. It marks a fused score exact where every
-verifier was asked about the whole window around the frame.
+The fold packs the first stage into packs of ``FusionConfig.pack_size``,
+then lets each later stage veto through a centered window of
+``FusionConfig.neighbor_window`` frames around each positive. Two-stage
+fusion is ``chain_fuse((primary, verifier), config)``. A pack and window of 1
+make each step the per-frame AND, ``neighbor_validate(primary, verifier, 1)``.
+:func:`chain_fuse` is the fold's definition, over whole series. ``run``
+folds with ``_PrefixFold``, which owns the stages' cells, extends each step
+as they become known and asks each verifier only about the frames in its
+windows around surviving proposals. It runs the same two steps over slices
+of the series, not :func:`chain_fuse`, and is tested bit-equal to it. It
+marks a fused score exact where every verifier was asked about the whole
+window around the frame.
 
 All operations are pure: series are immutable value objects and every
 function returns a new series.
@@ -56,13 +57,11 @@ class FusionConfig:
 
     ``pack_size`` frames form one majority-vote pack; ``neighbor_window``
     is the total width (centered, odd) of the verifier search window.
-    With ``packing_enabled`` False both refinements are skipped and
-    fusion degenerates to the per-frame AND.
+    With both at 1 fusion is the per-frame AND.
     """
 
     pack_size: int = 3
     neighbor_window: int = 3
-    packing_enabled: bool = True
 
     def __post_init__(self) -> None:
         for name, why in (
@@ -74,19 +73,6 @@ class FusionConfig:
                 raise ValidationError(f"{name} must be a positive int, got {value!r}")
             if value % 2 == 0:
                 raise ValidationError(f"{name} must be odd so {why}, got {value}")
-        if not isinstance(self.packing_enabled, bool):
-            raise ValidationError(
-                f"packing_enabled must be a bool, got {self.packing_enabled!r}"
-            )
-
-    @property
-    def verifier_radius(self) -> int:
-        """How far from a proposal each verification step looks.
-
-        ``(neighbor_window - 1) // 2`` with packing enabled; 0 without,
-        where each step is the per-frame AND.
-        """
-        return (self.neighbor_window - 1) // 2 if self.packing_enabled else 0
 
 
 @dataclass(frozen=True)
@@ -205,10 +191,10 @@ def chain_fuse(
     The first stage proposes; every later stage acts as a verifier in
     order, each able only to veto. A single stage is the fold's base
     case and passes through unchanged. With two or more stages the
-    proposer is majority-packed first (when packing is enabled) and each
-    verification step keeps a positive only if the stage fired within
-    ``config.verifier_radius`` frames of it: 0 with packing disabled, so
-    each step is then the plain per-frame AND.
+    proposer is majority-packed first and each verification step keeps a
+    positive only if the stage fired in the window of
+    ``config.neighbor_window`` frames centered on it. A pack and window of 1
+    make each step the plain per-frame AND.
     """
     if config is None:
         config = FusionConfig()
@@ -217,11 +203,9 @@ def chain_fuse(
     fused = stages[0]
     if len(stages) == 1:
         return fused
-    if config.packing_enabled:
-        fused = pack_mode(fused, config.pack_size)
-    window = 2 * config.verifier_radius + 1
+    fused = pack_mode(fused, config.pack_size)
     for stage in stages[1:]:
-        fused = neighbor_validate(fused, stage, window)
+        fused = neighbor_validate(fused, stage, config.neighbor_window)
     return fused
 
 
@@ -234,22 +218,30 @@ class _Cells:
 
 class _PrefixFold:
     """``run``'s fold over ``count`` stages of ``n`` frames, extended as their cells
-    become known: ``folds[k]``, the fold of stages ``0..k``, is final on its first
-    ``final[k]`` frames, and equals :func:`chain_fuse`'s there bit for bit.
+    become known: fold ``k``, of stages ``0..k``, is final on its first ``final[k]``
+    frames, and equals :func:`chain_fuse`'s there bit for bit.
+
+    The folds share one series, ``fused``. As ``final[k] <= final[k - 1]``, it holds
+    fold ``k`` on ``[final[k + 1], final[k])`` and the last fold below its ``final``.
+    Fold ``k`` reads the fold before it only where it extends, at or past ``final[k]``,
+    since ``neighbor_validate`` reads its primary pointwise. Verifier ``k``'s asks
+    read it on the windows of frames at or past ``decided[k]``, which lie at or past
+    ``final[k]`` as ``final[k] <= known[k] - r <= decided[k] - r``. No later fold has
+    written there.
 
     It owns the stages' cells and asks stage 0 about every frame, verifier ``k``
-    about frame ``j`` once ``folds[k - 1]`` is final and positive within ``r`` of it:
+    about frame ``j`` once fold ``k - 1`` is final and positive within ``r`` of it:
     ``asked[k]`` lists those frames, ``ready`` queues them as ``(k, j)``, and stage
     ``k``'s cells are known below ``known[k]``. ``exact[i]`` says whether every verifier
     was asked about all of frame ``i``'s window, so that its fused score is exact.
     """
 
     def __init__(self, count: int, n: int, config: FusionConfig) -> None:
-        self.n, self.r = n, config.verifier_radius
+        self.n, self.r = n, (config.neighbor_window - 1) // 2
         # A lone stage is its own fold, unpacked.
-        self.pack = config.pack_size if config.packing_enabled and count > 1 else 1
+        self.pack = config.pack_size if count > 1 else 1
         self.stages = [_Cells(n) for _ in range(count)]
-        self.folds, self.final = [_Cells(n) for _ in range(count)], [0] * count
+        self.fused, self.final = _Cells(n), [0] * count
         self.exact = [True] * n
         self.asked = [range(n), *([] for _ in range(1, count))]
         self.decided, self.got, self.known = [n] + [0] * (count - 1), [0] * count, [0] * count
@@ -266,7 +258,7 @@ class _PrefixFold:
         for k in range(stage, len(self.asked)):
             asked = self.asked[k]
             if k > stage:
-                prior, final = self.folds[k - 1].labels, self.final[k - 1]
+                prior, final = self.fused.labels, self.final[k - 1]
                 end = n if final == n else final - r
                 for j in range(self.decided[k], end):
                     if any(prior[max(0, j - r) : j + r + 1]):
@@ -278,8 +270,8 @@ class _PrefixFold:
             self.extend(k, self.known[k])
 
     def extend(self, k: int, known: int) -> None:
-        """Extend ``folds[k]``, stage ``k`` being known below frame ``known``: over stage 0's
-        whole packs, or where ``folds[k - 1]`` is final and stage ``k`` is known ``r`` past.
+        """Extend fold ``k``, stage ``k`` being known below frame ``known``: over stage 0's
+        whole packs, or where fold ``k - 1`` is final and stage ``k`` is known ``r`` past.
         A new frame whose window verifier ``k`` was not wholly asked about is inexact."""
         done, r, n = self.final[k], self.r if k else 0, self.n
         end = known if known == n else known - (r if k else known % self.pack)
@@ -289,13 +281,11 @@ class _PrefixFold:
         # The frames this step decides and those they read, of stage ``k`` and of
         # the fold before it (none for stage 0).
         lo, hi = max(0, done - r), min(n, end + r)
-        stage, *prior = (
-            _series(tuple(s.labels[lo:hi]), tuple(s.scores[lo:hi]))
-            for s in (self.stages[k], *self.folds[k - 1 : k])
-        )
+        cells = (self.stages[k], self.fused) if k else (self.stages[k],)
+        stage, *prior = (_series(tuple(s.labels[lo:hi]), tuple(s.scores[lo:hi])) for s in cells)
         fused = neighbor_validate(*prior, stage, 2 * r + 1) if k else pack_mode(stage, self.pack)
-        self.folds[k].labels[done:end] = fused.labels[done - lo : end - lo]
-        self.folds[k].scores[done:end] = fused.scores[done - lo : end - lo]
+        self.fused.labels[done:end] = fused.labels[done - lo : end - lo]
+        self.fused.scores[done:end] = fused.scores[done - lo : end - lo]
         self.final[k] = end
         if k:
             for i in range(done, end):

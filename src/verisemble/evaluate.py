@@ -3,9 +3,7 @@
 Detections are compared to ground truth at event granularity: each
 maximal run of positive frames becomes one event stamped at its first
 frame, and an event counts as correct when its timestamp falls within a
-tolerance (default one second) of a ground-truth interval. Per-sequence
-precision/recall/F1 aggregate across sequences by median, which keeps a
-single degenerate sequence from dominating the summary.
+tolerance (default one second) of a ground-truth interval.
 
 The simulation helpers drive the fusion pipeline with synthetic
 classifier outputs from a deterministic PRNG so that statistical claims
@@ -15,9 +13,8 @@ about fused false-positive rates can be tested without trained models.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .ensemble import PredictionSeries, _series
 from .errors import ValidationError, _is_finite_number
@@ -29,7 +26,6 @@ __all__ = [
     "events_from_series",
     "ScoreReport",
     "match_score",
-    "median_report",
     "FrameMetrics",
     "frame_metrics",
 ]
@@ -154,9 +150,7 @@ class ScoreReport:
     """Event-level scoring of one sequence against its ground truth.
 
     Metrics are ``None`` where the denominator is empty: precision with
-    no detections, recall with no ground-truth intervals. Undefined
-    metrics are skipped by :func:`median_report` rather than counted as
-    zero.
+    no detections, recall with no ground-truth intervals.
     """
 
     precision: float | None
@@ -227,31 +221,6 @@ def match_score(
         intervals=len(spans),
         matched_intervals=matched_intervals,
         video=video,
-    )
-
-
-def median_report(reports: Sequence[ScoreReport]) -> ScoreReport:
-    """Aggregate per-sequence reports: median metrics, summed counts.
-
-    Each metric's median is taken over the sequences where it is
-    defined; if it is defined nowhere the aggregate is ``None`` too.
-    """
-    if not reports:
-        raise ValidationError("median_report needs at least one report")
-
-    def med(values: Iterable[float | None]) -> float | None:
-        defined = [v for v in values if v is not None]
-        return statistics.median(defined) if defined else None
-
-    return ScoreReport(
-        precision=med(r.precision for r in reports),
-        recall=med(r.recall for r in reports),
-        f1=med(r.f1 for r in reports),
-        events=sum(r.events for r in reports),
-        matched_events=sum(r.matched_events for r in reports),
-        intervals=sum(r.intervals for r in reports),
-        matched_intervals=sum(r.matched_intervals for r in reports),
-        video=None,
     )
 
 

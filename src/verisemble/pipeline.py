@@ -2,7 +2,7 @@
 
 Stage 0, the proposer, scores every frame. Each later stage is a verifier
 that can only veto, so it scores only the frames its decision can depend
-on: the window of ``FusionConfig.verifier_radius`` frames around each
+on: the window of ``FusionConfig.neighbor_window`` frames around each
 proposal that has survived the fold so far. The fold is local, so the
 stages run over the sequence together: a prefix fold, checked bit-equal to
 ``chain_fuse``, owns their cells and asks each verifier about those frames
@@ -233,7 +233,7 @@ def run_pipeline(
 
     with cores.frame_pool(workers) as pool:
         fold = _score_stages(pool, frames, config, models, 2 * workers)
-    series = (*fold.stages, fold.folds[-1])
+    series = (*fold.stages, fold.fused)
     *stage_series, fused = (_series(tuple(s.labels), tuple(s.scores)) for s in series)
     scored = tuple(map(tuple, fold.asked))
     for k, done in enumerate(scored):

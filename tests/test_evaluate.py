@@ -17,7 +17,6 @@ from verisemble import (
     events_from_series,
     frame_metrics,
     match_score,
-    median_report,
     simulate_predictor,
 )
 
@@ -306,63 +305,6 @@ class TestMatchScore:
             want_events, want_intervals = oracles.match_counts_ref(times, intervals, tol)
             assert report.matched_events == want_events
             assert report.matched_intervals == want_intervals
-
-
-class TestMedianReport:
-    def test_median_of_three(self):
-        reports = [
-            match_score([1.0], [(0.5, 1.5)]),       # P = 1
-            match_score([1.0, 9.0], [(0.5, 1.5)]),  # P = 0.5
-            match_score([9.0], [(0.5, 1.5)]),       # P = 0
-        ]
-        combined = median_report(reports)
-        assert combined.precision == 0.5
-        assert combined.recall == 1.0
-
-    def test_even_count_averages(self):
-        reports = [
-            match_score([1.0], [(0.5, 1.5)]),
-            match_score([9.0], [(0.5, 1.5)]),
-        ]
-        assert median_report(reports).precision == 0.5
-
-    def test_single_report_passthrough(self):
-        report = match_score([1.0], [(0.5, 1.5)])
-        combined = median_report([report])
-        assert combined.precision == report.precision
-        assert combined.recall == report.recall
-        assert combined.f1 == report.f1
-
-    def test_undefined_metrics_excluded(self):
-        reports = [
-            match_score([], [(0.0, 1.0)]),     # precision None
-            match_score([0.5], [(0.0, 1.0)]),  # precision 1
-        ]
-        combined = median_report(reports)
-        assert combined.precision == 1.0  # the None entry is not counted as 0
-        assert combined.recall == 0.5
-
-    def test_all_undefined_stays_undefined(self):
-        reports = [match_score([], [(0.0, 1.0)]), match_score([], [(2.0, 3.0)])]
-        combined = median_report(reports)
-        assert combined.precision is None
-        assert combined.f1 is None
-
-    def test_counts_are_summed(self):
-        reports = [
-            match_score([1.0], [(0.5, 1.5)]),
-            match_score([9.0], [(0.5, 1.5), (8.5, 9.5)]),
-        ]
-        combined = median_report(reports)
-        assert combined.events == 2
-        assert combined.intervals == 3
-        assert combined.matched_events == 2
-        assert combined.matched_intervals == 2
-        assert combined.video is None
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            median_report([])
 
 
 class TestFrameMetrics:

@@ -211,7 +211,7 @@ INPUT_SIZES = st.one_of(
     st.integers(-3, 40), st.sampled_from([10**400, 2**1024]),
     st.floats(allow_nan=True, allow_infinity=True), ODD_VALUES,
 )
-FUSION_KEYS = ["pack_size", "neighbor_window", "packing_enabled", "extra"]
+FUSION_KEYS = ["pack_size", "neighbor_window", "extra"]
 STAGES = st.fixed_dictionaries({
     "channels": st.one_of(st.sampled_from(["RGB", "RG", "L", "XYZ"]), ODD_VALUES),
     "model": st.one_of(

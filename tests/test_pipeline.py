@@ -106,7 +106,7 @@ def proposal_windows(
     appended to the fold keeps exactly the fold's positives."""
     n = len(stages[0])
     always = PredictionSeries(labels=(True,) * n, scores=(1.0,) * n)
-    radius = (fusion.neighbor_window - 1) // 2 if fusion.packing_enabled else 0
+    radius = (fusion.neighbor_window - 1) // 2
     centres = chain_fuse(list(stages) + [always], fusion).positive_indices()
     return tuple(j for j in range(n) if any(abs(j - i) <= radius for i in centres))
 
@@ -115,7 +115,7 @@ def final_known(
     scored: tuple[tuple[int, ...], ...], n: int, fusion: FusionConfig
 ) -> tuple[int, ...]:
     """Frames whose every verifier window lies inside that verifier's scored set."""
-    radius = (fusion.neighbor_window - 1) // 2 if fusion.packing_enabled else 0
+    radius = (fusion.neighbor_window - 1) // 2
     return tuple(
         i
         for i in range(n)
@@ -306,7 +306,7 @@ class TestGoldenSequence:
     def test_packing_disabled_leaves_no_overlap(self):
         # Proposer fires on frames 3-5, verifier only on 6: the plain AND
         # has no common frame.
-        config = mean_pipeline(fusion=FusionConfig(packing_enabled=False))
+        config = mean_pipeline(fusion=FusionConfig(pack_size=1, neighbor_window=1))
         result = run_pipeline(config, golden_frames(), fps=GOLDEN_FPS)
         assert result.fused.positive_count() == 0
         assert result.events == ()
@@ -427,7 +427,6 @@ def lazy_cases(draw):
     fusion = FusionConfig(
         pack_size=draw(st.sampled_from((1, 3, 5, 7))),
         neighbor_window=draw(st.sampled_from((1, 3, 5, 7))),
-        packing_enabled=draw(st.booleans()),
     )
     return stages, colors, fusion
 
@@ -578,7 +577,8 @@ def test_no_series_is_written_after_it_is_built():
                 PredictionSeries(labels=tuple(draw.random(n) < 0.5), scores=tuple(draw.random(n)))
                 for _ in range(draw.integers(1, 5))
             ],
-            FusionConfig(*map(int, draw.choice((1, 3, 5), 2)), packing_enabled=bool(n % 2)),
+            # An even length takes a pack and window of 1, drawing the pair all the same.
+            FusionConfig(*(int(v) if n % 2 else 1 for v in draw.choice((1, 3, 5), 2))),
         )
         for n in draw.integers(0, 40, 200)
     ]
