@@ -1180,20 +1180,35 @@ class TestSimulate:
         assert fusion == FusionConfig(pack_size=5, neighbor_window=5)
 
     @pytest.mark.parametrize(
-        "flags, changed",
+        "block, flags, changed",
         [
-            ([], {}),
-            (["--pack-size", "3"], {"pack_size": 3}),
-            (["--neighbor-window", "1"], {"neighbor_window": 1}),
-            (["--pack-size", "9"], {"pack_size": 9}),
+            ({"pack_size": 5, "neighbor_window": 7}, [], {}),
+            ({"pack_size": 5, "neighbor_window": 7}, ["--pack-size", "3"], {"pack_size": 3}),
             (
+                {"pack_size": 5, "neighbor_window": 7},
+                ["--neighbor-window", "1"],
+                {"neighbor_window": 1},
+            ),
+            (
+                {"pack_size": 5, "neighbor_window": 7},
+                ["--pack-size", "1", "--neighbor-window", "1"],
+                {"pack_size": 1, "neighbor_window": 1},
+            ),
+            ({"pack_size": 1, "neighbor_window": 1}, [], {}),
+            ({"pack_size": 1, "neighbor_window": 1}, ["--pack-size", "9"], {"pack_size": 9}),
+            (
+                {"pack_size": 1, "neighbor_window": 1},
+                ["--neighbor-window", "5"],
+                {"neighbor_window": 5},
+            ),
+            (
+                {"pack_size": 5, "neighbor_window": 7},
                 ["--pack-size", "9", "--neighbor-window", "3"],
                 {"pack_size": 9, "neighbor_window": 3},
             ),
         ],
     )
-    def test_each_flag_replaces_only_its_field(self, tmp_path, capsys, flags, changed):
-        block = {"pack_size": 5, "neighbor_window": 7}
+    def test_each_flag_replaces_only_its_field(self, tmp_path, capsys, block, flags, changed):
         config = write_mean_config(tmp_path / "config.json", fusion=block)
         fusion = self.fusion_used(tmp_path, capsys, "--config", str(config), *flags)
         assert fusion == FusionConfig(**{**block, **changed})
@@ -1202,6 +1217,10 @@ class TestSimulate:
         "flags, changed",
         [
             ([], {}),
+            (
+                ["--pack-size", "1", "--neighbor-window", "1"],
+                {"pack_size": 1, "neighbor_window": 1},
+            ),
             (["--pack-size", "7"], {"pack_size": 7}),
         ],
     )

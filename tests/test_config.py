@@ -235,6 +235,16 @@ class TestSectionParsing:
         with pytest.raises(FormatError, match="fusion.*unknown"):
             parse_config(obj)
 
+    @pytest.mark.parametrize("packing", [True, False])
+    def test_packing_enabled_is_an_unknown_fusion_key(self, packing):
+        """Fusion is set by ``pack_size`` and ``neighbor_window`` alone; the
+        old switch is named as the one unknown key beside them."""
+        obj = minimal_obj()
+        obj["fusion"] = {"pack_size": 1, "neighbor_window": 1, "packing_enabled": packing}
+        with pytest.raises(FormatError) as exc:
+            parse_config(obj)
+        assert str(exc.value) == "fusion: unknown keys ['packing_enabled']"
+
     def test_bad_luma_shape(self):
         obj = minimal_obj()
         obj["luma"] = [0.5, 0.5]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -343,3 +345,14 @@ class TestFrameMetrics:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             frame_metrics([True], [True, False])
+
+
+def test_import_loads_no_statistics():
+    """Scoring needs no ``statistics``; importing it would load ``fractions``
+    and ``decimal`` with the package and lengthen every set-up."""
+    code = "import sys, verisemble; print('statistics' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
