@@ -83,7 +83,6 @@ from .pipeline import (
     run_pipeline,
 )
 from .preprocess import (
-    BT601_LUMA,
     ChannelSubset,
     extract_features,
     resize_aa,
@@ -93,7 +92,6 @@ from .preprocess import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BT601_LUMA",
     "ChannelSubset",
     "CnnModel",
     "CnnModelConfig",

@@ -23,7 +23,7 @@ from .errors import (
     _read_json,
     _require_keys,
 )
-from .preprocess import BT601_LUMA, ChannelSubset
+from .preprocess import ChannelSubset
 
 __all__ = [
     "CONFIG_VERSION",
@@ -89,7 +89,6 @@ class PipelineConfig:
     fusion: FusionConfig = field(default_factory=FusionConfig)
     input_width: int = 300
     input_height: int = 300
-    luma_coefficients: tuple[float, float, float] = BT601_LUMA
     threshold: float = 0.5
     fps: float | None = None
 
@@ -114,16 +113,6 @@ class PipelineConfig:
                 raise ValidationError(
                     f"bad input size: {name} must be an int >= 1, got {getattr(self, name)!r}"
                 )
-        luma = self.luma_coefficients
-        if not (
-            isinstance(luma, (tuple, list))
-            and len(luma) == 3
-            and all(_is_finite_number(v) and v >= 0 for v in luma)
-        ):
-            raise ValidationError(
-                f"luma coefficients must be 3 non-negative finite numbers, got {luma!r}"
-            )
-        object.__setattr__(self, "luma_coefficients", tuple(float(v) for v in luma))
         if not (_is_finite_number(self.threshold) and 0.0 < self.threshold < 1.0):
             raise ValidationError(
                 f"threshold must be a number strictly between 0 and 1, got {self.threshold!r}"
@@ -179,9 +168,7 @@ def parse_config(obj: Mapping, base_dir: str | Path = ".") -> PipelineConfig:
     config file's directory) so a config bundle can be moved as a unit.
     """
     base_dir = Path(base_dir)
-    allowed = {
-        "config_version", "input", "threshold", "fps", "luma", "fusion", "stages",
-    }
+    allowed = {"config_version", "input", "threshold", "fps", "fusion", "stages"}
     _require_keys(obj, allowed, {"config_version", "stages"}, "config")
     if obj["config_version"] != CONFIG_VERSION:
         raise FormatError(
@@ -190,8 +177,7 @@ def parse_config(obj: Mapping, base_dir: str | Path = ".") -> PipelineConfig:
         )
 
     # Only the keys the JSON gives; every default lives on the dataclasses.
-    names = {"luma": "luma_coefficients", "threshold": "threshold", "fps": "fps"}
-    fields = {names[key]: obj[key] for key in names if key in obj}
+    fields = {key: obj[key] for key in ("threshold", "fps") if key in obj}
     if "input" in obj:
         _require_keys(obj["input"], {"width", "height"}, {"width", "height"}, "input")
         fields["input_width"] = obj["input"]["width"]

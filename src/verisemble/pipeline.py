@@ -159,7 +159,7 @@ def _score_stages(
     released = 0
 
     def score(resized: Frame, k: int) -> float:
-        pixels = _stage_pixels(resized, config.stages[k].channels, config.luma_coefficients)
+        pixels = _stage_pixels(resized, config.stages[k].channels)
         return models[k].score(pixels)
 
     def first(i: int, keep: np.ndarray | None) -> tuple[Frame | None, float]:

@@ -23,15 +23,14 @@ from .frameio import Frame
 from .nn import _read_pixels
 
 __all__ = [
-    "BT601_LUMA",
     "ChannelSubset",
     "resize_aa",
     "to_grayscale",
     "extract_features",
 ]
 
-# ITU-R BT.601 luma weights; overridable through the pipeline config.
-BT601_LUMA = (0.299, 0.587, 0.114)
+# ITU-R BT.601 luma weights.
+_BT601_LUMA = (0.299, 0.587, 0.114)
 
 
 class ChannelSubset(enum.Enum):
@@ -193,27 +192,19 @@ def resize_aa(frame: Frame, out_w: int, out_h: int) -> Frame:
     return Frame(index=frame.index, pixels=pixels)
 
 
-def to_grayscale(
-    frame: Frame, coefficients: tuple[float, float, float] = BT601_LUMA
-) -> Frame:
+def to_grayscale(frame: Frame) -> Frame:
     """Collapse a 3-channel frame to a single luma channel.
 
-    Per pixel: ``round_half_up(c_r*R + c_g*G + c_b*B)`` clamped to [0, 255].
+    Per pixel: ``round_half_up(0.299*R + 0.587*G + 0.114*B)`` clamped to
+    [0, 255].
     """
     if frame.channels != 3:
         raise ValueError(f"grayscale conversion requires 3 channels, got {frame.channels}")
-    coeffs = np.asarray(coefficients, dtype=np.float64)
-    if coeffs.shape != (3,) or not np.all(np.isfinite(coeffs)) or np.any(coeffs < 0):
-        raise ValidationError(f"luma coefficients must be 3 finite non-negatives, got {coefficients}")
-    luma = frame.pixels.astype(np.float64) @ coeffs
+    luma = frame.pixels.astype(np.float64) @ np.array(_BT601_LUMA)
     return Frame(index=frame.index, pixels=_round_half_up_u8(luma)[:, :, np.newaxis])
 
 
-def _stage_pixels(
-    frame: Frame,
-    subset: ChannelSubset,
-    luma_coefficients: tuple[float, float, float] = BT601_LUMA,
-) -> np.ndarray:
+def _stage_pixels(frame: Frame, subset: ChannelSubset) -> np.ndarray:
     """The 8-bit pixels a classification stage reads: the subset's channels
     in declared order, or the uint8 luma of :func:`to_grayscale` for
     ``LUMA``, as a ``(height, width, channels)`` uint8 array. For ``RGB``
@@ -225,17 +216,13 @@ def _stage_pixels(
             f"feature extraction requires a 3-channel frame, got {frame.channels}"
         )
     if subset is ChannelSubset.LUMA:
-        return to_grayscale(frame, coefficients=luma_coefficients).pixels
+        return to_grayscale(frame).pixels
     if subset is ChannelSubset.RGB:
         return frame.pixels
     return frame.pixels[:, :, list(subset.channel_indices)]
 
 
-def extract_features(
-    frame: Frame,
-    subset: ChannelSubset,
-    luma_coefficients: tuple[float, float, float] = BT601_LUMA,
-) -> np.ndarray:
+def extract_features(frame: Frame, subset: ChannelSubset) -> np.ndarray:
     """Extract the feature tensor a classification stage consumes.
 
     The stage's 8-bit pixels (the subset's channels in declared order, or
@@ -243,4 +230,4 @@ def extract_features(
     channels)`` float64 array. The pipeline hands a stage the 8-bit pixels
     themselves; ``nn.forward`` reads them with this same division.
     """
-    return _read_pixels(_stage_pixels(frame, subset, luma_coefficients))
+    return _read_pixels(_stage_pixels(frame, subset))

@@ -606,6 +606,16 @@ class TestRun:
         ]
         assert not out.exists()
 
+    def test_luma_is_an_unknown_config_key(self, tmp_path, capsys):
+        """Luma has no setting: a config that gives the BT.601 weights
+        exits 2 on the key before it scores a frame."""
+        _, frames, out = golden_workspace(tmp_path)
+        config = write_mean_config(tmp_path / "config.json", luma=[0.299, 0.587, 0.114])
+        code = main(["run", "--config", str(config), "--frames", str(frames), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["error: config: unknown keys ['luma']"]
+        assert not out.exists()
+
     def test_missing_frame_file_exits_2(self, tmp_path, capsys):
         config, frames, out = golden_workspace(tmp_path)
         (frames / "frame_0004.ppm").unlink()

@@ -19,7 +19,6 @@ from verisemble import (
     load_config,
     parse_config,
 )
-from verisemble.preprocess import BT601_LUMA
 
 
 def minimal_obj() -> dict:
@@ -37,7 +36,6 @@ def full_obj() -> dict:
         "input": {"width": 64, "height": 48},
         "threshold": 0.6,
         "fps": 25.0,
-        "luma": [0.25, 0.5, 0.25],
         "fusion": {"pack_size": 5, "neighbor_window": 3},
         "stages": [
             {"channels": "RGB", "model": {"type": "mean_intensity"}},
@@ -54,7 +52,6 @@ class TestParseConfig:
         assert config.threshold == 0.5
         assert config.fps is None
         assert config.fusion == FusionConfig()
-        assert config.luma_coefficients == BT601_LUMA
         assert len(config.stages) == 1
         assert config.stages[0].channels is ChannelSubset.RGB
         assert isinstance(config.stages[0].model, MeanIntensityModelConfig)
@@ -64,7 +61,6 @@ class TestParseConfig:
         assert (config.input_width, config.input_height) == (64, 48)
         assert config.threshold == 0.6
         assert config.fps == 25.0
-        assert config.luma_coefficients == (0.25, 0.5, 0.25)
         assert config.fusion.pack_size == 5
         assert [s.channels for s in config.stages] == [ChannelSubset.RGB, ChannelSubset.LUMA]
 
@@ -245,6 +241,15 @@ class TestSectionParsing:
             parse_config(obj)
         assert str(exc.value) == "fusion: unknown keys ['packing_enabled']"
 
+    def test_luma_is_an_unknown_key(self):
+        """Luma is always BT.601; a config that still gives its weights,
+        even the BT.601 ones, names the key it may not set."""
+        obj = minimal_obj()
+        obj["luma"] = [0.299, 0.587, 0.114]
+        with pytest.raises(FormatError) as exc:
+            parse_config(obj)
+        assert str(exc.value) == "config: unknown keys ['luma']"
+
     def test_bad_luma_shape(self):
         obj = minimal_obj()
         obj["luma"] = [0.5, 0.5]
@@ -307,10 +312,8 @@ class TestSectionParsing:
     def test_integer_accepted_where_a_number_is_due(self):
         obj = minimal_obj()
         obj["fps"] = 25
-        obj["luma"] = [0, 1, 0]
         config = parse_config(obj)
         assert config.fps == 25
-        assert config.luma_coefficients == (0.0, 1.0, 0.0)
 
 
 class TestDataclassValidation:
@@ -342,14 +345,20 @@ class TestDataclassValidation:
             ("input_width", True, "input_width"),
             ("input_width", 2.5, "input_width"),
             ("input_height", "300", "input_height"),
-            ("luma_coefficients", ("0.3", False, 1), "luma"),
-            ("luma_coefficients", (0.3, 0.5), "luma"),
-            ("luma_coefficients", 0.3, "luma"),
-            ("luma_coefficients", (10**400, 0, 0), "luma"),
-            ("luma_coefficients", (float("inf"), 0, 0), "luma"),
-            ("luma_coefficients", (float("nan"), 0, 0), "luma"),
             ("fusion", {"pack_size": 3}, "fusion"),
             ("stages", ("RGB",), "stage"),
+        ],
+        # Fixed ids keep each case's name stable when a case is added or removed.
+        ids=[
+            "threshold-0.5-threshold",
+            "threshold-True-threshold",
+            "fps-25-fps",
+            "fps-False-fps",
+            "input_width-True-input_width",
+            "input_width-2.5-input_width",
+            "input_height-300-input_height",
+            "fusion-value13-fusion",
+            "stages-value14-stage",
         ],
     )
     def test_mistyped_field_on_direct_construction(self, field, value, match):
@@ -360,8 +369,7 @@ class TestDataclassValidation:
 
     def test_integers_accepted_where_a_number_is_due(self):
         stage = StageConfig(channels=ChannelSubset.RGB, model=MeanIntensityModelConfig())
-        config = PipelineConfig(stages=[stage], luma_coefficients=[0, 1, 0], fps=25)
-        assert config.luma_coefficients == (0.0, 1.0, 0.0)
+        config = PipelineConfig(stages=[stage], fps=25)
         assert config.fps == 25
         assert config.stages == (stage,)
 

@@ -229,9 +229,6 @@ CONFIG_FIELDS = {
     ),
     "threshold": st.one_of(st.floats(0, 1), NUMBERS, ODD_VALUES),
     "fps": st.one_of(st.floats(1e-3, 1e3), NUMBERS, ODD_VALUES),
-    "luma": st.one_of(
-        st.lists(st.one_of(st.floats(0, 1), NUMBERS, ODD_VALUES), max_size=4), ODD_VALUES
-    ),
     "fusion": st.one_of(
         st.dictionaries(
             st.sampled_from(FUSION_KEYS),
@@ -281,7 +278,6 @@ def test_run_exit_code_contract_over_configs(run_workspace, config):
 NUMBER_SLOTS = {
     "fps": '"fps": @',
     "threshold": '"threshold": @',
-    "luma": '"luma": [0.299, @, 0.114]',
     "input": '"input": {"width": @, "height": 32}',
     "pack_size": '"fusion": {"pack_size": @}',
     "neighbor_window": '"fusion": {"neighbor_window": @}',

@@ -85,9 +85,7 @@ def direct_series(config: PipelineConfig, frames, models=None) -> list[Predictio
         scores = tuple(
             model.score(
                 extract_features(
-                    resize_aa(frame, config.input_width, config.input_height),
-                    stage.channels,
-                    config.luma_coefficients,
+                    resize_aa(frame, config.input_width, config.input_height), stage.channels
                 )
             )
             for frame in frames
@@ -272,9 +270,7 @@ class TestGoldenSequence:
         # The fused score at frame 5 is min(primary magenta score, best
         # verifier score in its window) = the green frame's luma mean.
         green = resize_aa(solid_frame(GREEN), config.input_width, config.input_height)
-        want = MeanIntensityModel().score(
-            extract_features(green, ChannelSubset.LUMA, config.luma_coefficients)
-        )
+        want = MeanIntensityModel().score(extract_features(green, ChannelSubset.LUMA))
         assert result.events[0].peak_score == want
 
     def test_stage_scores_match_direct_scoring(self):

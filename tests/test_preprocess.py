@@ -13,7 +13,6 @@ import pytest
 
 from verisemble import preprocess
 from verisemble import (
-    BT601_LUMA,
     ChannelSubset,
     Frame,
     ValidationError,
@@ -255,24 +254,10 @@ class TestToGrayscale:
                     r, g, b = (int(v) for v in frame.pixels[y, x])
                     assert got.pixels[y, x, 0] == luma_pixel(r, g, b)
 
-    def test_custom_coefficients(self):
-        out = to_grayscale(solid_frame((100, 50, 10), size=1), coefficients=(1.0, 0.0, 0.0))
-        assert out.pixels.tolist() == [[[100]]]
-
     def test_single_channel_input_rejected(self):
         frame = Frame(index=0, pixels=np.zeros((2, 2, 1), np.uint8))
         with pytest.raises(ValueError):
             to_grayscale(frame)
-
-    @pytest.mark.parametrize(
-        "coefficients", [(0.5, -0.1, 0.6), (0.5, 0.5), (0.3, float("nan"), 0.1)]
-    )
-    def test_bad_coefficients_rejected(self, coefficients):
-        with pytest.raises(ValidationError) as caught:
-            to_grayscale(solid_frame((1, 2, 3), size=1), coefficients)
-        assert str(caught.value) == (
-            f"luma coefficients must be 3 finite non-negatives, got {coefficients}"
-        )
 
 
 class TestExtractFeatures:
@@ -323,11 +308,6 @@ class TestExtractFeatures:
             want = [[[int(v) / 255 for v in cell] for cell in row] for row in source.tolist()]
             assert features.tolist() == want
 
-    def test_luma_uses_supplied_coefficients(self):
-        frame = solid_frame((100, 0, 0), size=1)
-        features = extract_features(frame, ChannelSubset.LUMA, luma_coefficients=(1.0, 0.0, 0.0))
-        assert features[0, 0, 0] == 100 / 255
-
     def test_subset_must_be_a_channel_subset(self):
         with pytest.raises(ValueError) as caught:
             extract_features(solid_frame((1, 2, 3), size=1), "RGB")
@@ -338,6 +318,3 @@ class TestExtractFeatures:
         with pytest.raises(ValueError) as caught:
             extract_features(frame, ChannelSubset.LUMA)
         assert str(caught.value) == "feature extraction requires a 3-channel frame, got 1"
-
-    def test_default_coefficients_are_bt601(self):
-        assert BT601_LUMA == (0.299, 0.587, 0.114)
