@@ -3,8 +3,10 @@
 The resize suppresses aliasing noise by area-averaging on downscale (every
 source pixel contributes in proportion to its coverage of the target cell)
 and falls back to bilinear interpolation on upscale. A stage reads
-its channel subset, or a derived luma channel, as 8-bit pixels;
-``extract_features`` gives them scaled into [0, 1] as float64.
+its channel subset, or the frame's ITU-R BT.601 luma, as 8-bit pixels;
+``extract_features`` gives them scaled into [0, 1] as float64. Luma has
+no setting: it is ``(299*R + 587*G + 114*B + 500) // 1000``, exact in
+integers.
 
 All functions are pure and safe to run data-parallel across frames.
 """
@@ -29,8 +31,8 @@ __all__ = [
     "extract_features",
 ]
 
-# ITU-R BT.601 luma weights.
-_BT601_LUMA = (0.299, 0.587, 0.114)
+# ITU-R BT.601 luma weights of R, G and B, in thousandths.
+_LUMA_PER_MILLE = (299, 587, 114)
 
 
 class ChannelSubset(enum.Enum):
@@ -74,10 +76,6 @@ class ChannelSubset(enum.Enum):
 # each of them then stays under glibc's default 128 KiB mmap threshold, so
 # bands reuse heap memory rather than map and fault in fresh pages.
 _BAND_BYTES = 1 << 18
-
-
-def _round_half_up_u8(values: np.ndarray) -> np.ndarray:
-    return np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8)
 
 
 @functools.lru_cache(maxsize=16)
@@ -193,20 +191,27 @@ def resize_aa(frame: Frame, out_w: int, out_h: int) -> Frame:
 
 
 def to_grayscale(frame: Frame) -> Frame:
-    """Collapse a 3-channel frame to a single luma channel.
+    """Collapse a 3-channel frame to a single ITU-R BT.601 luma channel.
 
-    Per pixel: ``round_half_up(0.299*R + 0.587*G + 0.114*B)`` clamped to
-    [0, 255].
+    Per pixel: ``(299*R + 587*G + 114*B + 500) // 1000``, the exact
+    ``0.299*R + 0.587*G + 0.114*B`` rounded half up, so ties round up. The
+    sum is at most 255,000 + 500 and is kept in int32, one channel product
+    at a time; no float copy of the frame is made.
     """
     if frame.channels != 3:
         raise ValueError(f"grayscale conversion requires 3 channels, got {frame.channels}")
-    luma = frame.pixels.astype(np.float64) @ np.array(_BT601_LUMA)
-    return Frame(index=frame.index, pixels=_round_half_up_u8(luma)[:, :, np.newaxis])
+    luma = np.full(frame.pixels.shape[:2], 500, np.int32)
+    for channel, weight in enumerate(_LUMA_PER_MILLE):
+        # An explicit int32: under value-based casting (numpy < 2) a uint8
+        # array times 587 is uint16, which overflows.
+        luma += np.multiply(frame.pixels[:, :, channel], weight, dtype=np.int32)
+    luma //= 1000
+    return Frame(index=frame.index, pixels=luma.astype(np.uint8)[:, :, np.newaxis])
 
 
 def _stage_pixels(frame: Frame, subset: ChannelSubset) -> np.ndarray:
     """The 8-bit pixels a classification stage reads: the subset's channels
-    in declared order, or the uint8 luma of :func:`to_grayscale` for
+    in declared order, or the exact BT.601 luma of :func:`to_grayscale` for
     ``LUMA``, as a ``(height, width, channels)`` uint8 array. For ``RGB``
     it is the frame's own pixel array."""
     if not isinstance(subset, ChannelSubset):
@@ -226,8 +231,9 @@ def extract_features(frame: Frame, subset: ChannelSubset) -> np.ndarray:
     """Extract the feature tensor a classification stage consumes.
 
     The stage's 8-bit pixels (the subset's channels in declared order, or
-    luma for ``LUMA``) scaled by 1/255 into [0, 1], as a ``(height, width,
-    channels)`` float64 array. The pipeline hands a stage the 8-bit pixels
-    themselves; ``nn.forward`` reads them with this same division.
+    the BT.601 luma of :func:`to_grayscale` for ``LUMA``) scaled by 1/255
+    into [0, 1], as a ``(height, width, channels)`` float64 array. The
+    pipeline hands a stage the 8-bit pixels themselves; ``nn.forward``
+    reads them with this same division.
     """
     return _read_pixels(_stage_pixels(frame, subset))

@@ -18,10 +18,6 @@ from fractions import Fraction
 import numpy as np
 
 
-def round_half_up(value: float) -> int:
-    return int(math.floor(value + 0.5))
-
-
 def clamp_u8(value: int) -> int:
     return 0 if value < 0 else 255 if value > 255 else value
 
@@ -29,9 +25,11 @@ def clamp_u8(value: int) -> int:
 # -- preprocessing ---------------------------------------------------------
 
 
-def luma_pixel(r: int, g: int, b: int, coefficients=(0.299, 0.587, 0.114)) -> int:
-    cr, cg, cb = coefficients
-    return clamp_u8(round_half_up(cr * r + cg * g + cb * b))
+def luma_pixel(r: int, g: int, b: int) -> int:
+    """BT.601 luma, ``0.299*R + 0.587*G + 0.114*B`` with the weights read as
+    exact decimals, rounded half up."""
+    exact = Fraction("0.299") * r + Fraction("0.587") * g + Fraction("0.114") * b
+    return math.floor(exact + Fraction(1, 2))
 
 
 def _exact_axis_samples(out_n: int, in_n: int, j: int) -> list[tuple[int, Fraction]]:

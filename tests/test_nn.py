@@ -1306,7 +1306,7 @@ def stock_scores_with_blas_threads(threads: int) -> list[str]:
 def test_stock_scores_bit_identical_across_blas_thread_counts():
     """`run --workers N` lowers the BLAS thread count while it scores; that
     is exact only if a forward pass gives the same bits at any count. The
-    luma stage is covered too: `to_grayscale`'s float64 product is BLAS."""
+    luma stage's forward is covered too; its integer luma uses no BLAS."""
     single = stock_scores_with_blas_threads(1)
     assert len(single) == 6
     assert stock_scores_with_blas_threads(2) == single

@@ -6,6 +6,7 @@ import functools
 import math
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -253,6 +254,37 @@ class TestToGrayscale:
                 for x in range(frame.width):
                     r, g, b = (int(v) for v in frame.pixels[y, x])
                     assert got.pixels[y, x, 0] == luma_pixel(r, g, b)
+
+    def test_every_rgb_triple_is_exact_bt601(self):
+        """All 2**24 triples, in bands of 32 red values, equal the per-mille
+        formula; the 16,782 whose exact luma ends in .5 also equal
+        ``luma_pixel``, so each of those ties rounds up."""
+        green, blue = np.divmod(np.arange(65536), 256)
+        ties = []
+        for r0 in range(0, 256, 32):
+            red = np.arange(r0, r0 + 32)[:, None]
+            pixels = np.empty((32, 65536, 3), np.uint8)
+            pixels[..., 0], pixels[..., 1], pixels[..., 2] = red, green, blue
+            milli = 299 * red + 587 * green + 114 * blue
+            got = to_grayscale(Frame(index=0, pixels=pixels)).pixels[:, :, 0]
+            assert np.array_equal(got, (milli + 500) // 1000)
+            rows, cols = np.nonzero(milli % 1000 == 500)
+            ties += zip(r0 + rows, green[cols], blue[cols], got[rows, cols])
+        assert len(ties) == 16_782
+        assert all(luma == luma_pixel(int(r), int(g), int(b)) for r, g, b, luma in ties)
+
+    def test_luma_of_a_300x300_frame_makes_no_float_copy(self):
+        """An L stage's pixels cost an int32 sum and one channel product
+        beside the uint8 result, under 1.25 MiB at 300x300; a float64 copy
+        of the frame alone is 2.06 MiB."""
+        frame = random_frame(seed=3301, width=300, height=300)
+        tracemalloc.start()
+        try:
+            preprocess._stage_pixels(frame, ChannelSubset.LUMA)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25
 
     def test_single_channel_input_rejected(self):
         frame = Frame(index=0, pixels=np.zeros((2, 2, 1), np.uint8))
