@@ -241,11 +241,24 @@ class TestSectionParsing:
             parse_config(obj)
         assert str(exc.value) == "fusion: unknown keys ['packing_enabled']"
 
-    def test_luma_is_an_unknown_key(self):
-        """Luma is always BT.601; a config that still gives its weights,
-        even the BT.601 ones, names the key it may not set."""
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [0.299, 0.587, 0.114],
+            [0.25, 0.5, 0.25],
+            [0, 1, 0],
+            0.3,
+            ["0.3", False, 1],
+            [float("inf"), 0, 0],
+        ],
+        ids=["bt601", "quarters", "green-only", "scalar", "mistyped", "infinite"],
+    )
+    def test_luma_is_an_unknown_key(self, weights):
+        """Luma is always BT.601; a config that still gives weights, even
+        the BT.601 ones or ones the old check refused, names the key it may
+        not set rather than the weights' fault."""
         obj = minimal_obj()
-        obj["luma"] = [0.299, 0.587, 0.114]
+        obj["luma"] = weights
         with pytest.raises(FormatError) as exc:
             parse_config(obj)
         assert str(exc.value) == "config: unknown keys ['luma']"
@@ -372,6 +385,11 @@ class TestDataclassValidation:
         config = PipelineConfig(stages=[stage], fps=25)
         assert config.fps == 25
         assert config.stages == (stage,)
+
+    def test_luma_coefficients_is_not_a_field(self):
+        stage = StageConfig(channels=ChannelSubset.RGB, model=MeanIntensityModelConfig())
+        with pytest.raises(TypeError, match="luma_coefficients"):
+            PipelineConfig(stages=(stage,), luma_coefficients=(0.299, 0.587, 0.114))
 
     def test_cnn_config_needs_path(self):
         with pytest.raises(ValidationError):

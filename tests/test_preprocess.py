@@ -239,6 +239,31 @@ class TestToGrayscale:
         out = to_grayscale(solid_frame((0, 255, 0), size=2))
         assert np.all(out.pixels == 150)
 
+    def test_pure_blue_is_29(self):
+        out = to_grayscale(solid_frame((0, 0, 255), size=2))
+        assert np.all(out.pixels == 29)
+
+    @pytest.mark.parametrize(
+        "rgb, luma",
+        [
+            ((0, 36, 12), 23),
+            ((0, 80, 110), 60),
+            ((0, 204, 68), 128),
+            ((255, 195, 235), 218),
+            ((255, 203, 71), 204),
+            ((255, 213, 116), 215),
+        ],
+        ids=str,
+    )
+    def test_tie_rounds_up(self, rgb, luma):
+        """Exact luma ``luma - 0.5``; a float64 product at the BT.601
+        weights lands just below it and rounded these down."""
+        r, g, b = rgb
+        assert 299 * r + 587 * g + 114 * b == 1000 * luma - 500
+        out = to_grayscale(solid_frame(rgb, size=2))
+        assert out.pixels.dtype == np.uint8
+        assert np.all(out.pixels == luma)
+
     def test_gray_pixels_fixed_exhaustively(self):
         # One frame holding every gray value 0..255.
         values = np.arange(256, dtype=np.uint8).reshape(16, 16)
@@ -290,6 +315,27 @@ class TestToGrayscale:
         frame = Frame(index=0, pixels=np.zeros((2, 2, 1), np.uint8))
         with pytest.raises(ValueError):
             to_grayscale(frame)
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda frame: to_grayscale(frame, (1.0, 0.0, 0.0)),
+            lambda frame: extract_features(frame, ChannelSubset.LUMA, (1.0, 0.0, 0.0)),
+        ],
+        ids=["to_grayscale", "extract_features"],
+    )
+    def test_takes_no_coefficients(self, convert):
+        with pytest.raises(TypeError):
+            convert(solid_frame((100, 50, 10), size=1))
+
+    def test_weights_are_not_public(self):
+        import verisemble
+
+        assert not hasattr(verisemble, "BT601_LUMA")
+        assert not hasattr(preprocess, "BT601_LUMA")
+        assert preprocess.__all__ == [
+            "ChannelSubset", "resize_aa", "to_grayscale", "extract_features"
+        ]
 
 
 class TestExtractFeatures:
