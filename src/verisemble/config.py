@@ -18,6 +18,7 @@ from .errors import (
     FormatError,
     LoadError,
     ValidationError,
+    _check_fps,
     _is_finite_number,
     _is_int_at_least,
     _read_json,
@@ -117,10 +118,8 @@ class PipelineConfig:
             raise ValidationError(
                 f"threshold must be a number strictly between 0 and 1, got {self.threshold!r}"
             )
-        if self.fps is not None and not (_is_finite_number(self.fps) and self.fps > 0):
-            raise ValidationError(
-                f"fps must be a positive finite number when set, got {self.fps!r}"
-            )
+        if self.fps is not None:
+            _check_fps(self.fps)
 
 
 def _parse_model(obj: Mapping, base_dir: Path) -> ModelConfig:

@@ -55,24 +55,23 @@ __all__ = [
 class FusionConfig:
     """Knobs for the fusion pipeline.
 
-    ``pack_size`` frames form one majority-vote pack; ``neighbor_window``
-    is the total width (centered, odd) of the verifier search window.
-    With both at 1 fusion is the per-frame AND.
+    ``pack_size`` frames form one majority-vote pack, odd so that a full pack
+    cannot tie; ``neighbor_window`` is the total width (centered, odd) of the
+    verifier search window. With both at 1 fusion is the per-frame AND.
     """
 
     pack_size: int = 3
     neighbor_window: int = 3
 
     def __post_init__(self) -> None:
-        for name, why in (
-            ("pack_size", "a full pack cannot tie"),
-            ("neighbor_window", "the window is centered"),
-        ):
-            value = getattr(self, name)
-            if not _is_int_at_least(value, 1):
-                raise ValidationError(f"{name} must be a positive int, got {value!r}")
-            if value % 2 == 0:
-                raise ValidationError(f"{name} must be odd so {why}, got {value}")
+        _check_odd_size("pack_size", self.pack_size)
+        _check_odd_size("neighbor_window", self.neighbor_window)
+
+
+def _check_odd_size(name: str, value: object) -> None:
+    """Raise :class:`ValidationError` unless a pack or window size is an odd int >= 1."""
+    if not (_is_int_at_least(value, 1) and value % 2):
+        raise ValidationError(f"{name} must be an odd int >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -125,8 +124,7 @@ def pack_mode(series: PredictionSeries, pack_size: int = 3) -> PredictionSeries:
     in a partial pack, since full packs are odd) counts as negative.
     Scores pass through unchanged, only labels are smoothed.
     """
-    if pack_size < 1 or pack_size % 2 == 0:
-        raise ValidationError(f"pack_size must be a positive odd int, got {pack_size}")
+    _check_odd_size("pack_size", pack_size)
     labels = series.labels
     n = len(labels)
     if pack_size == 1 or n == 0:
@@ -153,8 +151,7 @@ def neighbor_validate(
     ``window=1`` is the per-frame AND: a frame stays positive only if both
     stages agree, and its score is the weaker of the two.
     """
-    if window < 1 or window % 2 == 0:
-        raise ValidationError(f"window must be a positive odd int, got {window}")
+    _check_odd_size("window", window)
     if len(primary.labels) != len(verifier.labels):
         raise ValidationError(
             f"series lengths differ: primary {len(primary.labels)}, "

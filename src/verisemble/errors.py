@@ -1,10 +1,10 @@
 """Exception types shared across the package, and the one home of the rules
 that input from outside the program is checked by: the JSON file's size and
 parse (:func:`_read_json`, :func:`_parse_json`, which refuses a repeated key),
-the keys of a JSON object (:func:`_require_keys`) and the two number rules
-(:func:`_is_int_at_least`, :func:`_is_finite_number`). A bool is never a
-number, and a number is compared with the float range, never converted to a
-float, because a JSON integer may exceed every float.
+the keys of a JSON object (:func:`_require_keys`) and the number rules
+(:func:`_is_int_at_least`, :func:`_is_finite_number`, :func:`_check_fps`). A
+bool is never a number, and a number is compared with the float range, never
+converted to a float, because a JSON integer may exceed every float.
 
 The CLI maps these (plus ``OSError``, ``ValueError`` and ``MemoryError``) to
 exit code 2; anything else is treated as an internal error (exit code 1).
@@ -98,3 +98,9 @@ def _is_finite_number(value: object) -> bool:
     """Whether ``value`` is an int or float in the finite float range; a bool is not."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     return number and abs(value) <= sys.float_info.max
+
+
+def _check_fps(fps: object) -> None:
+    """Raise :class:`ValidationError` unless the frame rate ``fps`` is a finite number > 0."""
+    if not (_is_finite_number(fps) and fps > 0):
+        raise ValidationError(f"fps must be positive and finite, got {fps!r}")

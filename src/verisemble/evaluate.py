@@ -12,12 +12,11 @@ about fused false-positive rates can be tested without trained models.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .ensemble import PredictionSeries, _series
-from .errors import ValidationError, _is_finite_number
+from .errors import ValidationError, _check_fps, _is_finite_number
 
 __all__ = [
     "SplitMix64",
@@ -119,8 +118,7 @@ class DetectionEvent:
 
 def events_from_series(series: PredictionSeries, fps: float) -> tuple[DetectionEvent, ...]:
     """Collapse positive runs into events; timestamp = start_frame / fps."""
-    if not 0 < fps < math.inf:
-        raise ValidationError(f"fps must be positive and finite, got {fps}")
+    _check_fps(fps)
     events: list[DetectionEvent] = []
     labels = series.labels
     scores = series.scores

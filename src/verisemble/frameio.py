@@ -23,6 +23,7 @@ from .errors import (
     FormatError,
     LoadError,
     ValidationError,
+    _check_fps,
     _is_finite_number,
     _is_int_at_least,
     _read_json,
@@ -139,8 +140,7 @@ class SequenceManifest:
     def __post_init__(self) -> None:
         if self.frame_count < 0:
             raise ValidationError(f"frame_count must be >= 0, got {self.frame_count}")
-        if not 0 < self.fps < np.inf:
-            raise ValidationError(f"fps must be > 0 and finite, got {self.fps}")
+        _check_fps(self.fps)
         # `pattern % 0` pads to the width and precision the pattern asks for.
         for conversion in _CONVERSION.finditer(self.pattern):
             width, precision = conversion.groups(default="")
@@ -167,15 +167,10 @@ class GroundTruth:
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        normalized = tuple(sorted((float(a), float(b)) for a, b in self.intervals))
-        for start, end in normalized:
-            if not (np.isfinite(start) and np.isfinite(end)):
-                raise ValidationError(f"interval ({start}, {end}) is not finite")
-            if start < 0 or end < 0:
-                raise ValidationError(f"interval ({start}, {end}) has negative bounds")
-            if start > end:
-                raise ValidationError(f"interval start {start} exceeds end {end}")
-        object.__setattr__(self, "intervals", normalized)
+        intervals = [(float(a), float(b)) for a, b in self.intervals]
+        for i, (start, end) in enumerate(intervals):
+            _check_interval(f"interval {i}", start, end)
+        object.__setattr__(self, "intervals", tuple(sorted(intervals)))
 
     def __len__(self) -> int:
         return len(self.intervals)
@@ -294,8 +289,24 @@ def load_manifest(path: str | Path) -> SequenceManifest:
     )
 
 
-def _frame_error(index: int, path: Path, exc: FormatError) -> FormatError:
-    return FormatError(f"frame {index} ({path.name}): {exc}")
+def _read_frame(path: Path, index: int, shape: tuple | None) -> tuple[tuple, bytes | None]:
+    """Frame ``index``'s header shape, and its payload if that is ``shape``, once the
+    file's size is checked against the header; a missing file raises the scan's
+    :class:`LoadError`, and a :class:`FormatError` gains the frame's name."""
+    try:
+        with open(path, "rb") as file:
+            width, height = _ppm_header(file)
+            expected = width * height * 3
+            _check_payload(expected, os.fstat(file.fileno()).st_size - file.tell())
+            if (height, width, 3) != shape:
+                return (height, width, 3), None
+            payload = file.read(expected)
+            _check_payload(expected, len(payload))
+    except FileNotFoundError as exc:
+        raise LoadError(f"frame {index} missing: {path}") from exc
+    except FormatError as exc:
+        raise FormatError(f"frame {index} ({path.name}): {exc}") from exc
+    return shape, payload
 
 
 @dataclass(frozen=True)
@@ -326,22 +337,10 @@ class FrameSequence(Sequence[Frame]):
         if not 0 <= index < len(self):
             raise IndexError(f"frame index {index} out of range for {len(self)} frames")
         path = self.manifest.frame_path(self.directory, index)
-        try:
-            # The header, the file size and frame 0's shape bound what is read.
-            with open(path, "rb") as file:
-                width, height = _ppm_header(file)
-                expected = width * height * 3
-                _check_payload(expected, os.fstat(file.fileno()).st_size - file.tell())
-                if (height, width, 3) == self.shape:
-                    payload = file.read(expected)
-                    _check_payload(expected, len(payload))
-        except FormatError as exc:
-            raise _frame_error(index, path, exc) from exc
-        if (height, width, 3) != self.shape:
-            raise FormatError(
-                f"frame {index} has shape {(height, width, 3)}, expected {self.shape} like frame 0"
-            )
-        return Frame(index=index, pixels=np.frombuffer(payload, np.uint8).reshape(self.shape))
+        shape, payload = _read_frame(path, index, self.shape)
+        if payload is not None:
+            return Frame(index=index, pixels=np.frombuffer(payload, np.uint8).reshape(shape))
+        raise FormatError(f"frame {index} has shape {shape}, expected {self.shape} like frame 0")
 
 
 def open_sequence(
@@ -362,14 +361,7 @@ def open_sequence(
             raise LoadError(f"frame {i} missing: {path}")
     shape = None
     if manifest.frame_count:
-        first = manifest.frame_path(directory, 0)
-        try:
-            with open(first, "rb") as file:
-                width, height = _ppm_header(file)
-                _check_payload(width * height * 3, os.fstat(file.fileno()).st_size - file.tell())
-        except FormatError as exc:
-            raise _frame_error(0, first, exc) from exc
-        shape = (height, width, 3)
+        shape, _ = _read_frame(manifest.frame_path(directory, 0), 0, None)
     return FrameSequence(directory=directory, manifest=manifest, shape=shape)
 
 
@@ -422,14 +414,21 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
     path = Path(path)
     intervals: list[tuple[float, float]] = []
     for lineno, start, end in _csv_rows(path, "start_s,end_s"):
-        if not (np.isfinite(start) and np.isfinite(end)):
-            raise ValidationError(f"{path} row {lineno}: non-finite value in ({start}, {end})")
-        if start > end:
-            raise ValidationError(f"{path} row {lineno}: start {start} exceeds end {end}")
-        if start < 0 or end < 0:
-            raise ValidationError(f"{path} row {lineno}: negative interval ({start}, {end})")
+        _check_interval(f"{path} row {lineno}", start, end)
         intervals.append((start, end))
     return GroundTruth(intervals=tuple(intervals))
+
+
+def _check_interval(where: str, start: float, end: float) -> None:
+    """Raise :class:`ValidationError` naming ``where`` unless ``(start, end)`` is
+    finite, ``start`` at most ``end`` and both at least 0: the rule of a
+    ground-truth file's rows and of a :class:`GroundTruth`'s intervals."""
+    if not (np.isfinite(start) and np.isfinite(end)):
+        raise ValidationError(f"{where}: non-finite value in ({start}, {end})")
+    if start > end:
+        raise ValidationError(f"{where}: start {start} exceeds end {end}")
+    if start < 0 or end < 0:
+        raise ValidationError(f"{where}: negative interval ({start}, {end})")
 
 
 def _check_detection(where: str, t: float, score: float, prev: float) -> None:

@@ -474,6 +474,8 @@ _MIN_STRIP_MACS = 1 << 20
 # and multiplied this many columns at a time; OpenBLAS's gemv gives each
 # output the bits of the whole product at such widths, not at ragged ones.
 _DENSE_BLOCK = 16
+# The epsilon a batchnorm adds to its variance; the weight container stores none.
+_BATCHNORM_EPS = 1e-3
 
 # Each thread's scratch buffers, reused across strips, layers and frames.
 _scratch = threading.local()
@@ -657,11 +659,10 @@ def batchnorm_infer(
     beta: np.ndarray,
     mean: np.ndarray,
     var: np.ndarray,
-    eps: float = 1e-3,
 ) -> np.ndarray:
     """Inference-time batch normalization with per-channel statistics."""
     x = np.asarray(x, dtype=np.float64)
-    mean, scale, beta = _batchnorm_terms(x.shape[-1], gamma, beta, mean, var, eps)
+    mean, scale, beta = _batchnorm_terms(x.shape[-1], gamma, beta, mean, var)
     out = x - mean
     out *= scale
     out += beta
@@ -674,7 +675,6 @@ def _batchnorm_terms(
     beta: np.ndarray,
     mean: np.ndarray,
     var: np.ndarray,
-    eps: float = 1e-3,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Checked float64 ``(mean, scale, beta)`` of a batchnorm over
     ``channels`` channels, which computes ``(x - mean) * scale + beta``."""
@@ -688,7 +688,7 @@ def _batchnorm_terms(
         params[name] = arr
     if np.any(params["var"] < 0):
         raise ValidationError("batchnorm variance must be non-negative")
-    scale = params["gamma"] / np.sqrt(params["var"] + eps)
+    scale = params["gamma"] / np.sqrt(params["var"] + _BATCHNORM_EPS)
     return params["mean"], scale, params["beta"]
 
 

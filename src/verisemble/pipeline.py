@@ -34,7 +34,7 @@ import numpy as np
 from . import cores
 from .config import CnnModelConfig, MeanIntensityModelConfig, PipelineConfig
 from .ensemble import PredictionSeries, _PrefixFold, _series
-from .errors import LoadError, ValidationError
+from .errors import LoadError, ValidationError, _check_fps, _is_int_at_least
 from .evaluate import DetectionEvent, events_from_series
 from .frameio import Frame
 from .nn import ModelSpec, WeightStore, _read_pixels, classify, forward, load_weights
@@ -222,12 +222,11 @@ def run_pipeline(
     numpy's process-wide BLAS count held at one until the call ends.
     """
     n = len(frames)
-    if not 0 < fps < math.inf:
-        raise ValidationError(f"fps must be positive and finite, got {fps}")
+    _check_fps(fps)
     if not math.isfinite((n - 1) / fps):
         raise ValidationError(f"fps {fps} is too small: frame {n - 1} has no finite timestamp")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    if not _is_int_at_least(workers, 1):
+        raise ValidationError(f"workers must be >= 1, got {workers!r}")
     models = build_stage_models(config)
     logger.info("scoring %d frames with %d stages (%d workers)", n, len(models), workers)
 

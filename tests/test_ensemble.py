@@ -79,6 +79,31 @@ class TestFusionConfig:
             FusionConfig(**{field: value})
 
 
+# A bool, a float, an even size and zero.
+BAD_SIZES = [True, 3.0, 2, 0]
+
+
+@pytest.mark.parametrize(
+    "name, enter",
+    [
+        ("pack_size", lambda v: FusionConfig(pack_size=v)),
+        ("neighbor_window", lambda v: FusionConfig(neighbor_window=v)),
+        ("pack_size", lambda v: pack_mode(mk([True, False, True]), v)),
+        ("window", lambda v: neighbor_validate(mk([True, False]), mk([False, True]), v)),
+    ],
+    ids=["FusionConfig.pack_size", "FusionConfig.neighbor_window", "pack_mode", "neighbor_validate"],
+)
+def test_every_pack_and_window_size_is_checked_by_one_rule(name, enter):
+    """Wherever a pack or window size enters, the same values are refused
+    with a :class:`ValidationError` and the same message."""
+    messages = []
+    for value in BAD_SIZES:
+        with pytest.raises(ValidationError) as caught:
+            enter(value)
+        messages.append(str(caught.value))
+    assert messages == [f"{name} must be an odd int >= 1, got {v!r}" for v in BAD_SIZES]
+
+
 class TestPredictionSeries:
     def test_length_and_counts(self):
         series = mk([True, False, True])

@@ -213,7 +213,7 @@ class TestManifest:
             load_manifest(tmp_path / "nope.json")
 
     def test_infinite_fps_rejected(self):
-        with pytest.raises(ValidationError, match="fps must be > 0"):
+        with pytest.raises(ValidationError, match="fps must be positive and finite"):
             SequenceManifest(frame_count=1, fps=float("inf"), pattern="f_%d.ppm")
 
     def test_constant_pattern_rejected(self):
@@ -286,6 +286,20 @@ class TestOpenSequence:
         with pytest.raises(FormatError) as caught:
             open_sequence(directory)
         assert str(caught.value) == f"frame 0 (frame_0000.ppm): {message}"
+
+    def test_a_frame_removed_after_open_is_missing_when_indexed(self, tmp_path):
+        """Indexing a frame whose file is gone raises the :class:`LoadError`
+        that opening the sequence then raises, naming its index."""
+        directory = write_sequence(tmp_path / "seq", [BLACK, WHITE, BLACK])
+        frames = open_sequence(directory)
+        path = directory / "frame_0001.ppm"
+        path.unlink()
+        with pytest.raises(LoadError) as indexed:
+            frames[1]
+        with pytest.raises(LoadError) as opened:
+            open_sequence(directory)
+        assert str(indexed.value) == str(opened.value) == f"frame 1 missing: {path}"
+        assert frames[2] == solid_frame(BLACK, index=2)
 
     def test_indexing_parses_the_header_once(self, tmp_path, monkeypatch):
         """Indexing reads a frame file's header once, then only its payload."""
@@ -486,12 +500,35 @@ class TestGroundTruth:
 
     @pytest.mark.parametrize("interval", [(0.0, float("inf")), (float("nan"), 1.0)])
     def test_non_finite_interval_rejected(self, interval):
-        with pytest.raises(ValidationError, match="is not finite"):
+        with pytest.raises(ValidationError, match="non-finite value"):
             GroundTruth(intervals=(interval,))
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValidationError, match="start 2.0 exceeds end 1.0"):
             GroundTruth(intervals=((2.0, 1.0),))
+
+    @pytest.mark.parametrize(
+        "interval, why",
+        [
+            ((float("nan"), 1.0), "non-finite value in (nan, 1.0)"),
+            ((-1.0, 2.0), "negative interval (-1.0, 2.0)"),
+            ((2.0, 1.0), "start 2.0 exceeds end 1.0"),
+        ],
+        ids=["nan", "negative", "reversed"],
+    )
+    def test_file_rows_and_intervals_are_checked_by_one_rule(self, tmp_path, interval, why):
+        """A bad interval is refused with the same message, naming its row in a
+        file and its position in a :class:`GroundTruth`."""
+        with pytest.raises(ValidationError) as built:
+            GroundTruth(intervals=((0.0, 1.0), interval))
+        path = tmp_path / "gt.csv"
+        path.write_text("start_s,end_s\n0.0,1.0\n%r,%r\n" % interval)
+        with pytest.raises(ValidationError) as loaded:
+            load_ground_truth(path)
+        assert (str(built.value), str(loaded.value)) == (
+            f"interval 1: {why}",
+            f"{path} row 3: {why}",
+        )
 
 
 class TestDetections:

@@ -31,6 +31,7 @@ from verisemble import (
     ModelSpec,
     PipelineConfig,
     PredictionSeries,
+    SequenceManifest,
     StageConfig,
     ValidationError,
     build_stage_models,
@@ -349,6 +350,12 @@ class TestRunPipeline:
         with pytest.raises(ValidationError, match="workers"):
             run_pipeline(mean_pipeline(), [], fps=25.0, workers=0)
 
+    @pytest.mark.parametrize("workers", [True, 2.5], ids=["bool", "float"])
+    def test_workers_must_be_an_int(self, workers):
+        with pytest.raises(ValidationError) as caught:
+            run_pipeline(mean_pipeline(), golden_frames(), fps=25.0, workers=workers)
+        assert str(caught.value) == f"workers must be >= 1, got {workers!r}"
+
     def test_cnn_stages_end_to_end(self, tmp_path):
         rgb_spec = small_cnn_spec(3)
         luma_spec = small_cnn_spec(1)
@@ -388,6 +395,38 @@ class TestRunPipeline:
         for i in final_known(serial.scored, 7, config.fusion):
             assert serial.fused.scores[i] == oracle.scores[i]
         assert serial.events == events_from_series(oracle, 5.0)
+
+
+def refusal(call, *args) -> str | None:
+    """The message of the :class:`ValidationError` ``call(*args)`` raises, or
+    None if it returns."""
+    try:
+        call(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+# A bool, a number past every float, zero, a negative, inf and NaN.
+BAD_FPS = [True, 10**400, 0, -1.0, float("inf"), float("nan")]
+
+
+@pytest.mark.parametrize(
+    "enter",
+    [
+        lambda fps: SequenceManifest(frame_count=1, fps=fps, pattern="f_%d.ppm"),
+        lambda fps: mean_pipeline(fps=fps),
+        lambda fps: run_pipeline(mean_pipeline(), [], fps=fps),
+        lambda fps: events_from_series(PredictionSeries((), ()), fps),
+    ],
+    ids=["SequenceManifest", "PipelineConfig", "run_pipeline", "events_from_series"],
+)
+def test_every_frame_rate_is_checked_by_one_rule(enter):
+    """Wherever a frame rate enters, the same values are refused with the
+    same message."""
+    assert [refusal(enter, fps) for fps in BAD_FPS] == [
+        f"fps must be positive and finite, got {fps!r}" for fps in BAD_FPS
+    ]
 
 
 class CountingModel:
