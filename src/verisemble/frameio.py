@@ -409,16 +409,6 @@ def _csv_rows(path: Path, header: str) -> Iterator[tuple[int, float, float]]:
         yield lineno, *values
 
 
-def load_ground_truth(path: str | Path) -> GroundTruth:
-    """Parse a ground-truth CSV of ``start_s,end_s`` rows (header optional)."""
-    path = Path(path)
-    intervals: list[tuple[float, float]] = []
-    for lineno, start, end in _csv_rows(path, "start_s,end_s"):
-        _check_interval(f"{path} row {lineno}", start, end)
-        intervals.append((start, end))
-    return GroundTruth(intervals=tuple(intervals))
-
-
 def _check_interval(where: str, start: float, end: float) -> None:
     """Raise :class:`ValidationError` naming ``where`` unless ``(start, end)`` is
     finite, ``start`` at most ``end`` and both at least 0: the rule of a
@@ -429,6 +419,16 @@ def _check_interval(where: str, start: float, end: float) -> None:
         raise ValidationError(f"{where}: start {start} exceeds end {end}")
     if start < 0 or end < 0:
         raise ValidationError(f"{where}: negative interval ({start}, {end})")
+
+
+def load_ground_truth(path: str | Path) -> GroundTruth:
+    """Parse a ground-truth CSV of ``start_s,end_s`` rows (header optional)."""
+    path = Path(path)
+    intervals: list[tuple[float, float]] = []
+    for lineno, start, end in _csv_rows(path, "start_s,end_s"):
+        _check_interval(f"{path} row {lineno}", start, end)
+        intervals.append((start, end))
+    return GroundTruth(intervals=tuple(intervals))
 
 
 def _check_detection(where: str, t: float, score: float, prev: float) -> None:

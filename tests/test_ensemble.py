@@ -91,7 +91,9 @@ BAD_SIZES = [True, 3.0, 2, 0]
         ("pack_size", lambda v: pack_mode(mk([True, False, True]), v)),
         ("window", lambda v: neighbor_validate(mk([True, False]), mk([False, True]), v)),
     ],
-    ids=["FusionConfig.pack_size", "FusionConfig.neighbor_window", "pack_mode", "neighbor_validate"],
+    ids=[
+        "FusionConfig.pack_size", "FusionConfig.neighbor_window", "pack_mode", "neighbor_validate",
+    ],
 )
 def test_every_pack_and_window_size_is_checked_by_one_rule(name, enter):
     """Wherever a pack or window size enters, the same values are refused
